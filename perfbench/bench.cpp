@@ -63,6 +63,7 @@ const std::vector<std::pair<const char*, const char*>>& per_layer_metrics() {
       {"serve.run_batch_ms.len64", "ms"},
       {"serve.run_batch_ms.len128", "ms"},
       {"serve.submit_us_p99", "us"},
+      {"serve.ladder_max_rps", "1/s"},
       {"loadgen.lag_ms_p99", "ms"},
       {"obs.trace_overhead_frac", "frac"},
       {"obs.layer_coverage", "frac"},

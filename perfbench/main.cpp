@@ -83,10 +83,13 @@ int main(int argc, char** argv) {
                  args.workload.c_str());
     return 2;
   }
-  // Pin the workload: bench shapes at scale 1, the pool size it names, and
-  // no trace or telemetry files written outside the working directory.
+  // Pin the workload: bench shapes at scale 1, the default serve batching
+  // policy, the pool size it names, and no trace or telemetry files written
+  // outside the working directory.
   // NOLINTBEGIN(concurrency-mt-unsafe): single-threaded until the run starts
   unsetenv("LEGW_BENCH_SCALE");
+  unsetenv("LEGW_SERVE_BATCH_CAP");
+  unsetenv("LEGW_SERVE_DEADLINE_MS");
   unsetenv("LEGW_TRACE");
   unsetenv("LEGW_TELEMETRY");
   setenv("LEGW_NUM_THREADS", std::to_string(workload->pool_threads).c_str(), 1);

@@ -5,10 +5,11 @@
 
 Run from the repository root. Builds perfbench/ (the legw libraries from
 src/ plus the driver binary) into $CARGO_TARGET_DIR/perfbench, default
-.bench_build/perfbench, on first use or when a source is newer than the
-binary, then runs the binary with the same arguments. The binary prints the
-result as the last line of stdout. Build output goes to stderr; a failed
-build exits non-zero without printing a result. See perfbench/README.md.
+.bench_build/perfbench, then runs the binary with the same arguments. The
+project is configured once; every run calls `cmake --build`, which does
+nothing when the binary is up to date. The binary prints the result as the
+last line of stdout. Build output goes to stderr; a failed build exits
+non-zero without printing a result. See perfbench/README.md.
 """
 import os
 import subprocess
@@ -19,32 +20,16 @@ ROOT = os.path.dirname(HERE)
 RUN_TIMEOUT_S = 175
 
 
-def newest_source_mtime():
-    newest = 0.0
-    for top in (os.path.join(ROOT, "src"), HERE):
-        for dirpath, _, files in os.walk(top):
-            for name in files:
-                if name.endswith((".cpp", ".hpp", ".txt")):
-                    newest = max(newest, os.path.getmtime(os.path.join(dirpath, name)))
-    for name in ("bench_common.hpp",):
-        path = os.path.join(ROOT, "bench", name)
-        if os.path.exists(path):
-            newest = max(newest, os.path.getmtime(path))
-    return newest
-
-
 def build(build_dir):
     binary = os.path.join(build_dir, "perfbench")
     if not os.path.isdir(os.path.join(ROOT, "src")):
         print("perfbench: no src/ next to perfbench/; nothing to build", file=sys.stderr)
         return None
-    if os.path.exists(binary) and os.path.getmtime(binary) >= newest_source_mtime():
-        return binary
     jobs = str(max(1, min(4, os.cpu_count() or 1)))
-    steps = [
-        ["cmake", "-S", HERE, "-B", build_dir, "-DCMAKE_BUILD_TYPE=Release"],
-        ["cmake", "--build", build_dir, "--target", "perfbench", "-j", jobs],
-    ]
+    steps = [["cmake", "--build", build_dir, "--target", "perfbench", "-j", jobs]]
+    if not os.path.exists(os.path.join(build_dir, "CMakeCache.txt")):
+        steps.insert(0, ["cmake", "-S", HERE, "-B", build_dir,
+                         "-DCMAKE_BUILD_TYPE=Release"])
     for cmd in steps:
         proc = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
                               text=True)

@@ -458,26 +458,34 @@ void run_resnet(const Args& args, Result& out) {
 
 // ---- ptb-b8-t1 --------------------------------------------------------------
 
+bench::PtbWorkload make_ptb_workload(const Args& args) {
+  bench::PtbWorkload w;
+  if (args.smoke) {
+    data::CorpusConfig c;
+    c.vocab = 200;
+    c.n_states = 10;
+    c.n_train_tokens = 2000;
+    c.n_valid_tokens = 500;
+    c.seed = 1;
+    w.corpus = data::SyntheticCorpus(c);
+  }
+  return w;
+}
+
+std::unique_ptr<sched::LrSchedule> ptb_schedule(const bench::PtbWorkload& w) {
+  return sched::legw_schedule(w.legw_base, w.base_batch, [&](float peak) {
+    return std::make_shared<sched::ExponentialEpochDecay>(peak, w.flat_epochs,
+                                                          w.decay_gamma);
+  });
+}
+
 void run_ptb(const Args& args, Result& out) {
   const i64 epochs = args.smoke ? 1 : 2;
   std::unique_ptr<bench::PtbWorkload> wp;
   std::unique_ptr<sched::LrSchedule> schedule;
   time_setup(args, out, [&] {
-    wp = std::make_unique<bench::PtbWorkload>();
-    if (args.smoke) {
-      data::CorpusConfig c;
-      c.vocab = 200;
-      c.n_states = 10;
-      c.n_train_tokens = 2000;
-      c.n_valid_tokens = 500;
-      c.seed = 1;
-      wp->corpus = data::SyntheticCorpus(c);
-    }
-    schedule = sched::legw_schedule(
-        wp->legw_base, wp->base_batch, [&](float peak) {
-          return std::make_shared<sched::ExponentialEpochDecay>(
-              peak, wp->flat_epochs, wp->decay_gamma);
-        });
+    wp = std::make_unique<bench::PtbWorkload>(make_ptb_workload(args));
+    schedule = ptb_schedule(*wp);
   });
   const bench::PtbWorkload& w = *wp;
   const i64 batch = w.base_batch;
