@@ -91,7 +91,7 @@ struct TrainState {
   // must match.
   std::vector<std::pair<std::string, core::Tensor*>> extra;
   i64 step = 0;        // completed optimizer steps
-  i64 epoch = 0;       // epoch the step belongs to (informational; the
+  i64 epoch = 0;       // step / steps_per_epoch (informational; the
                        // runners re-derive position from `step`)
   i64 micro_step = 0;  // GradientAccumulator pending position; when > 0 the
                        // checkpoint also carries the accumulated gradients

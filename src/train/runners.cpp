@@ -31,49 +31,24 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
+// Protect mode (see GuardHook) needs the explicit sentinel opt-in and a
+// checkpoint directory to roll back into.
+bool protect_mode(const RunConfig& run) {
+  return run.sentinel.enabled && !run.checkpoint_dir.empty();
 }
 
-// Per-step boilerplate shared by all runners. `opts` holds one optimizer per
-// model replica (exactly one for the classic single-model loop); every
-// replica sees the identical schedule so data-parallel replicas stay
-// bit-synchronised.
-struct StepLoop {
-  std::vector<optim::Optimizer*> opts;
-  const RunConfig* run;
-  i64 steps_per_epoch;
-  i64 step = 0;
-
-  // Sets the schedule LR for the current step and advances. Returns the
-  // fractional epoch used. `lr_scale` is the sentinel's post-rollback
-  // mitigation factor; exactly 1.0f skips the multiply so a guard-less step
-  // stays bitwise identical.
-  double begin_step(float lr_scale = 1.0f) {
-    const double epoch =
-        static_cast<double>(step) / static_cast<double>(steps_per_epoch);
-    auto lr = run->schedule->lr(epoch);
-    if (lr_scale != 1.0f) lr *= lr_scale;
-    for (optim::Optimizer* opt : opts) opt->set_lr(lr);
-    // Publish the step so a non-finite tripwire firing anywhere in this
-    // step's forward/backward/update blames *when*, not just where.
-    check::set_step_index(step);
-    ++step;
-    return epoch;
-  }
-};
-
-// Shared post-forward tail of one training step: divergence check, backward,
-// clip, optimizer update, bookkeeping. Returns false when the run diverged.
-// With multiple replicas every optimizer clips and steps on the identical
-// replica-mean gradients, so the updates are identical too. `clip_norm` is
-// the effective clip (the sentinel may tighten it mid-episode; equals
-// run.clip_norm whenever the guard is inactive).
-bool finish_step(const RunConfig& run, StepLoop& loop, double loss_value,
-                 RunResult* result, float clip_norm) {
+// Post-forward tail of one training step: divergence check, clip, optimizer
+// update, bookkeeping. Returns false when the run diverged. `opts` are the
+// step's participating optimizers; with multiple replicas every one clips
+// and steps on the identical replica-mean gradients, so the updates are
+// identical too. `clip_norm` is the effective clip (the sentinel may tighten
+// it mid-episode; equals run.clip_norm whenever the guard is inactive).
+bool finish_step(const RunConfig& run,
+                 const std::vector<optim::Optimizer*>& opts, i64 step,
+                 double loss_value, RunResult* result, float clip_norm) {
   result->final_train_loss = loss_value;
   if (run.recorder != nullptr) {
-    run.recorder->record("train_loss", loop.step - 1, loss_value);
+    run.recorder->record("train_loss", step, loss_value);
   }
   if (loss_diverged(loss_value)) {
     result->diverged = true;
@@ -81,30 +56,32 @@ bool finish_step(const RunConfig& run, StepLoop& loop, double loss_value,
   }
   if (clip_norm > 0.0f) {
     obs::Span span("clip");
-    for (optim::Optimizer* opt : loop.opts) {
+    for (optim::Optimizer* opt : opts) {
       optim::clip_grad_norm(opt->params(), clip_norm);
     }
   }
   {
     obs::Span span("optimizer");
-    for (optim::Optimizer* opt : loop.opts) opt->step();
+    for (optim::Optimizer* opt : opts) opt->step();
   }
   obs::count("steps", 1);
   ++result->steps;
   return true;
 }
 
-// Checkpoint/resume hook shared by the four runners. `fill` rebuilds the
+// Checkpoint/resume hook of the training loop. `fill` rebuilds the
 // TrainState views on every save/restore (the pointed-at objects move — PTB
 // reassigns its carried BPTT state each chunk), then the hook stamps the
 // counters and delegates policy to ckpt::CheckpointManager.
 struct CkptHook {
   const RunConfig* run;
+  i64 steps_per_epoch;
   std::function<void(ckpt::TrainState&)> fill;
   std::optional<ckpt::CheckpointManager> mgr;
 
-  CkptHook(const RunConfig& r, std::function<void(ckpt::TrainState&)> f)
-      : run(&r), fill(std::move(f)) {
+  CkptHook(const RunConfig& r, i64 spe,
+           std::function<void(ckpt::TrainState&)> f)
+      : run(&r), steps_per_epoch(spe), fill(std::move(f)) {
     if (!r.checkpoint_dir.empty()) {
       ckpt::ManagerConfig mc;
       mc.dir = r.checkpoint_dir;
@@ -134,10 +111,20 @@ struct CkptHook {
     return state.step;
   }
 
+  // Writes the state after `step` completed steps. Every save (periodic,
+  // guard step-0 and rollback re-save) stamps the same counters here.
+  ckpt::Result save(i64 step) {
+    ckpt::TrainState state;
+    fill(state);
+    state.step = step;
+    state.epoch = step / steps_per_epoch;
+    return mgr->save_now(state);
+  }
+
   // Runs after every completed optimizer step. Returns false when an
   // injected kill fired: the caller stops the run as if the process died
   // (RunResult::interrupted is set; no final eval happens).
-  bool after_step(i64 step, i64 epoch, RunResult* result) {
+  bool after_step(i64 step, RunResult* result) {
     const ckpt::CrashPlan::Crash* crash =
         run->crash_plan == nullptr ? nullptr : run->crash_plan->crash_at(step);
     if (crash != nullptr && crash->kind == ckpt::CrashPlan::Kind::kMidStep) {
@@ -145,11 +132,7 @@ struct CkptHook {
       return false;
     }
     if (!mgr.has_value() || !mgr->due(step)) return true;
-    ckpt::TrainState state;
-    fill(state);
-    state.step = step;
-    state.epoch = epoch;
-    const ckpt::Result r = mgr->save_now(state);
+    const ckpt::Result r = save(step);
     if (r.status == ckpt::Status::kSimulatedCrash) {
       result->interrupted = true;
       return false;
@@ -163,11 +146,11 @@ struct CkptHook {
   }
 };
 
-// Stability-sentinel glue shared by the four runners (guard/sentinel.hpp).
-// Construction order matters: the runner builds the GuardHook first so its
-// state tensor can be registered inside the CkptHook fill lambda (protect
-// mode adds "guard.sentinel" to the checkpoint `extra` schema), then
-// attaches the CkptHook. Modes:
+// Stability-sentinel glue of the training loop (guard/sentinel.hpp). Its
+// state tensor is registered inside the CkptHook fill (protect mode adds
+// "guard.sentinel" to the checkpoint `extra` schema), so run() builds the
+// GuardHook first and hands the CkptHook to the calls that save or restore.
+// Modes:
 //   protect — RunConfig::sentinel.enabled && checkpoint_dir set: detection,
 //             rollback to the newest blessed checkpoint, and the escalating
 //             mitigation ladder; the check:: tripwires run in recoverable
@@ -185,12 +168,10 @@ struct GuardHook {
   std::optional<guard::StabilitySentinel> sentinel;
   core::Tensor state;  // the persisted "guard.sentinel" extra (protect mode)
   std::optional<check::RecoverableScope> recoverable;
-  CkptHook* ck = nullptr;
-  i64 steps_per_epoch = 1;
   i64 restart_step = 0;  // valid after inspect() returns kRestart
 
   explicit GuardHook(const RunConfig& r) : run(&r) {
-    protect = r.sentinel.enabled && !r.checkpoint_dir.empty();
+    protect = protect_mode(r);
     observe = protect || core::guard_mode() == core::GuardMode::kObserve;
     if (observe) sentinel.emplace(r.sentinel, r.mitigation);
     if (protect) {
@@ -206,11 +187,6 @@ struct GuardHook {
     if (!protect) return;
     sentinel->export_state_into(state);
     s.extra.emplace_back("guard.sentinel", &state);
-  }
-
-  void attach(CkptHook* hook, i64 spe) {
-    ck = hook;
-    steps_per_epoch = spe;
   }
 
   float lr_scale(i64 step) const {
@@ -229,24 +205,20 @@ struct GuardHook {
   // a fresh protect-mode start persist + bless the step-0 checkpoint so a
   // rollback target exists from the first step. Returns false when the run
   // must stop (injected crash during the step-0 write).
-  bool after_restore(i64 start_step, RunResult* result) {
+  bool after_restore(CkptHook& ck, i64 start_step, RunResult* result) {
     if (!protect) return true;
     if (start_step > 0) {
       sentinel->import_state(state);
       return true;
     }
-    ckpt::TrainState s;
-    ck->fill(s);
-    s.step = 0;
-    s.epoch = 0;
-    const ckpt::Result w = ck->mgr->save_now(s);
+    const ckpt::Result w = ck.save(0);
     if (w.status == ckpt::Status::kSimulatedCrash) {
       result->interrupted = true;
       return false;
     }
     LEGW_CHECK(w.ok(),
                "guard: cannot write the step-0 rollback target: " + w.message);
-    const ckpt::Result b = ck->mgr->bless(0);
+    const ckpt::Result b = ck.mgr->bless(0);
     LEGW_CHECK(b.ok(),
                "guard: cannot bless the step-0 checkpoint: " + b.message);
     return true;
@@ -290,11 +262,11 @@ struct GuardHook {
   }
 
   // Post-backward / pre-optimizer health inspection. kProceed: the step goes
-  // on (always, outside protect mode). kRestart: rolled back — the runner
-  // repositions its data pipeline at `restart_step` and replays. kStop: the
-  // ladder is exhausted (guard_failed + diverged) or an injected crash fired
-  // during recovery (interrupted).
-  Action inspect(i64 step, double loss_value,
+  // on (always, outside protect mode). kRestart: rolled back — the loop
+  // repositions the task's data stream at `restart_step` and replays. kStop:
+  // the ladder is exhausted (guard_failed + diverged) or an injected crash
+  // fired during recovery (interrupted).
+  Action inspect(CkptHook& ck, i64 step, double loss_value,
                  const std::vector<optim::Optimizer*>& opts,
                  RunResult* result) {
     if (!observe) return Action::kProceed;
@@ -334,15 +306,15 @@ struct GuardHook {
                    d.reason.c_str(), result->guard_report.c_str());
       return Action::kStop;
     }
-    return rollback(d, result);
+    return rollback(ck, d, result);
   }
 
   // After CkptHook::after_step: feed the blessing pipeline.
-  void after_save(i64 step) {
+  void after_save(CkptHook& ck, i64 step) {
     if (!protect) return;
-    if (ck->mgr->due(step)) sentinel->note_checkpoint(step);
+    if (ck.mgr->due(step)) sentinel->note_checkpoint(step);
     for (const i64 bstep : sentinel->take_bless_ready()) {
-      const ckpt::Result b = ck->mgr->bless(bstep);
+      const ckpt::Result b = ck.mgr->bless(bstep);
       // Retention may have reaped the file before it earned its blessing;
       // losing a would-be target is fine, losing the run is not.
       if (b.ok()) obs::count("guard.blessed", 1);
@@ -350,11 +322,11 @@ struct GuardHook {
   }
 
  private:
-  Action rollback(const guard::Decision& d, RunResult* result) {
+  Action rollback(CkptHook& ck, const guard::Decision& d, RunResult* result) {
     obs::Span span("rollback");
     ckpt::TrainState s;
-    ck->fill(s);
-    const auto outcome = ck->mgr->restore_blessed(s);
+    ck.fill(s);
+    const auto outcome = ck.mgr->restore_blessed(s);
     if (!outcome.restored) {
       // No blessed checkpoint loads: unrecoverable. (The step-0 blessing
       // makes this unreachable short of on-disk corruption of every target.)
@@ -384,12 +356,8 @@ struct GuardHook {
       // mid-recovery resumes with the escalation history intact. Same model
       // bytes, newer ledger; the on-disk .blessed marker survives.
       obs::Span mspan("mitigate");
-      ck->mgr->invalidate_after(restored);
-      ckpt::TrainState s2;
-      ck->fill(s2);
-      s2.step = restored;
-      s2.epoch = restored / steps_per_epoch;
-      const ckpt::Result w = ck->mgr->save_now(s2);
+      ck.mgr->invalidate_after(restored);
+      const ckpt::Result w = ck.save(restored);
       if (w.status == ckpt::Status::kSimulatedCrash) {
         result->interrupted = true;
         return Action::kStop;
@@ -399,11 +367,6 @@ struct GuardHook {
     return Action::kRestart;
   }
 };
-
-void record_epoch_metric(const RunConfig& run, const char* series, i64 epoch,
-                         double value) {
-  if (run.recorder != nullptr) run.recorder->record(series, epoch, value);
-}
 
 void capture_params(const RunConfig& run,
                     const std::vector<ag::Variable>& params,
@@ -417,14 +380,13 @@ void capture_params(const RunConfig& run,
 // there, so sweeps driven by any bench binary produce a machine-readable log
 // without per-bench wiring. Export failures are reported, never fatal: a full
 // sweep should not die on a bad log path.
-void maybe_emit_telemetry(const char* runner, const RunConfig& run,
+void maybe_emit_telemetry(const std::string& runner, const RunConfig& run,
                           const RunResult& result) {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env probe, no setenv
   const char* path = std::getenv("LEGW_TELEMETRY");
   if (path == nullptr || path[0] == '\0') return;
-  const std::string name = std::string(runner) + ".b" +
-                           std::to_string(run.batch_size) + ".s" +
-                           std::to_string(run.seed);
+  const std::string name = runner + ".b" + std::to_string(run.batch_size) +
+                           ".s" + std::to_string(run.seed);
   std::string err;
   if (!obs::append_run_telemetry(path, make_run_record(name, run, result),
                                  obs::TraceRecorder::global(), &err)) {
@@ -432,17 +394,211 @@ void maybe_emit_telemetry(const char* runner, const RunConfig& run,
   }
 }
 
+// What one application brings to the loop in run(): models and optimizers
+// (owned by the runner), a seeded data stream, the step body and the metric.
+struct Task {
+  Task(const char* series, double worst_metric, int metric_digits)
+      : metric(series), worst(worst_metric), digits(metric_digits) {}
+
+  const char* metric;  // recorder series of the eval metric
+  double worst;        // metric of a diverged or never-evaluated run
+  int digits;          // decimals of the metric in verbose output
+  // Taken where the runner declares its task, before it builds the models,
+  // so wall_seconds covers model construction.
+  Clock::time_point start = Clock::now();
+  // One model and optimizer per replica. Metrics and captured parameters
+  // come from replica 0 (replicas stay bit-synchronised).
+  std::vector<nn::Module*> models;
+  std::vector<optim::Optimizer*> opts;
+  i64 steps_per_epoch = 1;
+  // Optional: adds the task's own checkpoint state (RNG streams, extra
+  // tensors) to the models and optimizers.
+  std::function<void(ckpt::TrainState&)> fill;
+  // Rebuilds the seeded data stream and replays it up to a step, so a
+  // resume or rollback continues the uninterrupted run's batch sequence.
+  std::function<void(i64)> seek;
+  // Optional: runs before the step's LR is set and returns the optimizers
+  // taking part in the step (all of `opts` when unset).
+  std::function<const std::vector<optim::Optimizer*>&(i64)> before_lr;
+  // Data, zero_grad, forward and backward of one step: the loss, or nothing
+  // when the run must stop here (RunResult::interrupted).
+  std::function<std::optional<double>()> step;
+  // The eval metric, under the loop's "eval" span.
+  std::function<double()> evaluate;
+};
+
+// The training loop shared by the four runners: per-step LR from the
+// schedule, sentinel inspection before the optimizer, clipping, periodic
+// checkpoints, rollback/resume replay, and the per-epoch eval tail.
+RunResult run(Task& task, const RunConfig& cfg, const char* name) {
+  const std::string runner = std::string("train_") + name;
+  LEGW_CHECK(cfg.schedule != nullptr, runner + ": schedule required");
+  LEGW_CHECK(static_cast<i64>(task.models.size()) == cfg.replicas,
+             runner + ": replicas > 1 is only wired for train_mnist");
+  RunResult result;
+  const i64 spe = task.steps_per_epoch;
+  GuardHook gd(cfg);
+  CkptHook ck(cfg, spe, [&](ckpt::TrainState& state) {
+    state.models = task.models;
+    state.optimizers = task.opts;
+    if (task.fill) task.fill(state);
+    gd.fill_extra(state);
+  });
+  i64 start_step = ck.maybe_restore(&result);
+
+  // The outer restart loop re-enters training after a sentinel rollback:
+  // the task replays its data stream to the restored step, exactly like a
+  // checkpoint resume.
+  bool restart = gd.after_restore(ck, start_step, &result);
+  while (restart) {
+    restart = false;
+    task.seek(start_step);
+    i64 step = start_step;
+    const i64 start_epoch = start_step / spe;
+    for (i64 epoch = start_epoch; epoch < cfg.epochs && !result.diverged;
+         ++epoch) {
+      for (i64 s = epoch == start_epoch ? start_step % spe : 0; s < spe;
+           ++s, ++step) {
+        obs::Span step_span("step");
+        // Every participating replica sees the identical schedule, so
+        // data-parallel replicas stay bit-synchronised. `lr_scale` is the
+        // sentinel's post-rollback mitigation factor; exactly 1.0f skips
+        // the multiply so a guard-less step stays bitwise identical.
+        const std::vector<optim::Optimizer*>& opts =
+            task.before_lr ? task.before_lr(step) : task.opts;
+        const float lr_scale = gd.lr_scale(step);
+        float lr = cfg.schedule->lr(static_cast<double>(step) /
+                                    static_cast<double>(spe));
+        if (lr_scale != 1.0f) lr *= lr_scale;
+        for (optim::Optimizer* opt : opts) opt->set_lr(lr);
+        // Publish the step so a non-finite tripwire firing anywhere in this
+        // step's forward/backward/update blames *when*, not just where.
+        check::set_step_index(step);
+        const std::optional<double> loss = task.step();
+        if (!loss.has_value()) {
+          result.interrupted = true;
+          break;
+        }
+        double loss_value = *loss;
+        gd.maybe_inject(step, &loss_value, opts);
+        const GuardHook::Action act =
+            gd.inspect(ck, step, loss_value, opts, &result);
+        if (act == GuardHook::Action::kRestart) {
+          start_step = gd.restart_step;
+          restart = true;
+          break;
+        }
+        if (act == GuardHook::Action::kStop) break;
+        if (!finish_step(cfg, opts, step, loss_value, &result,
+                         gd.effective_clip())) {
+          break;
+        }
+        if (!ck.after_step(step + 1, &result)) break;
+        gd.after_save(ck, step + 1);
+      }
+      if (restart || result.interrupted) break;
+      // A diverged epoch always records the task's worst metric, so a
+      // diverged final_eval_only run still leaves its metric row.
+      const bool eval_now = !cfg.final_eval_only || epoch + 1 == cfg.epochs;
+      double metric = 0.0;
+      if (result.diverged) {
+        metric = task.worst;
+      } else if (eval_now) {
+        obs::Span span("eval");
+        metric = task.evaluate();
+      }
+      if (eval_now || result.diverged) {
+        result.per_epoch_metric.push_back(metric);
+        if (cfg.recorder != nullptr) {
+          cfg.recorder->record(task.metric, epoch, metric);
+        }
+      }
+      if (cfg.verbose) {
+        std::printf("  [%s] epoch %lld  loss %.4f  %s %.*f\n", name,
+                    static_cast<long long>(epoch + 1),
+                    result.final_train_loss, task.metric, task.digits, metric);
+      }
+    }
+  }
+  result.final_metric = result.per_epoch_metric.empty()
+                            ? task.worst
+                            : result.per_epoch_metric.back();
+  capture_params(cfg, task.opts[0]->params(), &result);
+  result.wall_seconds =
+      std::chrono::duration<double>(Clock::now() - task.start).count();
+  maybe_emit_telemetry(runner, cfg, result);
+  return result;
+}
+
+// A seeded shuffle stream positioned at `step`: the batcher is
+// deterministic, so replaying it reproduces the exact batch sequence of the
+// uninterrupted run.
+data::IndexBatcher index_stream(i64 n, i64 batch_size, u64 seed, i64 step) {
+  data::IndexBatcher batcher(n, batch_size, seed);
+  for (i64 i = 0; i < step; ++i) batcher.next();
+  return batcher;
+}
+
+// One single-model step on an image batch (mnist with one replica, resnet).
+template <class Model, class Dataset>
+double image_step(Model& model, const Dataset& dataset,
+                  data::IndexBatcher& batcher) {
+  // Arena mode: every tensor below (batch, activations, interior grads)
+  // lives in the step arena and is freed — in tape order, see ag::backward —
+  // before the scope closes; leaf grads and optimizer state stay
+  // heap-bound, so the optimizer update runs outside the scope.
+  mem::TrainStepScope arena_scope;
+  core::Tensor images;
+  std::vector<i32> labels;
+  {
+    obs::Span span("data");
+    const std::vector<i64> idx = batcher.next();
+    images = dataset.gather_images(idx, true);
+    labels = dataset.gather_labels(idx, true);
+  }
+  model.zero_grad();
+  ag::Variable loss;
+  {
+    obs::Span span("forward");
+    loss = model.loss(images, labels);
+  }
+  const double loss_value = loss.value()[0];
+  if (!loss_diverged(loss_value)) {
+    obs::Span span("backward");
+    ag::backward(loss);
+  }
+  return loss_value;
+}
+
+// Test-set accuracy in chunks of `chunk` samples, to bound graph memory.
+template <class Model, class Dataset>
+double test_accuracy(Model& model, const Dataset& dataset, i64 chunk) {
+  i64 correct_weighted = 0;
+  i64 total = 0;
+  for (i64 begin = 0; begin < dataset.n_test(); begin += chunk) {
+    const i64 end = std::min(dataset.n_test(), begin + chunk);
+    std::vector<i64> idx;
+    for (i64 i = begin; i < end; ++i) idx.push_back(i);
+    const double acc = model.accuracy(dataset.gather_images(idx, false),
+                                      dataset.gather_labels(idx, false));
+    correct_weighted += static_cast<i64>(std::lround(acc * (end - begin)));
+    total += end - begin;
+  }
+  return static_cast<double>(correct_weighted) / static_cast<double>(total);
+}
+
 }  // namespace
 
 RunResult train_mnist(const data::SyntheticMnist& dataset,
                       const models::MnistLstmConfig& model_config,
                       const RunConfig& run) {
-  LEGW_CHECK(run.schedule != nullptr, "train_mnist: schedule required");
   const i64 n_replicas = run.replicas;
   LEGW_CHECK(n_replicas >= 1, "train_mnist: replicas must be >= 1");
   LEGW_CHECK(run.batch_size % n_replicas == 0,
              "train_mnist: batch_size must be divisible by replicas");
-  const auto start = Clock::now();
+  LEGW_CHECK(run.membership == nullptr || n_replicas > 1,
+             "train_mnist: membership plans need replicas > 1");
+  Task task{"test_acc", 0.0, 4};
   models::MnistLstmConfig mc = model_config;
   mc.seed = model_config.seed + run.seed;
   // Identical config and seed mean bitwise-identical initial weights on
@@ -454,16 +610,16 @@ RunResult train_mnist(const data::SyntheticMnist& dataset,
     replicas.push_back(std::make_unique<models::MnistLstm>(mc));
     opts.push_back(optim::make_optimizer(
         run.optimizer, replicas.back()->parameters(), run.weight_decay));
+    task.models.push_back(replicas.back().get());
+    task.opts.push_back(opts.back().get());
     replica_params.push_back(replicas.back()->parameters());
   }
-  models::MnistLstm& model = *replicas[0];
-  optim::Optimizer* opt = opts[0].get();
-  data::IndexBatcher batcher(dataset.n_train(), run.batch_size,
-                             run.seed * 1000003ull + 5);
-
-  LEGW_CHECK(run.membership == nullptr || n_replicas > 1,
-             "train_mnist: membership plans need replicas > 1");
+  const u64 data_seed = run.seed * 1000003ull + 5;
+  data::IndexBatcher batcher(dataset.n_train(), run.batch_size, data_seed);
+  task.steps_per_epoch = batcher.batches_per_epoch();
   std::optional<dist::MembershipManager> membership;
+  dist::MembershipManager::Transition tr;  // this step's membership change
+  std::vector<optim::Optimizer*> active;   // this step's participants
   // Error-feedback residuals for a quantized wire (LEGW_DIST_WIRE), shared
   // across steps and checkpointed so resume stays bit-identical.
   std::unique_ptr<dist::WireState> wire_state;
@@ -471,293 +627,177 @@ RunResult train_mnist(const data::SyntheticMnist& dataset,
     wire_state = std::make_unique<dist::WireState>(replica_params);
   }
 
-  RunResult result;
-  StepLoop loop{{}, &run, batcher.batches_per_epoch()};
-  for (auto& o : opts) loop.opts.push_back(o.get());
-
-  GuardHook gd(run);
-  CkptHook ck(run, [&](ckpt::TrainState& state) {
-    for (i64 r = 0; r < n_replicas; ++r) {
-      state.models.push_back(replicas[static_cast<std::size_t>(r)].get());
-      state.optimizers.push_back(opts[static_cast<std::size_t>(r)].get());
-    }
-    if (wire_state != nullptr) {
+  if (wire_state != nullptr) {
+    task.fill = [&](ckpt::TrainState& state) {
       for (auto& [name, tensor] : wire_state->named_residuals()) {
         state.extra.emplace_back(name, tensor);
       }
-    }
-    gd.fill_extra(state);
-  });
-  gd.attach(&ck, loop.steps_per_epoch);
-  i64 start_step = ck.maybe_restore(&result);
-
-  auto evaluate = [&]() {
-    obs::Span span("eval");
-    // Chunked test-set accuracy to bound graph memory.
-    const i64 chunk = 256;
-    i64 correct_weighted = 0;
-    i64 total = 0;
-    for (i64 begin = 0; begin < dataset.n_test(); begin += chunk) {
-      const i64 end = std::min(dataset.n_test(), begin + chunk);
-      std::vector<i64> idx;
-      idx.reserve(static_cast<std::size_t>(end - begin));
-      for (i64 i = begin; i < end; ++i) idx.push_back(i);
-      const double acc = model.accuracy(dataset.gather_images(idx, false),
-                                        dataset.gather_labels(idx, false));
-      correct_weighted += static_cast<i64>(std::lround(acc * (end - begin)));
-      total += end - begin;
-    }
-    return static_cast<double>(correct_weighted) / static_cast<double>(total);
-  };
-
-  // The outer restart loop re-enters training after a sentinel rollback:
-  // the data pipeline and membership history are deterministically replayed
-  // to the restored step, exactly like a checkpoint resume.
-  bool restart = gd.after_restore(start_step, &result);
-  while (restart) {
-    restart = false;
-    // The batcher is seeded and deterministic: replaying it to the start
-    // point reproduces the exact shuffle sequence of the uninterrupted run.
-    batcher = data::IndexBatcher(dataset.n_train(), run.batch_size,
-                                 run.seed * 1000003ull + 5);
-    for (i64 i = 0; i < start_step; ++i) batcher.next();
-    loop.step = start_step;
+    };
+  }
+  task.seek = [&](i64 step) {
+    batcher = index_stream(dataset.n_train(), run.batch_size, data_seed, step);
     // The checkpoint restore re-synchronised every replica, so the
     // membership history below the start step replays without hand-offs.
     if (run.membership != nullptr) {
       membership.emplace(static_cast<int>(n_replicas), run.membership_policy,
                          run.membership);
-      membership->fast_forward(start_step);
+      membership->fast_forward(step);
     }
-    const i64 start_epoch = start_step / loop.steps_per_epoch;
-
-  for (i64 epoch = start_epoch; epoch < run.epochs && !result.diverged;
-       ++epoch) {
-    const i64 s0 = epoch == start_epoch ? start_step % loop.steps_per_epoch : 0;
-    for (i64 s = s0; s < loop.steps_per_epoch; ++s) {
-      obs::Span step_span("step");
-      dist::MembershipManager::Transition tr;
-      if (membership.has_value()) {
-        tr = membership->begin_step(loop.step);
-        if (!tr.joined.empty()) {
-          // Joining replicas receive the anchor's full state through an
-          // in-memory checkpoint image — the cluster hand-off, minus the
-          // filesystem.
-          obs::Span span("membership_handoff");
-          ckpt::TrainState src;
-          src.models.push_back(replicas[0].get());
-          src.optimizers.push_back(opts[0].get());
-          const std::string image = ckpt::encode(src);
-          for (int j : tr.joined) {
-            ckpt::TrainState dst;
-            dst.models.push_back(replicas[static_cast<std::size_t>(j)].get());
-            dst.optimizers.push_back(opts[static_cast<std::size_t>(j)].get());
-            const ckpt::Result handed =
-                ckpt::load_image(dst, image, "membership hand-off");
-            LEGW_CHECK(handed.ok(),
-                       "train_mnist: membership hand-off failed: " +
-                           handed.message);
-            // A joiner starts with clean error-feedback state: its stale
-            // residual belongs to gradients that were never shipped.
-            if (wire_state != nullptr) {
-              for (std::size_t p = 0; p < replica_params[0].size(); ++p) {
-                wire_state->residual(j, p).zero_();
-              }
+  };
+  if (run.membership != nullptr) {
+    task.before_lr =
+        [&](i64 step) -> const std::vector<optim::Optimizer*>& {
+      tr = membership->begin_step(step);
+      if (!tr.joined.empty()) {
+        // Joining replicas receive the anchor's full state through an
+        // in-memory checkpoint image — the cluster hand-off, minus the
+        // filesystem.
+        obs::Span span("membership_handoff");
+        ckpt::TrainState src;
+        src.models.push_back(replicas[0].get());
+        src.optimizers.push_back(opts[0].get());
+        const std::string image = ckpt::encode(src);
+        for (int j : tr.joined) {
+          ckpt::TrainState dst;
+          dst.models.push_back(replicas[static_cast<std::size_t>(j)].get());
+          dst.optimizers.push_back(opts[static_cast<std::size_t>(j)].get());
+          const ckpt::Result handed =
+              ckpt::load_image(dst, image, "membership hand-off");
+          LEGW_CHECK(handed.ok(), "train_mnist: membership hand-off failed: " +
+                                      handed.message);
+          // A joiner starts with clean error-feedback state: its stale
+          // residual belongs to gradients that were never shipped.
+          if (wire_state != nullptr) {
+            for (std::size_t p = 0; p < replica_params[0].size(); ++p) {
+              wire_state->residual(j, p).zero_();
             }
-            obs::count("dist.member_join", 1);
           }
-        }
-        if (!tr.left.empty()) {
-          obs::count("dist.member_leave", static_cast<i64>(tr.left.size()));
-        }
-        if (!tr.died.empty()) {
-          obs::count("dist.member_dead", static_cast<i64>(tr.died.size()));
-        }
-        // Only the active replicas clip and step this round; absentees
-        // rejoin through the hand-off above, never by optimizer drift.
-        loop.opts.clear();
-        for (int gid : membership->active()) {
-          loop.opts.push_back(opts[static_cast<std::size_t>(gid)].get());
+          obs::count("dist.member_join", 1);
         }
       }
-      loop.begin_step(gd.lr_scale(loop.step));
-      double loss_value = 0.0;
-      if (n_replicas == 1) {
-        // Arena mode: every tensor below (batch, activations, interior
-        // grads) lives in the step arena and is freed — in tape order, see
-        // ag::backward — before the scope closes; leaf grads and optimizer
-        // state stay heap-bound, so finish_step() runs outside the scope.
-        mem::TrainStepScope arena_scope;
-        core::Tensor images;
-        std::vector<i32> labels;
-        {
-          obs::Span span("data");
-          const std::vector<i64> idx = batcher.next();
-          images = dataset.gather_images(idx, true);
-          labels = dataset.gather_labels(idx, true);
-        }
-        model.zero_grad();
-        ag::Variable loss;
-        {
-          obs::Span span("forward");
-          loss = model.loss(images, labels);
-        }
-        loss_value = loss.value()[0];
-        if (!loss_diverged(loss_value)) {
-          obs::Span span("backward");
-          ag::backward(loss);
-        }
-      } else {
-        // Shard the global batch by home shard id (the data order never
-        // depends on membership), gather every shard up front (the batcher
-        // and dataset stay single-threaded), then let the dist engine run
-        // the participants' forward/backward concurrently and leave the
-        // participant-mean gradient in every participant.
-        const i64 shard = run.batch_size / n_replicas;
-        std::vector<core::Tensor> images(static_cast<std::size_t>(n_replicas));
-        std::vector<std::vector<i32>> labels(
-            static_cast<std::size_t>(n_replicas));
-        {
-          obs::Span span("data");
-          const std::vector<i64> idx = batcher.next();
-          for (i64 r = 0; r < n_replicas; ++r) {
-            const std::vector<i64> sh(idx.begin() + r * shard,
-                                      idx.begin() + (r + 1) * shard);
-            images[static_cast<std::size_t>(r)] =
-                dataset.gather_images(sh, true);
-            labels[static_cast<std::size_t>(r)] =
-                dataset.gather_labels(sh, true);
-          }
-        }
-        // Participant view: global replica ids plus their assigned shards.
-        // Static membership is the identity assignment.
-        std::vector<int> parts;
-        std::vector<std::vector<int>> assignment;
-        if (membership.has_value()) {
-          parts = membership->participants();
-          assignment = membership->shard_assignment();
-        } else {
-          for (i64 r = 0; r < n_replicas; ++r) {
-            parts.push_back(static_cast<int>(r));
-            assignment.push_back({static_cast<int>(r)});
-          }
-        }
-        std::vector<std::vector<ag::Variable>> part_params;
-        part_params.reserve(parts.size());
-        for (int gid : parts) {
-          part_params.push_back(replica_params[static_cast<std::size_t>(gid)]);
-        }
-        // Each participant's loss is scaled so the allreduce mean over the
-        // participants equals the mean over every *assigned* shard — with
-        // kReassign that is the full global batch despite the absences.
-        const float factor = static_cast<float>(parts.size()) /
-                             static_cast<float>(n_replicas);
-        const auto loss_fn = [&](int i) {
-          const auto gid = static_cast<std::size_t>(
-              parts[static_cast<std::size_t>(i)]);
-          const std::vector<int>& mine =
-              assignment[static_cast<std::size_t>(i)];
-          ag::Variable total =
-              replicas[gid]->loss(images[static_cast<std::size_t>(mine[0])],
-                                  labels[static_cast<std::size_t>(mine[0])]);
-          for (std::size_t k = 1; k < mine.size(); ++k) {
-            total = ag::add(
-                total,
-                replicas[gid]->loss(images[static_cast<std::size_t>(mine[k])],
-                                    labels[static_cast<std::size_t>(mine[k])]));
-          }
-          return factor == 1.0f && mine.size() == 1 ? total
-                                                    : ag::scale(total, factor);
-        };
-        if (!membership.has_value() && wire_state == nullptr) {
-          loss_value = dist::replica_backward(replica_params, loss_fn);
-        } else {
-          dist::FaultPlan faults;
-          for (int d : tr.died) {
-            faults.faults.push_back({d, dist::FaultPlan::Kind::kDead, 0.0});
-          }
-          dist::ReplicaStepOptions step_opts;
-          step_opts.wire_state = wire_state.get();
-          step_opts.replica_ids = &parts;
-          if (!faults.faults.empty()) step_opts.faults = &faults;
-          step_opts.bucket_timeout_ms = run.membership_timeout_ms;
-          step_opts.timeout_policy =
-              run.membership_policy == dist::MembershipPolicy::kFailFast
-                  ? dist::TimeoutPolicy::kFailFast
-                  : dist::TimeoutPolicy::kDegradeToSurvivors;
-          const dist::OverlapResult res =
-              dist::replica_backward_ex(part_params, loss_fn, step_opts);
-          if (!res.ok) {
-            // Fail-fast membership: a death ends the run cleanly, exactly
-            // as a real scheduler would tear the job down.
-            std::fprintf(stderr, "train_mnist: %s\n", res.error.c_str());
-            result.interrupted = true;
-            break;
-          }
-          loss_value = res.mean_loss;
-        }
+      if (!tr.left.empty()) {
+        obs::count("dist.member_leave", static_cast<i64>(tr.left.size()));
       }
-      gd.maybe_inject(loop.step - 1, &loss_value, loop.opts);
-      const GuardHook::Action act =
-          gd.inspect(loop.step - 1, loss_value, loop.opts, &result);
-      if (act == GuardHook::Action::kRestart) {
-        start_step = gd.restart_step;
-        restart = true;
-        break;
+      if (!tr.died.empty()) {
+        obs::count("dist.member_dead", static_cast<i64>(tr.died.size()));
       }
-      if (act == GuardHook::Action::kStop) break;
-      if (!finish_step(run, loop, loss_value, &result, gd.effective_clip()))
-        break;
-      if (!ck.after_step(loop.step, epoch, &result)) break;
-      gd.after_save(loop.step);
-    }
-    if (restart || result.interrupted) break;
-    const bool eval_now = !run.final_eval_only || epoch + 1 == run.epochs;
-    const double acc = (result.diverged || !eval_now) ? 0.0 : evaluate();
-    if (eval_now) {
-      result.per_epoch_metric.push_back(acc);
-      record_epoch_metric(run, "test_acc", epoch, acc);
-    }
-    if (run.verbose) {
-      std::printf("  [mnist] epoch %lld  loss %.4f  test_acc %.4f\n",
-                  static_cast<long long>(epoch + 1), result.final_train_loss,
-                  acc);
-    }
+      // Only the active replicas clip and step this round; absentees
+      // rejoin through the hand-off above, never by optimizer drift.
+      active.clear();
+      for (int gid : membership->active()) {
+        active.push_back(opts[static_cast<std::size_t>(gid)].get());
+      }
+      return active;
+    };
   }
-  }
-  result.final_metric =
-      result.per_epoch_metric.empty() ? 0.0 : result.per_epoch_metric.back();
-  capture_params(run, opt->params(), &result);
-  result.wall_seconds = seconds_since(start);
-  maybe_emit_telemetry("train_mnist", run, result);
-  return result;
+  task.step = [&]() -> std::optional<double> {
+    if (n_replicas == 1) return image_step(*replicas[0], dataset, batcher);
+    // Shard the global batch by home shard id (the data order never depends
+    // on membership), gather every shard up front (the batcher and dataset
+    // stay single-threaded), then let the dist engine run the participants'
+    // forward/backward concurrently and leave the participant-mean gradient
+    // in every participant.
+    const i64 shard = run.batch_size / n_replicas;
+    std::vector<core::Tensor> images(static_cast<std::size_t>(n_replicas));
+    std::vector<std::vector<i32>> labels(static_cast<std::size_t>(n_replicas));
+    {
+      obs::Span span("data");
+      const std::vector<i64> idx = batcher.next();
+      for (i64 r = 0; r < n_replicas; ++r) {
+        const std::vector<i64> sh(idx.begin() + r * shard,
+                                  idx.begin() + (r + 1) * shard);
+        images[static_cast<std::size_t>(r)] = dataset.gather_images(sh, true);
+        labels[static_cast<std::size_t>(r)] = dataset.gather_labels(sh, true);
+      }
+    }
+    // Participant view: global replica ids plus their assigned shards.
+    // Static membership is the identity assignment.
+    std::vector<int> parts;
+    std::vector<std::vector<int>> assignment;
+    if (membership.has_value()) {
+      parts = membership->participants();
+      assignment = membership->shard_assignment();
+    } else {
+      for (i64 r = 0; r < n_replicas; ++r) {
+        parts.push_back(static_cast<int>(r));
+        assignment.push_back({static_cast<int>(r)});
+      }
+    }
+    std::vector<std::vector<ag::Variable>> part_params;
+    part_params.reserve(parts.size());
+    for (int gid : parts) {
+      part_params.push_back(replica_params[static_cast<std::size_t>(gid)]);
+    }
+    // Each participant's loss is scaled so the allreduce mean over the
+    // participants equals the mean over every *assigned* shard — with
+    // kReassign that is the full global batch despite the absences.
+    const float factor =
+        static_cast<float>(parts.size()) / static_cast<float>(n_replicas);
+    const auto loss_fn = [&](int i) {
+      const auto gid =
+          static_cast<std::size_t>(parts[static_cast<std::size_t>(i)]);
+      const std::vector<int>& mine = assignment[static_cast<std::size_t>(i)];
+      ag::Variable total =
+          replicas[gid]->loss(images[static_cast<std::size_t>(mine[0])],
+                              labels[static_cast<std::size_t>(mine[0])]);
+      for (std::size_t k = 1; k < mine.size(); ++k) {
+        total = ag::add(
+            total,
+            replicas[gid]->loss(images[static_cast<std::size_t>(mine[k])],
+                                labels[static_cast<std::size_t>(mine[k])]));
+      }
+      return factor == 1.0f && mine.size() == 1 ? total
+                                                : ag::scale(total, factor);
+    };
+    if (!membership.has_value() && wire_state == nullptr) {
+      return dist::replica_backward(replica_params, loss_fn);
+    }
+    dist::FaultPlan faults;
+    for (int d : tr.died) {
+      faults.faults.push_back({d, dist::FaultPlan::Kind::kDead, 0.0});
+    }
+    dist::ReplicaStepOptions step_opts;
+    step_opts.wire_state = wire_state.get();
+    step_opts.replica_ids = &parts;
+    if (!faults.faults.empty()) step_opts.faults = &faults;
+    step_opts.bucket_timeout_ms = run.membership_timeout_ms;
+    step_opts.timeout_policy =
+        run.membership_policy == dist::MembershipPolicy::kFailFast
+            ? dist::TimeoutPolicy::kFailFast
+            : dist::TimeoutPolicy::kDegradeToSurvivors;
+    const dist::OverlapResult res =
+        dist::replica_backward_ex(part_params, loss_fn, step_opts);
+    if (!res.ok) {
+      // Fail-fast membership: a death ends the run cleanly, exactly as a
+      // real scheduler would tear the job down.
+      std::fprintf(stderr, "train_mnist: %s\n", res.error.c_str());
+      return std::nullopt;
+    }
+    return res.mean_loss;
+  };
+  task.evaluate = [&] { return test_accuracy(*replicas[0], dataset, 256); };
+  return train::run(task, run, "mnist");
 }
 
 RunResult train_ptb(const data::SyntheticCorpus& corpus,
                     const models::PtbConfig& model_config,
                     const RunConfig& run) {
-  LEGW_CHECK(run.schedule != nullptr, "train_ptb: schedule required");
-  LEGW_CHECK(run.replicas == 1,
-             "train_ptb: replicas > 1 is only wired for train_mnist");
-  const auto start = Clock::now();
+  Task task{"valid_ppl", 1e9, 2};
   models::PtbConfig mc = model_config;
   mc.vocab = corpus.vocab();
   mc.seed = model_config.seed + run.seed;
   models::PtbModel model(mc);
   auto opt = optim::make_optimizer(run.optimizer, model.parameters(),
                                    run.weight_decay);
+  task.models.push_back(&model);
+  task.opts.push_back(opt.get());
   data::BpttBatcher batcher(corpus.train_tokens(), run.batch_size,
                             mc.bptt_len);
+  task.steps_per_epoch = batcher.chunks_per_epoch();
   core::Rng dropout_rng(run.seed * 7919ull + 3);
-
-  RunResult result;
-  StepLoop loop{{opt.get()}, &run, batcher.chunks_per_epoch()};
   models::PtbModel::CarriedState carried = model.zero_carried(run.batch_size);
 
-  GuardHook gd(run);
-  CkptHook ck(run, [&](ckpt::TrainState& state) {
-    state.models.push_back(&model);
-    state.optimizers.push_back(opt.get());
+  task.fill = [&](ckpt::TrainState& state) {
     state.rngs.emplace_back("dropout", &dropout_rng);
     // The carried BPTT state is training state: dropping it on resume would
     // change every loss after the restart point.
@@ -767,108 +807,54 @@ RunResult train_ptb(const data::SyntheticCorpus& corpus,
       state.extra.emplace_back("carried.c[" + std::to_string(l) + "]",
                                &carried.c[l]);
     }
-    gd.fill_extra(state);
-  });
-  gd.attach(&ck, loop.steps_per_epoch);
-  i64 start_step = ck.maybe_restore(&result);
-
-  // Validation batch geometry: modest so evaluation stays cheap.
-  const i64 eval_batch = std::min<i64>(20, run.batch_size);
-
-  bool restart = gd.after_restore(start_step, &result);
-  while (restart) {
-    restart = false;
-    // Replay the deterministic chunk stream to the start point; the carried
-    // BPTT state and dropout RNG came back through the checkpoint restore.
+  };
+  // The carried BPTT state and dropout RNG come back through the checkpoint
+  // restore; only the chunk stream is replayed.
+  task.seek = [&](i64 step) {
     batcher = data::BpttBatcher(corpus.train_tokens(), run.batch_size,
                                 mc.bptt_len);
-    for (i64 i = 0; i < start_step; ++i) batcher.next_chunk();
-    loop.step = start_step;
-    const i64 start_epoch = start_step / loop.steps_per_epoch;
-
-  for (i64 epoch = start_epoch; epoch < run.epochs && !result.diverged;
-       ++epoch) {
-    const i64 s0 = epoch == start_epoch ? start_step % loop.steps_per_epoch : 0;
-    for (i64 s = s0; s < loop.steps_per_epoch; ++s) {
-      obs::Span step_span("step");
-      loop.begin_step(gd.lr_scale(loop.step));
-      double loss_value = 0.0;
-      {
-        mem::TrainStepScope arena_scope;
-        data::BpttBatcher::Chunk chunk;
-        {
-          obs::Span span("data");
-          chunk = batcher.next_chunk();
-        }
-        if (chunk.first_in_epoch) carried = model.zero_carried(run.batch_size);
-        model.zero_grad();
-        models::PtbModel::ChunkResult out;
-        {
-          obs::Span span("forward");
-          out = model.chunk_loss(chunk.inputs, chunk.targets, run.batch_size,
-                                 mc.bptt_len, carried, dropout_rng);
-        }
-        carried = std::move(out.carried);
-        // The carried BPTT state outlives the step (the next chunk reads it
-        // and checkpoints reference it), so it cannot stay in step storage.
-        for (core::Tensor& t : carried.h) t.rehome_();
-        for (core::Tensor& t : carried.c) t.rehome_();
-        loss_value = out.loss.value()[0];
-        if (!loss_diverged(loss_value)) {
-          obs::Span span("backward");
-          ag::backward(out.loss);
-        }
-      }
-      gd.maybe_inject(loop.step - 1, &loss_value, loop.opts);
-      const GuardHook::Action act =
-          gd.inspect(loop.step - 1, loss_value, loop.opts, &result);
-      if (act == GuardHook::Action::kRestart) {
-        start_step = gd.restart_step;
-        restart = true;
-        break;
-      }
-      if (act == GuardHook::Action::kStop) break;
-      if (!finish_step(run, loop, loss_value, &result, gd.effective_clip()))
-        break;
-      if (!ck.after_step(loop.step, epoch, &result)) break;
-      gd.after_save(loop.step);
+    for (i64 i = 0; i < step; ++i) batcher.next_chunk();
+  };
+  task.step = [&]() -> std::optional<double> {
+    mem::TrainStepScope arena_scope;
+    data::BpttBatcher::Chunk chunk;
+    {
+      obs::Span span("data");
+      chunk = batcher.next_chunk();
     }
-    if (restart || result.interrupted) break;
-    const bool eval_now = !run.final_eval_only || epoch + 1 == run.epochs;
-    double ppl = 0.0;
-    if (result.diverged) {
-      ppl = 1e9;
-    } else if (eval_now) {
-      obs::Span span("eval");
-      ppl = perplexity(
-          model.evaluate_nll(corpus.valid_tokens(), eval_batch, mc.bptt_len));
+    if (chunk.first_in_epoch) carried = model.zero_carried(run.batch_size);
+    model.zero_grad();
+    models::PtbModel::ChunkResult out;
+    {
+      obs::Span span("forward");
+      out = model.chunk_loss(chunk.inputs, chunk.targets, run.batch_size,
+                             mc.bptt_len, carried, dropout_rng);
     }
-    if (eval_now || result.diverged) {
-      result.per_epoch_metric.push_back(ppl);
-      record_epoch_metric(run, "valid_ppl", epoch, ppl);
+    carried = std::move(out.carried);
+    // The carried BPTT state outlives the step (the next chunk reads it and
+    // checkpoints reference it), so it cannot stay in step storage.
+    for (core::Tensor& t : carried.h) t.rehome_();
+    for (core::Tensor& t : carried.c) t.rehome_();
+    const double loss_value = out.loss.value()[0];
+    if (!loss_diverged(loss_value)) {
+      obs::Span span("backward");
+      ag::backward(out.loss);
     }
-    if (run.verbose) {
-      std::printf("  [ptb] epoch %lld  loss %.4f  valid_ppl %.2f\n",
-                  static_cast<long long>(epoch + 1), result.final_train_loss,
-                  ppl);
-    }
-  }
-  }
-  result.final_metric =
-      result.per_epoch_metric.empty() ? 1e9 : result.per_epoch_metric.back();
-  capture_params(run, opt->params(), &result);
-  result.wall_seconds = seconds_since(start);
-  maybe_emit_telemetry("train_ptb", run, result);
-  return result;
+    return loss_value;
+  };
+  // Validation batch geometry: modest so evaluation stays cheap.
+  const i64 eval_batch = std::min<i64>(20, run.batch_size);
+  task.evaluate = [&] {
+    return perplexity(
+        model.evaluate_nll(corpus.valid_tokens(), eval_batch, mc.bptt_len));
+  };
+  return train::run(task, run, "ptb");
 }
 
 RunResult train_gnmt(const data::SyntheticTranslation& dataset,
                      const models::GnmtConfig& model_config,
                      const RunConfig& run) {
-  LEGW_CHECK(run.schedule != nullptr, "train_gnmt: schedule required");
-  LEGW_CHECK(run.replicas == 1,
-             "train_gnmt: replicas > 1 is only wired for train_mnist");
-  const auto start = Clock::now();
+  Task task{"test_bleu", 0.0, 2};
   models::GnmtConfig mc = model_config;
   mc.src_vocab = dataset.config().src_vocab;
   mc.tgt_vocab = dataset.config().tgt_vocab;
@@ -876,25 +862,42 @@ RunResult train_gnmt(const data::SyntheticTranslation& dataset,
   models::Gnmt model(mc);
   auto opt = optim::make_optimizer(run.optimizer, model.parameters(),
                                    run.weight_decay);
-  data::IndexBatcher batcher(static_cast<i64>(dataset.train().size()),
-                             run.batch_size, run.seed * 104729ull + 11);
+  task.models.push_back(&model);
+  task.opts.push_back(opt.get());
+  const i64 n_train = static_cast<i64>(dataset.train().size());
+  const u64 data_seed = run.seed * 104729ull + 11;
+  data::IndexBatcher batcher(n_train, run.batch_size, data_seed);
+  task.steps_per_epoch = batcher.batches_per_epoch();
   core::Rng dropout_rng(run.seed * 31337ull + 1);
 
-  RunResult result;
-  StepLoop loop{{opt.get()}, &run, batcher.batches_per_epoch()};
-
-  GuardHook gd(run);
-  CkptHook ck(run, [&](ckpt::TrainState& state) {
-    state.models.push_back(&model);
-    state.optimizers.push_back(opt.get());
+  task.fill = [&](ckpt::TrainState& state) {
     state.rngs.emplace_back("dropout", &dropout_rng);
-    gd.fill_extra(state);
-  });
-  gd.attach(&ck, loop.steps_per_epoch);
-  i64 start_step = ck.maybe_restore(&result);
-
-  auto evaluate_bleu = [&]() {
-    obs::Span span("eval");
+  };
+  task.seek = [&](i64 step) {
+    batcher = index_stream(n_train, run.batch_size, data_seed, step);
+  };
+  task.step = [&]() -> std::optional<double> {
+    mem::TrainStepScope arena_scope;
+    data::TranslationBatch batch;
+    {
+      obs::Span span("data");
+      const std::vector<i64> idx = batcher.next();
+      batch = data::make_translation_batch(dataset.train(), idx);
+    }
+    model.zero_grad();
+    ag::Variable loss;
+    {
+      obs::Span span("forward");
+      loss = model.loss(batch, dropout_rng);
+    }
+    const double loss_value = loss.value()[0];
+    if (!loss_diverged(loss_value)) {
+      obs::Span span("backward");
+      ag::backward(loss);
+    }
+    return loss_value;
+  };
+  task.evaluate = [&] {
     model.set_training(false);
     std::vector<std::vector<i32>> hyps;
     std::vector<std::vector<i32>> refs;
@@ -915,196 +918,33 @@ RunResult train_gnmt(const data::SyntheticTranslation& dataset,
     model.set_training(true);
     return corpus_bleu(hyps, refs);
   };
-
-  bool restart = gd.after_restore(start_step, &result);
-  while (restart) {
-    restart = false;
-    batcher = data::IndexBatcher(static_cast<i64>(dataset.train().size()),
-                                 run.batch_size, run.seed * 104729ull + 11);
-    for (i64 i = 0; i < start_step; ++i) batcher.next();
-    loop.step = start_step;
-    const i64 start_epoch = start_step / loop.steps_per_epoch;
-
-  for (i64 epoch = start_epoch; epoch < run.epochs && !result.diverged;
-       ++epoch) {
-    const i64 s0 = epoch == start_epoch ? start_step % loop.steps_per_epoch : 0;
-    for (i64 s = s0; s < loop.steps_per_epoch; ++s) {
-      obs::Span step_span("step");
-      loop.begin_step(gd.lr_scale(loop.step));
-      double loss_value = 0.0;
-      {
-        mem::TrainStepScope arena_scope;
-        data::TranslationBatch batch;
-        {
-          obs::Span span("data");
-          const std::vector<i64> idx = batcher.next();
-          batch = data::make_translation_batch(dataset.train(), idx);
-        }
-        model.zero_grad();
-        ag::Variable loss;
-        {
-          obs::Span span("forward");
-          loss = model.loss(batch, dropout_rng);
-        }
-        loss_value = loss.value()[0];
-        if (!loss_diverged(loss_value)) {
-          obs::Span span("backward");
-          ag::backward(loss);
-        }
-      }
-      gd.maybe_inject(loop.step - 1, &loss_value, loop.opts);
-      const GuardHook::Action act =
-          gd.inspect(loop.step - 1, loss_value, loop.opts, &result);
-      if (act == GuardHook::Action::kRestart) {
-        start_step = gd.restart_step;
-        restart = true;
-        break;
-      }
-      if (act == GuardHook::Action::kStop) break;
-      if (!finish_step(run, loop, loss_value, &result, gd.effective_clip()))
-        break;
-      if (!ck.after_step(loop.step, epoch, &result)) break;
-      gd.after_save(loop.step);
-    }
-    if (restart || result.interrupted) break;
-    const bool eval_now = !run.final_eval_only || epoch + 1 == run.epochs;
-    const double bleu = (result.diverged || !eval_now) ? 0.0 : evaluate_bleu();
-    if (eval_now || result.diverged) {
-      result.per_epoch_metric.push_back(bleu);
-      record_epoch_metric(run, "test_bleu", epoch, bleu);
-    }
-    if (run.verbose) {
-      std::printf("  [gnmt] epoch %lld  loss %.4f  test_bleu %.2f\n",
-                  static_cast<long long>(epoch + 1), result.final_train_loss,
-                  bleu);
-    }
-  }
-  }
-  result.final_metric =
-      result.per_epoch_metric.empty() ? 0.0 : result.per_epoch_metric.back();
-  capture_params(run, opt->params(), &result);
-  result.wall_seconds = seconds_since(start);
-  maybe_emit_telemetry("train_gnmt", run, result);
-  return result;
+  return train::run(task, run, "gnmt");
 }
 
 RunResult train_resnet(const data::SyntheticImages& dataset,
                        const models::ResNetConfig& model_config,
                        const RunConfig& run) {
-  LEGW_CHECK(run.schedule != nullptr, "train_resnet: schedule required");
-  LEGW_CHECK(run.replicas == 1,
-             "train_resnet: replicas > 1 is only wired for train_mnist");
-  const auto start = Clock::now();
+  Task task{"test_acc", 0.0, 4};
   models::ResNetConfig mc = model_config;
   mc.seed = model_config.seed + run.seed;
   models::ResNet model(mc);
   auto opt = optim::make_optimizer(run.optimizer, model.parameters(),
                                    run.weight_decay);
-  data::IndexBatcher batcher(dataset.n_train(), run.batch_size,
-                             run.seed * 49157ull + 9);
+  // BatchNorm running stats travel in the checkpoint as module buffers.
+  task.models.push_back(&model);
+  task.opts.push_back(opt.get());
+  const u64 data_seed = run.seed * 49157ull + 9;
+  data::IndexBatcher batcher(dataset.n_train(), run.batch_size, data_seed);
+  task.steps_per_epoch = batcher.batches_per_epoch();
 
-  RunResult result;
-  StepLoop loop{{opt.get()}, &run, batcher.batches_per_epoch()};
-
-  GuardHook gd(run);
-  CkptHook ck(run, [&](ckpt::TrainState& state) {
-    state.models.push_back(&model);
-    state.optimizers.push_back(opt.get());
-    // BatchNorm running stats travel as named module buffers.
-    gd.fill_extra(state);
-  });
-  gd.attach(&ck, loop.steps_per_epoch);
-  i64 start_step = ck.maybe_restore(&result);
-
-  auto evaluate = [&]() {
-    obs::Span span("eval");
-    const i64 chunk = 128;
-    i64 correct_weighted = 0;
-    i64 total = 0;
-    for (i64 begin = 0; begin < dataset.n_test(); begin += chunk) {
-      const i64 end = std::min(dataset.n_test(), begin + chunk);
-      std::vector<i64> idx;
-      for (i64 i = begin; i < end; ++i) idx.push_back(i);
-      const double acc = model.accuracy(dataset.gather_images(idx, false),
-                                        dataset.gather_labels(idx, false));
-      correct_weighted += static_cast<i64>(std::lround(acc * (end - begin)));
-      total += end - begin;
-    }
-    return static_cast<double>(correct_weighted) / static_cast<double>(total);
+  task.seek = [&](i64 step) {
+    batcher = index_stream(dataset.n_train(), run.batch_size, data_seed, step);
   };
-
-  bool restart = gd.after_restore(start_step, &result);
-  while (restart) {
-    restart = false;
-    batcher = data::IndexBatcher(dataset.n_train(), run.batch_size,
-                                 run.seed * 49157ull + 9);
-    for (i64 i = 0; i < start_step; ++i) batcher.next();
-    loop.step = start_step;
-    const i64 start_epoch = start_step / loop.steps_per_epoch;
-
-  for (i64 epoch = start_epoch; epoch < run.epochs && !result.diverged;
-       ++epoch) {
-    const i64 s0 = epoch == start_epoch ? start_step % loop.steps_per_epoch : 0;
-    for (i64 s = s0; s < loop.steps_per_epoch; ++s) {
-      obs::Span step_span("step");
-      loop.begin_step(gd.lr_scale(loop.step));
-      double loss_value = 0.0;
-      {
-        mem::TrainStepScope arena_scope;
-        core::Tensor images;
-        std::vector<i32> labels;
-        {
-          obs::Span span("data");
-          const std::vector<i64> idx = batcher.next();
-          images = dataset.gather_images(idx, true);
-          labels = dataset.gather_labels(idx, true);
-        }
-        model.zero_grad();
-        ag::Variable loss;
-        {
-          obs::Span span("forward");
-          loss = model.loss(images, labels);
-        }
-        loss_value = loss.value()[0];
-        if (!loss_diverged(loss_value)) {
-          obs::Span span("backward");
-          ag::backward(loss);
-        }
-      }
-      gd.maybe_inject(loop.step - 1, &loss_value, loop.opts);
-      const GuardHook::Action act =
-          gd.inspect(loop.step - 1, loss_value, loop.opts, &result);
-      if (act == GuardHook::Action::kRestart) {
-        start_step = gd.restart_step;
-        restart = true;
-        break;
-      }
-      if (act == GuardHook::Action::kStop) break;
-      if (!finish_step(run, loop, loss_value, &result, gd.effective_clip()))
-        break;
-      if (!ck.after_step(loop.step, epoch, &result)) break;
-      gd.after_save(loop.step);
-    }
-    if (restart || result.interrupted) break;
-    const bool eval_now = !run.final_eval_only || epoch + 1 == run.epochs;
-    const double acc = (result.diverged || !eval_now) ? 0.0 : evaluate();
-    if (eval_now) {
-      result.per_epoch_metric.push_back(acc);
-      record_epoch_metric(run, "test_acc", epoch, acc);
-    }
-    if (run.verbose) {
-      std::printf("  [resnet] epoch %lld  loss %.4f  test_acc %.4f\n",
-                  static_cast<long long>(epoch + 1), result.final_train_loss,
-                  acc);
-    }
-  }
-  }
-  result.final_metric =
-      result.per_epoch_metric.empty() ? 0.0 : result.per_epoch_metric.back();
-  capture_params(run, opt->params(), &result);
-  result.wall_seconds = seconds_since(start);
-  maybe_emit_telemetry("train_resnet", run, result);
-  return result;
+  task.step = [&]() -> std::optional<double> {
+    return image_step(model, dataset, batcher);
+  };
+  task.evaluate = [&] { return test_accuracy(model, dataset, 128); };
+  return train::run(task, run, "resnet");
 }
 
 obs::RunRecord make_run_record(const std::string& name, const RunConfig& run,
@@ -1121,12 +961,12 @@ obs::RunRecord make_run_record(const std::string& name, const RunConfig& run,
                           core::gemm_kernel_name(core::gemm_kernel()));
   rec.config.emplace_back("replicas", std::to_string(run.replicas));
   rec.config.emplace_back("dist", core::dist_mode_name(core::dist_mode()));
-  const bool protect = run.sentinel.enabled && !run.checkpoint_dir.empty();
   rec.config.emplace_back(
-      "guard", protect ? "protect"
-                       : (core::guard_mode() == core::GuardMode::kObserve
-                              ? "observe"
-                              : "off"));
+      "guard", protect_mode(run)
+                   ? "protect"
+                   : (core::guard_mode() == core::GuardMode::kObserve
+                          ? "observe"
+                          : "off"));
   rec.metrics.emplace_back("final_metric", result.final_metric);
   rec.metrics.emplace_back("final_train_loss", result.final_train_loss);
   rec.metrics.emplace_back("diverged", result.diverged ? 1.0 : 0.0);

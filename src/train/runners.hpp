@@ -1,10 +1,10 @@
 // End-to-end training runners: one per paper application.
 //
-// The benches and examples all funnel through these four functions, so every
-// experiment uses the identical train loop: per-step LR from the schedule,
-// gradient clipping by global norm, divergence detection (NaN/explosion ->
-// the run is marked diverged and aborted, mirroring what "training diverged"
-// means in the paper's tuning sweeps).
+// The benches and examples all funnel through these four functions; each
+// hands its application's task to one shared train loop: per-step LR from the
+// schedule, gradient clipping by global norm, divergence detection
+// (NaN/explosion -> the run is marked diverged and aborted, mirroring what
+// "training diverged" means in the paper's tuning sweeps).
 #pragma once
 
 #include <functional>
@@ -48,8 +48,9 @@ struct RunConfig {
   bool final_eval_only = false;
   // Optional metric sink: when set, every runner records "train_loss" per
   // step and its task metric per evaluated epoch ("test_acc" / "valid_ppl" /
-  // "test_bleu"). Deterministic for a fixed seed, so two identically-seeded
-  // runs render identical CSV.
+  // "test_bleu"; a diverged epoch records the task's worst value, 0 or 1e9,
+  // even under final_eval_only). Deterministic for a fixed seed, so two
+  // identically-seeded runs render identical CSV.
   Recorder* recorder = nullptr;
   // When true, RunResult::final_params receives a copy of every parameter
   // tensor after the last step (golden-determinism tests compare bitwise).

@@ -2,6 +2,8 @@
 // schedule path and divergence detection.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sched/legw.hpp"
 #include "train/runners.hpp"
 
@@ -37,21 +39,75 @@ TEST(TrainMnist, LearnsAboveChanceWithLegw) {
   EXPECT_GT(result.wall_seconds, 0.0);
 }
 
-TEST(TrainMnist, DivergesAtAbsurdLr) {
-  data::SyntheticMnist dataset(256, 64, 42);
-  models::MnistLstmConfig mcfg;
-  mcfg.transform_dim = 16;
-  mcfg.hidden_dim = 16;
+// Every runner at an absurd LR: the run diverges in its first epoch and
+// reports the task's worst metric (0 for accuracy/BLEU, 1e9 for perplexity)
+// — as its final metric and, even under final_eval_only, as the metric row
+// of the diverged epoch.
+class DivergesAtAbsurdLr : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(DivergesAtAbsurdLr, ReportsWorstMetric) {
+  const std::string runner = GetParam();
+  const double worst = runner == "ptb" ? 1e9 : 0.0;
   sched::ConstantLr schedule(1e5f);
   RunConfig run;
-  run.batch_size = 64;
   run.epochs = 2;
   run.clip_norm = 0.0f;  // no clipping: let it blow up
   run.schedule = &schedule;
-  RunResult result = train_mnist(dataset, mcfg, run);
+  run.final_eval_only = true;
+  RunResult result;
+  if (runner == "mnist") {
+    data::SyntheticMnist dataset(256, 64, 42);
+    models::MnistLstmConfig mcfg;
+    mcfg.transform_dim = 16;
+    mcfg.hidden_dim = 16;
+    run.batch_size = 64;
+    result = train_mnist(dataset, mcfg, run);
+  } else if (runner == "ptb") {
+    data::CorpusConfig ccfg;
+    ccfg.vocab = 40;
+    ccfg.n_train_tokens = 1200;
+    ccfg.n_valid_tokens = 200;
+    data::SyntheticCorpus corpus(ccfg);
+    models::PtbConfig mcfg = models::PtbConfig::small(40);
+    mcfg.embed_dim = 16;
+    mcfg.hidden_dim = 16;
+    mcfg.bptt_len = 8;
+    run.batch_size = 8;
+    result = train_ptb(corpus, mcfg, run);
+  } else if (runner == "gnmt") {
+    data::TranslationConfig tcfg;
+    tcfg.n_train = 60;
+    tcfg.n_test = 10;
+    tcfg.src_vocab = 30;
+    tcfg.tgt_vocab = 30;
+    tcfg.min_len = 3;
+    tcfg.max_len = 5;
+    data::SyntheticTranslation dataset(tcfg);
+    models::GnmtConfig mcfg;
+    mcfg.hidden_dim = 12;
+    mcfg.embed_dim = 12;
+    mcfg.num_layers = 2;
+    run.batch_size = 20;
+    result = train_gnmt(dataset, mcfg, run);
+  } else {
+    data::SyntheticImages dataset(96, 24, 42);
+    models::ResNetConfig mcfg;
+    mcfg.width = 4;
+    mcfg.blocks_per_stage = 1;
+    run.batch_size = 32;
+    result = train_resnet(dataset, mcfg, run);
+  }
   EXPECT_TRUE(result.diverged);
-  EXPECT_EQ(result.final_metric, 0.0);
+  EXPECT_EQ(result.final_metric, worst);
+  ASSERT_EQ(result.per_epoch_metric.size(), 1u);
+  EXPECT_EQ(result.per_epoch_metric.back(), worst);
 }
+
+INSTANTIATE_TEST_SUITE_P(AllRunners, DivergesAtAbsurdLr,
+                         ::testing::Values("mnist", "ptb", "gnmt", "resnet"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 TEST(TrainPtb, PerplexityDropsBelowVocab) {
   data::CorpusConfig ccfg;
