@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <map>
 
-#include "ckpt/crc32.hpp"
 #include "core/io.hpp"
 #include "obs/trace.hpp"
 
@@ -14,136 +11,20 @@ namespace legw::ckpt {
 
 namespace {
 
-constexpr char kMagicV2[8] = {'L', 'E', 'G', 'W', 'C', 'K', 'P', '2'};
-constexpr char kMagicV1[8] = {'L', 'E', 'G', 'W', 'C', 'K', 'P', 'T'};
-constexpr u32 kVersion = 2;
+namespace container = core::container;
+using container::append_named_tensor;
+using container::append_pod;
+using container::append_str;
+using container::append_tensor;
+using container::fail;
+using container::TensorView;
+using container::truncated;
 
-// Caps no legitimate checkpoint exceeds; values beyond them are bit flips or
-// foreign data, not real sizes. Rejecting early keeps a flipped length field
-// from turning into a multi-gigabyte allocation.
-constexpr u32 kMaxNameLen = 1u << 16;
-constexpr u64 kMaxNdim = 16;
-constexpr u64 kMaxEntries = 1u << 24;
-constexpr i64 kMaxDim = 1ll << 32;
-
-Result fail(Status status, std::string message) {
-  Result r;
-  r.status = status;
-  r.message = std::move(message);
-  return r;
-}
-
-// ---- encoding ---------------------------------------------------------------
-
-template <typename T>
-void append_pod(std::string& out, const T& v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-void append_str(std::string& out, const std::string& s) {
-  append_pod(out, static_cast<u32>(s.size()));
-  out.append(s);
-}
-
-void append_tensor_payload(std::string& out, const core::Tensor& t) {
-  append_pod(out, static_cast<u64>(t.dim()));
-  for (i64 d = 0; d < t.dim(); ++d) append_pod(out, t.size(d));
-  out.append(reinterpret_cast<const char*>(t.data()),
-             static_cast<std::size_t>(t.numel()) * sizeof(float));
-}
-
-void append_named_tensor(std::string& out, const std::string& name,
-                         const core::Tensor& t) {
-  append_str(out, name);
-  append_tensor_payload(out, t);
-}
-
-void append_section(std::string& out, const char* name,
-                    const std::string& payload) {
-  append_str(out, name);
-  append_pod(out, static_cast<u64>(payload.size()));
-  append_pod(out, crc32(payload.data(), payload.size()));
-  out.append(payload);
-}
-
-// ---- decoding ---------------------------------------------------------------
-
-// Bounds-checked cursor over an in-memory file image. Every read either
-// succeeds completely or reports truncation; nothing is applied to live
-// state until the entire file has validated.
-struct Reader {
-  const char* data;
-  std::size_t size;
-  std::size_t pos = 0;
-
-  bool bytes(void* out, std::size_t n) {
-    if (n > size - pos) return false;
-    std::memcpy(out, data + pos, n);
-    pos += n;
-    return true;
-  }
-  template <typename T>
-  bool pod(T* v) {
-    return bytes(v, sizeof(T));
-  }
-  bool str(std::string* out) {
-    u32 len = 0;
-    if (!pod(&len) || len > kMaxNameLen) return false;
-    if (len > size - pos) return false;
-    out->assign(data + pos, len);
-    pos += len;
-    return true;
-  }
-  // Borrows `n` bytes from the image without copying.
-  const char* borrow(std::size_t n) {
-    if (n > size - pos) return nullptr;
-    const char* p = data + pos;
-    pos += n;
-    return p;
-  }
-  std::size_t remaining() const { return size - pos; }
-};
-
-// A decoded tensor whose data still lives in the file image.
-struct StagedTensor {
-  std::string name;
-  core::Shape shape;
-  i64 numel = 0;
-  const char* bytes = nullptr;  // numel * sizeof(float), possibly unaligned
-};
-
-bool decode_tensor_payload(Reader& r, StagedTensor* out) {
-  u64 ndim = 0;
-  if (!r.pod(&ndim) || ndim > kMaxNdim) return false;
-  out->shape.assign(static_cast<std::size_t>(ndim), 0);
-  i64 numel = 1;
-  for (u64 d = 0; d < ndim; ++d) {
-    i64 dim = 0;
-    if (!r.pod(&dim) || dim < 0 || dim > kMaxDim) return false;
-    out->shape[static_cast<std::size_t>(d)] = dim;
-    if (dim > 0 && numel > kMaxDim / dim) return false;  // overflow guard
-    numel *= dim;
-  }
-  out->numel = numel;
-  out->bytes = r.borrow(static_cast<std::size_t>(numel) * sizeof(float));
-  return out->bytes != nullptr;
-}
-
-bool decode_named_tensor(Reader& r, StagedTensor* out) {
-  return r.str(&out->name) && decode_tensor_payload(r, out);
-}
-
-void apply_tensor(const StagedTensor& src, core::Tensor& dst) {
-  std::memcpy(dst.data(), src.bytes,
-              static_cast<std::size_t>(src.numel) * sizeof(float));
-}
-
-// Validates a staged named-tensor list against live named targets (same
-// count, names and shapes in order) and, on success, copies the data in.
+// Validates a decoded named-tensor list against live named targets: same
+// count, names and shapes in order.
 template <typename GetName, typename GetTensor>
-Result match_and_apply(const char* what,
-                       const std::vector<StagedTensor>& staged, std::size_t n,
-                       GetName name_of, GetTensor tensor_of, bool apply) {
+Result match(const char* what, const std::vector<TensorView>& staged,
+             std::size_t n, GetName name_of, GetTensor tensor_of) {
   if (staged.size() != n) {
     return fail(Status::kStateMismatch,
                 std::string(what) + ": file has " +
@@ -156,7 +37,7 @@ Result match_and_apply(const char* what,
                   std::string(what) + ": entry '" + staged[i].name +
                       "' does not match state entry '" + name_of(i) + "'");
     }
-    core::Tensor& dst = tensor_of(i);
+    const core::Tensor& dst = tensor_of(i);
     if (dst.shape() != staged[i].shape) {
       return fail(Status::kStateMismatch,
                   std::string(what) + ": shape mismatch for '" +
@@ -164,34 +45,28 @@ Result match_and_apply(const char* what,
                       core::shape_to_string(staged[i].shape) + " vs state " +
                       core::shape_to_string(dst.shape()));
     }
-    if (apply) apply_tensor(staged[i], dst);
   }
   return {};
 }
 
-Result truncated(const char* what) {
-  return fail(Status::kTruncated,
-              std::string("checkpoint truncated/malformed in ") + what);
+// Same for unnamed lists (ema shadows, pending grads): count and shapes.
+Result match_shapes(const char* what, const std::vector<TensorView>& staged,
+                    const std::vector<const core::Tensor*>& live) {
+  if (staged.size() != live.size()) {
+    return fail(Status::kStateMismatch,
+                std::string("ckpt::load: ") + what + " count mismatch");
+  }
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    if (live[i]->shape() != staged[i].shape) {
+      return fail(Status::kStateMismatch,
+                  std::string("ckpt::load: ") + what +
+                      " shape mismatch at index " + std::to_string(i));
+    }
+  }
+  return {};
 }
 
 }  // namespace
-
-const char* status_name(Status s) {
-  switch (s) {
-    case Status::kOk: return "ok";
-    case Status::kOpenFailed: return "open-failed";
-    case Status::kTruncated: return "truncated";
-    case Status::kBadMagic: return "bad-magic";
-    case Status::kBadVersion: return "bad-version";
-    case Status::kCrcMismatch: return "crc-mismatch";
-    case Status::kMalformed: return "malformed";
-    case Status::kStateMismatch: return "state-mismatch";
-    case Status::kWriteFailed: return "write-failed";
-    case Status::kNoCheckpoint: return "no-checkpoint";
-    case Status::kSimulatedCrash: return "simulated-crash";
-  }
-  return "unknown";
-}
 
 // ---- encode -----------------------------------------------------------------
 
@@ -203,42 +78,33 @@ std::string encode(const TrainState& state) {
   LEGW_CHECK(state.emas.empty() || state.emas.size() == state.models.size(),
              "ckpt::encode: emas must align with models");
   const nn::Module& model = *state.models.front();
+  std::vector<container::Section> sections;
 
-  std::string meta;
-  {
-    const std::pair<const char*, i64> ints[] = {
-        {"step", state.step},
-        {"epoch", state.epoch},
-        {"micro_step", state.micro_step},
-    };
-    append_pod(meta, static_cast<u32>(std::size(ints)));
-    for (const auto& [k, v] : ints) {
-      append_str(meta, k);
-      append_pod(meta, v);
-    }
-    const std::string opt_name =
-        state.optimizers.empty() ? "" : state.optimizers.front()->name();
-    append_pod(meta, static_cast<u32>(1));
-    append_str(meta, "optimizer");
-    append_str(meta, opt_name);
-  }
+  container::Meta meta;
+  meta.step = state.step;
+  meta.epoch = state.epoch;
+  meta.micro_step = state.micro_step;
+  if (!state.optimizers.empty()) meta.optimizer = state.optimizers.front()->name();
+  sections.push_back({"meta", container::encode_meta(meta)});
 
-  std::string params;
   {
+    std::string params;
     const auto named = model.named_parameters();
     append_pod(params, static_cast<u64>(named.size()));
     for (const auto& p : named) append_named_tensor(params, p.name, p.var.value());
+    sections.push_back({"params", std::move(params)});
   }
 
-  std::string buffers;
   {
+    std::string buffers;
     const auto named = model.named_buffers();
     append_pod(buffers, static_cast<u64>(named.size()));
     for (const auto& b : named) append_named_tensor(buffers, b.name, *b.tensor);
+    sections.push_back({"buffers", std::move(buffers)});
   }
 
-  std::string optim;
   if (!state.optimizers.empty()) {
+    std::string optim;
     optim::Optimizer& opt = *state.optimizers.front();
     const auto view = opt.state_entries();
     append_str(optim, opt.name());
@@ -251,17 +117,19 @@ std::string encode(const TrainState& state) {
       append_str(optim, e.name);
       append_pod(optim, *e.value);
     }
+    sections.push_back({"optim", std::move(optim)});
   }
 
-  std::string ema;
   if (!state.emas.empty()) {
+    std::string ema;
     const auto& shadow = state.emas.front()->shadow();
     append_pod(ema, static_cast<u64>(shadow.size()));
-    for (const auto& t : shadow) append_tensor_payload(ema, t);
+    for (const auto& t : shadow) append_tensor(ema, t);
+    sections.push_back({"ema", std::move(ema)});
   }
 
-  std::string rng;
   {
+    std::string rng;
     append_pod(rng, static_cast<u32>(state.rngs.size()));
     for (const auto& [name, stream] : state.rngs) {
       const core::Rng::State s = stream->state();
@@ -270,43 +138,29 @@ std::string encode(const TrainState& state) {
       append_pod(rng, static_cast<u16>(s.has_cached ? 1 : 0));
       append_pod(rng, s.cached);
     }
+    sections.push_back({"rng", std::move(rng)});
   }
 
-  std::string extra;
   {
+    std::string extra;
     append_pod(extra, static_cast<u64>(state.extra.size()));
     for (const auto& [name, t] : state.extra) {
       append_named_tensor(extra, name, *t);
     }
+    sections.push_back({"extra", std::move(extra)});
   }
 
   // Mid-accumulation saves carry the pending micro-batch gradient sum: the
   // micro-step counter alone cannot reproduce the interrupted large-batch
   // step without it.
-  std::string grads;
-  const bool save_grads = state.micro_step > 0;
-  if (save_grads) {
+  if (state.micro_step > 0) {
+    std::string grads;
     const auto params_list = model.parameters();
     append_pod(grads, static_cast<u64>(params_list.size()));
-    for (const auto& p : params_list) append_tensor_payload(grads, p.grad());
+    for (const auto& p : params_list) append_tensor(grads, p.grad());
+    sections.push_back({"grads", std::move(grads)});
   }
-
-  std::string out;
-  out.append(kMagicV2, sizeof kMagicV2);
-  append_pod(out, kVersion);
-  u32 n_sections = 6;  // meta, params, buffers, rng, extra + optim-or-empty
-  n_sections = 5 + (state.optimizers.empty() ? 0u : 1u) +
-               (state.emas.empty() ? 0u : 1u) + (save_grads ? 1u : 0u);
-  append_pod(out, n_sections);
-  append_section(out, "meta", meta);
-  append_section(out, "params", params);
-  append_section(out, "buffers", buffers);
-  if (!state.optimizers.empty()) append_section(out, "optim", optim);
-  if (!state.emas.empty()) append_section(out, "ema", ema);
-  append_section(out, "rng", rng);
-  append_section(out, "extra", extra);
-  if (save_grads) append_section(out, "grads", grads);
-  return out;
+  return container::write(sections);
 }
 
 Result save(const TrainState& state, const std::string& path) {
@@ -326,58 +180,11 @@ Result save(const TrainState& state, const std::string& path) {
 
 // ---- load -------------------------------------------------------------------
 
-namespace {
-
-// Reads the whole file; empty optional on open failure.
-bool slurp(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::fseek(f, 0, SEEK_END);
-  const long sz = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  out->resize(sz < 0 ? 0 : static_cast<std::size_t>(sz));
-  const bool ok =
-      out->empty() || std::fread(out->data(), 1, out->size(), f) == out->size();
-  std::fclose(f);
-  return ok;
-}
-
-Result load_v1_params(TrainState& state, Reader r, const std::string& path) {
-  u64 n_entries = 0;
-  if (!r.pod(&n_entries) || n_entries > kMaxEntries) {
-    return truncated("v1 header");
-  }
-  std::vector<StagedTensor> staged(static_cast<std::size_t>(n_entries));
-  for (auto& t : staged) {
-    if (!decode_named_tensor(r, &t)) return truncated("v1 entry");
-  }
-  for (nn::Module* model : state.models) {
-    auto named = model->named_parameters();
-    Result res = match_and_apply(
-        "params", staged, named.size(), [&](std::size_t i) { return named[i].name; },
-        [&](std::size_t i) -> core::Tensor& {
-          return named[i].var.mutable_value();
-        },
-        /*apply=*/true);
-    if (!res.ok()) return res;
-  }
-  Result res;
-  res.message = "v1 checkpoint " + path + ": parameters restored, "
-                "optimizer/RNG/counter state not present in this version";
-  return res;
-}
-
-struct Section {
-  std::string name;
-  Reader payload;
-};
-
-}  // namespace
-
 Result load(TrainState& state, const std::string& path) {
   std::string image;
-  if (!slurp(path, &image)) {
-    return fail(Status::kOpenFailed, "ckpt::load: cannot read " + path);
+  const core::Status st = core::read_file(path, &image);
+  if (!st.ok()) {
+    return fail(Status::kOpenFailed, "ckpt::load: " + st.message());
   }
   return load_image(state, image, path);
 }
@@ -393,182 +200,108 @@ Result load_image(TrainState& state, const std::string& image,
     return fail(Status::kStateMismatch,
                 "ckpt::load: optimizers must align with models");
   }
-  Reader r{image.data(), image.size()};
-
-  char magic[8];
-  if (!r.bytes(magic, sizeof magic)) {
-    return fail(Status::kTruncated, "ckpt::load: " + path + " shorter than a header");
+  container::Container c;
+  if (Result res = container::parse(image, &c); !res.ok()) {
+    res.message = "ckpt::load: " + res.message + " in " + path;
+    return res;
   }
-  u32 version = 0;
-  if (std::memcmp(magic, kMagicV1, sizeof kMagicV1) == 0) {
-    if (!r.pod(&version)) return truncated("v1 header");
-    if (version != 1) {
-      return fail(Status::kBadVersion,
-                  "ckpt::load: v1-magic file with version " +
-                      std::to_string(version));
-    }
-    return load_v1_params(state, r, path);
-  }
-  if (std::memcmp(magic, kMagicV2, sizeof kMagicV2) != 0) {
-    return fail(Status::kBadMagic, "ckpt::load: bad magic in " + path);
-  }
-  if (!r.pod(&version)) return truncated("header");
-  if (version != kVersion) {
-    return fail(Status::kBadVersion,
-                "ckpt::load: unsupported version " + std::to_string(version) +
-                    " in " + path);
-  }
-
-  u32 n_sections = 0;
-  if (!r.pod(&n_sections) || n_sections > 64) return truncated("header");
-  std::map<std::string, Reader> sections;
-  for (u32 i = 0; i < n_sections; ++i) {
-    std::string name;
-    u64 payload_bytes = 0;
-    u32 crc = 0;
-    if (!r.str(&name) || !r.pod(&payload_bytes) || !r.pod(&crc)) {
-      return truncated("section header");
-    }
-    const char* payload = r.borrow(static_cast<std::size_t>(payload_bytes));
-    if (payload == nullptr) {
-      return fail(Status::kTruncated,
-                  "ckpt::load: section '" + name + "' truncated in " + path);
-    }
-    if (crc32(payload, static_cast<std::size_t>(payload_bytes)) != crc) {
-      return fail(Status::kCrcMismatch,
-                  "ckpt::load: CRC mismatch in section '" + name + "' of " +
-                      path);
-    }
-    if (!sections.emplace(name, Reader{payload,
-                                       static_cast<std::size_t>(payload_bytes)})
-             .second) {
-      return fail(Status::kMalformed,
-                  "ckpt::load: duplicate section '" + name + "' in " + path);
-    }
-  }
-  if (r.remaining() != 0) {
-    return fail(Status::kMalformed,
-                "ckpt::load: " + std::to_string(r.remaining()) +
-                    " trailing bytes after last section in " + path);
-  }
+  const auto missing = [&](const char* name, Status status) {
+    return fail(status, std::string("ckpt::load: ") + path + " has no '" +
+                            name + "' section");
+  };
+  // Decodes tensor-list section `name`; `absent` is the status when missing.
+  const auto stage = [&](const char* name, Status absent, bool named,
+                         std::vector<TensorView>* out) {
+    const std::string_view* payload = c.find(name);
+    return payload == nullptr
+               ? missing(name, absent)
+               : container::decode_tensor_list(*payload, named, name, out);
+  };
+  nn::Module& front = *state.models.front();
 
   // ---- stage 1: decode + validate everything against the live schema ------
 
-  const auto find = [&](const char* name) -> Reader* {
-    auto it = sections.find(name);
-    return it == sections.end() ? nullptr : &it->second;
-  };
-
-  // meta (required)
-  i64 step = 0, epoch = 0, micro_step = 0;
-  std::string file_opt_name;
+  std::vector<TensorView> staged_params;
   {
-    Reader* meta = find("meta");
-    if (meta == nullptr) {
-      return fail(Status::kMalformed, "ckpt::load: missing 'meta' section");
+    Result res = stage("params", Status::kMalformed, true, &staged_params);
+    if (!res.ok()) return res;
+    auto named = front.named_parameters();
+    res = match("params", staged_params, named.size(),
+                [&](std::size_t i) { return named[i].name; },
+                [&](std::size_t i) -> const core::Tensor& {
+                  return named[i].var.value();
+                });
+    if (!res.ok()) return res;
+  }
+  // A v1 file carries parameters only: restore them and leave every other
+  // piece of state (optimizer, RNG, counters) as it is.
+  if (c.version == 1) {
+    for (nn::Module* model : state.models) {
+      auto named = model->named_parameters();
+      for (std::size_t i = 0; i < named.size(); ++i) {
+        staged_params[i].copy_to(named[i].var.mutable_value());
+      }
     }
-    u32 n_ints = 0;
-    if (!meta->pod(&n_ints) || n_ints > 64) return truncated("meta");
-    for (u32 i = 0; i < n_ints; ++i) {
-      std::string key;
-      i64 value = 0;
-      if (!meta->str(&key) || !meta->pod(&value)) return truncated("meta");
-      if (key == "step") step = value;
-      else if (key == "epoch") epoch = value;
-      else if (key == "micro_step") micro_step = value;
-    }
-    u32 n_strs = 0;
-    if (!meta->pod(&n_strs) || n_strs > 64) return truncated("meta");
-    for (u32 i = 0; i < n_strs; ++i) {
-      std::string key, value;
-      if (!meta->str(&key) || !meta->str(&value)) return truncated("meta");
-      if (key == "optimizer") file_opt_name = value;
-    }
-    if (step < 0 || micro_step < 0) {
-      return fail(Status::kMalformed, "ckpt::load: negative counters in meta");
-    }
+    Result res;
+    res.message = "v1 checkpoint " + path + ": parameters restored, "
+                  "optimizer/RNG/counter state not present in this version";
+    return res;
+  }
+
+  container::Meta meta;
+  const std::string_view* meta_payload = c.find("meta");
+  if (meta_payload == nullptr) return missing("meta", Status::kMalformed);
+  if (Result res = container::decode_meta(*meta_payload, &meta); !res.ok()) {
+    return res;
   }
   if (!state.optimizers.empty() &&
-      file_opt_name != state.optimizers.front()->name()) {
+      meta.optimizer != state.optimizers.front()->name()) {
     return fail(Status::kStateMismatch,
                 "ckpt::load: checkpoint was written by optimizer '" +
-                    file_opt_name + "', state has '" +
+                    meta.optimizer + "', state has '" +
                     state.optimizers.front()->name() + "'");
   }
 
-  // params (required)
-  std::vector<StagedTensor> staged_params;
-  {
-    Reader* sec = find("params");
-    if (sec == nullptr) {
-      return fail(Status::kMalformed, "ckpt::load: missing 'params' section");
-    }
-    u64 n = 0;
-    if (!sec->pod(&n) || n > kMaxEntries) return truncated("params");
-    staged_params.resize(static_cast<std::size_t>(n));
-    for (auto& t : staged_params) {
-      if (!decode_named_tensor(*sec, &t)) return truncated("params entry");
-    }
-  }
-  {
-    auto named = state.models.front()->named_parameters();
-    Result res = match_and_apply(
-        "params", staged_params, named.size(),
-        [&](std::size_t i) { return named[i].name; },
-        [&](std::size_t i) -> core::Tensor& {
-          return named[i].var.mutable_value();
-        },
-        /*apply=*/false);
-    if (!res.ok()) return res;
-  }
-
   // buffers (required in v2 — written even when empty)
-  std::vector<StagedTensor> staged_buffers;
+  std::vector<TensorView> staged_buffers;
   {
-    Reader* sec = find("buffers");
-    if (sec == nullptr) {
-      return fail(Status::kMalformed, "ckpt::load: missing 'buffers' section");
-    }
-    u64 n = 0;
-    if (!sec->pod(&n) || n > kMaxEntries) return truncated("buffers");
-    staged_buffers.resize(static_cast<std::size_t>(n));
-    for (auto& t : staged_buffers) {
-      if (!decode_named_tensor(*sec, &t)) return truncated("buffers entry");
-    }
-    auto named = state.models.front()->named_buffers();
-    Result res = match_and_apply(
-        "buffers", staged_buffers, named.size(),
-        [&](std::size_t i) { return named[i].name; },
-        [&](std::size_t i) -> core::Tensor& { return *named[i].tensor; },
-        /*apply=*/false);
+    Result res = stage("buffers", Status::kMalformed, true, &staged_buffers);
+    if (!res.ok()) return res;
+    auto named = front.named_buffers();
+    res = match("buffers", staged_buffers, named.size(),
+                [&](std::size_t i) { return named[i].name; },
+                [&](std::size_t i) -> const core::Tensor& {
+                  return *named[i].tensor;
+                });
     if (!res.ok()) return res;
   }
 
   // optim (required iff the state carries optimizers)
-  std::vector<StagedTensor> staged_opt_tensors;
+  std::vector<TensorView> staged_opt_tensors;
   std::vector<std::pair<std::string, i64>> staged_opt_scalars;
   if (!state.optimizers.empty()) {
-    Reader* sec = find("optim");
-    if (sec == nullptr) {
-      return fail(Status::kStateMismatch,
-                  "ckpt::load: state has optimizers but " + path +
-                      " has no 'optim' section");
-    }
+    const std::string_view* payload = c.find("optim");
+    if (payload == nullptr) return missing("optim", Status::kStateMismatch);
+    container::Reader r(*payload);
     std::string opt_name;
-    if (!sec->str(&opt_name)) return truncated("optim");
     u32 n_tensors = 0;
-    if (!sec->pod(&n_tensors) || n_tensors > kMaxEntries) {
+    // Each entry takes at least its u32 name length and u64 ndim, so a count
+    // the payload cannot hold is rejected before it sizes an allocation.
+    if (!r.str(&opt_name) || !r.pod(&n_tensors) ||
+        n_tensors > r.remaining() / 12) {
       return truncated("optim");
     }
     staged_opt_tensors.resize(n_tensors);
     for (auto& t : staged_opt_tensors) {
-      if (!decode_named_tensor(*sec, &t)) return truncated("optim entry");
+      if (!container::decode_tensor(r, /*named=*/true, &t)) {
+        return truncated("optim entry");
+      }
     }
     u32 n_scalars = 0;
-    if (!sec->pod(&n_scalars) || n_scalars > 1024) return truncated("optim");
+    if (!r.pod(&n_scalars) || n_scalars > 1024) return truncated("optim");
     staged_opt_scalars.resize(n_scalars);
     for (auto& [key, value] : staged_opt_scalars) {
-      if (!sec->str(&key) || !sec->pod(&value)) return truncated("optim");
+      if (!r.str(&key) || !r.pod(&value)) return truncated("optim");
     }
     for (optim::Optimizer* opt : state.optimizers) {
       if (opt->name() != opt_name) {
@@ -577,11 +310,11 @@ Result load_image(TrainState& state, const std::string& image,
                         "', state optimizer is '" + opt->name() + "'");
       }
       auto view = opt->state_entries();
-      Result res = match_and_apply(
-          "optim", staged_opt_tensors, view.tensors.size(),
-          [&](std::size_t i) { return view.tensors[i].name; },
-          [&](std::size_t i) -> core::Tensor& { return *view.tensors[i].tensor; },
-          /*apply=*/false);
+      Result res = match("optim", staged_opt_tensors, view.tensors.size(),
+                  [&](std::size_t i) { return view.tensors[i].name; },
+                  [&](std::size_t i) -> const core::Tensor& {
+                    return *view.tensors[i].tensor;
+                  });
       if (!res.ok()) return res;
       if (staged_opt_scalars.size() != view.scalars.size()) {
         return fail(Status::kStateMismatch,
@@ -600,50 +333,31 @@ Result load_image(TrainState& state, const std::string& image,
   }
 
   // ema (required iff the state carries EMA weights)
-  std::vector<StagedTensor> staged_ema;
+  std::vector<TensorView> staged_ema;
   if (!state.emas.empty()) {
-    Reader* sec = find("ema");
-    if (sec == nullptr) {
-      return fail(Status::kStateMismatch,
-                  "ckpt::load: state has EMA weights but " + path +
-                      " has no 'ema' section");
-    }
-    u64 n = 0;
-    if (!sec->pod(&n) || n > kMaxEntries) return truncated("ema");
-    staged_ema.resize(static_cast<std::size_t>(n));
-    for (auto& t : staged_ema) {
-      if (!decode_tensor_payload(*sec, &t)) return truncated("ema entry");
-    }
+    Result res = stage("ema", Status::kStateMismatch, false, &staged_ema);
+    if (!res.ok()) return res;
     for (optim::EmaWeights* ema : state.emas) {
-      auto& shadow = ema->mutable_shadow();
-      if (shadow.size() != staged_ema.size()) {
-        return fail(Status::kStateMismatch,
-                    "ckpt::load: ema shadow count mismatch");
-      }
-      for (std::size_t i = 0; i < shadow.size(); ++i) {
-        if (shadow[i].shape() != staged_ema[i].shape) {
-          return fail(Status::kStateMismatch,
-                      "ckpt::load: ema shadow shape mismatch at index " +
-                          std::to_string(i));
-        }
-      }
+      std::vector<const core::Tensor*> live;
+      for (const auto& t : ema->shadow()) live.push_back(&t);
+      res = match_shapes("ema shadow", staged_ema, live);
+      if (!res.ok()) return res;
     }
   }
 
   // rng (required; name sets must match exactly)
   std::vector<std::pair<std::string, core::Rng::State>> staged_rngs;
   {
-    Reader* sec = find("rng");
-    if (sec == nullptr) {
-      return fail(Status::kMalformed, "ckpt::load: missing 'rng' section");
-    }
+    const std::string_view* payload = c.find("rng");
+    if (payload == nullptr) return missing("rng", Status::kMalformed);
+    container::Reader r(*payload);
     u32 n = 0;
-    if (!sec->pod(&n) || n > 1024) return truncated("rng");
+    if (!r.pod(&n) || n > 1024) return truncated("rng");
     staged_rngs.resize(n);
     for (auto& [name, s] : staged_rngs) {
       u16 has_cached = 0;
-      if (!sec->str(&name) || !sec->pod(&s.counter) ||
-          !sec->pod(&has_cached) || !sec->pod(&s.cached)) {
+      if (!r.str(&name) || !r.pod(&s.counter) || !r.pod(&has_cached) ||
+          !r.pod(&s.cached)) {
         return truncated("rng entry");
       }
       s.has_cached = has_cached != 0;
@@ -665,52 +379,28 @@ Result load_image(TrainState& state, const std::string& image,
   }
 
   // extra (required; name sets and shapes must match exactly)
-  std::vector<StagedTensor> staged_extra;
+  std::vector<TensorView> staged_extra;
   {
-    Reader* sec = find("extra");
-    if (sec == nullptr) {
-      return fail(Status::kMalformed, "ckpt::load: missing 'extra' section");
-    }
-    u64 n = 0;
-    if (!sec->pod(&n) || n > kMaxEntries) return truncated("extra");
-    staged_extra.resize(static_cast<std::size_t>(n));
-    for (auto& t : staged_extra) {
-      if (!decode_named_tensor(*sec, &t)) return truncated("extra entry");
-    }
-    Result res = match_and_apply(
-        "extra", staged_extra, state.extra.size(),
-        [&](std::size_t i) { return state.extra[i].first; },
-        [&](std::size_t i) -> core::Tensor& { return *state.extra[i].second; },
-        /*apply=*/false);
+    Result res = stage("extra", Status::kMalformed, true, &staged_extra);
+    if (!res.ok()) return res;
+    res = match("extra", staged_extra, state.extra.size(),
+                [&](std::size_t i) { return state.extra[i].first; },
+                [&](std::size_t i) -> const core::Tensor& {
+                  return *state.extra[i].second;
+                });
     if (!res.ok()) return res;
   }
 
   // grads (present iff saved mid-accumulation)
-  std::vector<StagedTensor> staged_grads;
-  if (micro_step > 0) {
-    Reader* sec = find("grads");
-    if (sec == nullptr) {
-      return fail(Status::kMalformed,
-                  "ckpt::load: micro_step > 0 but no 'grads' section");
-    }
-    u64 n = 0;
-    if (!sec->pod(&n) || n > kMaxEntries) return truncated("grads");
-    staged_grads.resize(static_cast<std::size_t>(n));
-    for (auto& t : staged_grads) {
-      if (!decode_tensor_payload(*sec, &t)) return truncated("grads entry");
-    }
-    auto params_list = state.models.front()->parameters();
-    if (staged_grads.size() != params_list.size()) {
-      return fail(Status::kStateMismatch,
-                  "ckpt::load: grads count mismatch");
-    }
-    for (std::size_t i = 0; i < params_list.size(); ++i) {
-      if (params_list[i].shape() != staged_grads[i].shape) {
-        return fail(Status::kStateMismatch,
-                    "ckpt::load: grads shape mismatch at index " +
-                        std::to_string(i));
-      }
-    }
+  std::vector<TensorView> staged_grads;
+  if (meta.micro_step > 0) {
+    Result res = stage("grads", Status::kMalformed, false, &staged_grads);
+    if (!res.ok()) return res;
+    const auto params_list = front.parameters();
+    std::vector<const core::Tensor*> live;
+    for (const auto& p : params_list) live.push_back(&p.value());
+    res = match_shapes("grads", staged_grads, live);
+    if (!res.ok()) return res;
   }
 
   // ---- stage 2: the file is fully valid — apply to every replica -----------
@@ -718,23 +408,23 @@ Result load_image(TrainState& state, const std::string& image,
   for (nn::Module* model : state.models) {
     auto named = model->named_parameters();
     for (std::size_t i = 0; i < named.size(); ++i) {
-      apply_tensor(staged_params[i], named[i].var.mutable_value());
+      staged_params[i].copy_to(named[i].var.mutable_value());
     }
     auto buffers = model->named_buffers();
     for (std::size_t i = 0; i < buffers.size(); ++i) {
-      apply_tensor(staged_buffers[i], *buffers[i].tensor);
+      staged_buffers[i].copy_to(*buffers[i].tensor);
     }
-    if (micro_step > 0) {
+    if (meta.micro_step > 0) {
       auto params_list = model->parameters();
       for (std::size_t i = 0; i < params_list.size(); ++i) {
-        apply_tensor(staged_grads[i], params_list[i].mutable_grad());
+        staged_grads[i].copy_to(params_list[i].mutable_grad());
       }
     }
   }
   for (optim::Optimizer* opt : state.optimizers) {
     auto view = opt->state_entries();
     for (std::size_t i = 0; i < view.tensors.size(); ++i) {
-      apply_tensor(staged_opt_tensors[i], *view.tensors[i].tensor);
+      staged_opt_tensors[i].copy_to(*view.tensors[i].tensor);
     }
     for (std::size_t i = 0; i < view.scalars.size(); ++i) {
       *view.scalars[i].value = staged_opt_scalars[i].second;
@@ -743,18 +433,18 @@ Result load_image(TrainState& state, const std::string& image,
   for (optim::EmaWeights* ema : state.emas) {
     auto& shadow = ema->mutable_shadow();
     for (std::size_t i = 0; i < shadow.size(); ++i) {
-      apply_tensor(staged_ema[i], shadow[i]);
+      staged_ema[i].copy_to(shadow[i]);
     }
   }
   for (std::size_t i = 0; i < state.rngs.size(); ++i) {
     state.rngs[i].second->set_state(staged_rngs[i].second);
   }
   for (std::size_t i = 0; i < state.extra.size(); ++i) {
-    apply_tensor(staged_extra[i], *state.extra[i].second);
+    staged_extra[i].copy_to(*state.extra[i].second);
   }
-  state.step = step;
-  state.epoch = epoch;
-  state.micro_step = micro_step;
+  state.step = meta.step;
+  state.epoch = meta.epoch;
+  state.micro_step = meta.micro_step;
   obs::count("ckpt_restores", 1);
   return {};
 }
@@ -826,18 +516,9 @@ std::vector<std::string> CheckpointManager::list_checkpoints(
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
     if (!entry.is_regular_file(ec)) continue;
-    const std::string name = entry.path().filename().string();
     // ckpt-<digits>.legw, nothing else (ignores .tmp leftovers).
-    if (name.size() <= 10 || name.rfind("ckpt-", 0) != 0 ||
-        name.substr(name.size() - 5) != ".legw") {
-      continue;
-    }
-    const std::string digits = name.substr(5, name.size() - 10);
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    found.emplace_back(std::stoll(digits), entry.path().string());
+    const i64 step = step_of(entry.path().string());
+    if (step >= 0) found.emplace_back(step, entry.path().string());
   }
   std::sort(found.begin(), found.end());
   std::vector<std::string> out;

@@ -16,17 +16,15 @@
 //     function of the step, so the counters pin it exactly),
 //   - pending micro-batch gradients when saved mid-accumulation.
 //
-// Container format (little-endian, version 2; version-1 nn/serialize files
-// are readable for parameter-only restores):
-//
-//   magic "LEGWCKP2" | u32 version | u32 n_sections
-//   per section: u32 name_len | name | u64 payload_bytes | u32 crc32 | payload
-//
-// Every section carries a CRC32 over its payload, so truncation, torn
-// writes, and bit flips are all *detected* and reported as a structured
-// Status — never an LEGW_CHECK abort. Publication is atomic (write tmp →
-// fsync → rename via core::AtomicFile): a crash mid-write leaves at most a
-// stale .tmp next to an intact previous checkpoint. CheckpointManager adds
+// The bytes are the sectioned container of core/container.hpp (the one
+// codec ckpt and serve share); this module owns what goes into the sections
+// and how a file is matched against and applied to live state. Version-1
+// parameter-only files are readable for parameter-only restores. Every
+// section carries a CRC32 over its payload, so truncation, torn writes, and
+// bit flips are all *detected* and reported as a structured Status — never
+// an LEGW_CHECK abort. Publication is atomic (write tmp → fsync → rename via
+// core::AtomicFile): a crash mid-write leaves at most a stale .tmp next to
+// an intact previous checkpoint. CheckpointManager adds
 // the cadence/retention policy and, on restore, falls back across corrupted
 // files to the newest valid one. A seeded CrashPlan (mirroring
 // dist::FaultPlan) injects simulated kills mid-step and mid-write so the
@@ -42,6 +40,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/container.hpp"
 #include "core/mutex.hpp"
 #include "core/rng.hpp"
 #include "nn/module.hpp"
@@ -50,30 +49,10 @@
 
 namespace legw::ckpt {
 
-enum class Status {
-  kOk,
-  kOpenFailed,       // cannot open for reading
-  kTruncated,        // file ends inside a declared header/section
-  kBadMagic,         // neither a v2 container nor a v1 serialize file
-  kBadVersion,       // version newer than this reader
-  kCrcMismatch,      // a section's payload fails its CRC32
-  kMalformed,        // implausible lengths/counts (bit-flipped header fields)
-  kStateMismatch,    // file disagrees with the live state's schema (names,
-                     // shapes, optimizer type, counts)
-  kWriteFailed,      // staging or atomic publication failed
-  kNoCheckpoint,     // restore_latest found no candidate files
-  kSimulatedCrash,   // a CrashPlan kill fired during this write
-};
-
-const char* status_name(Status s);
-
-// [[nodiscard]]: every function returning a Result by value inherits the
-// must-check contract (a dropped checkpoint error is silent data loss).
-struct [[nodiscard]] Result {
-  Status status = Status::kOk;
-  std::string message;  // empty when ok
-  bool ok() const { return status == Status::kOk; }
-};
+// The container codec's one status taxonomy (core/container.hpp).
+using Status = core::container::Status;
+using Result = core::container::Result;
+using core::container::status_name;
 
 // Pointers into one training run's live state. The runner fills this at
 // save/restore time (the pointed-at objects move between steps — PTB's
@@ -107,8 +86,8 @@ std::string encode(const TrainState& state);
 // Validating reader: parses and CRC-checks the *whole* file and matches it
 // against the live state's schema before touching any live tensor, so a
 // failed load leaves the state exactly as it was. Accepts v2 containers and
-// v1 nn/serialize files (parameters only; optimizer/RNG/counter state is
-// left untouched and the result message says so).
+// v1 files (parameters only; optimizer/RNG/counter state is left untouched
+// and the result message says so).
 [[nodiscard]] Result load(TrainState& state, const std::string& path);
 
 // load() over an in-memory container image — no file IO. This is the

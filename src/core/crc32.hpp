@@ -9,7 +9,7 @@
 
 #include "core/common.hpp"
 
-namespace legw::ckpt {
+namespace legw::core {
 
 namespace detail {
 constexpr std::array<u32, 256> make_crc32_table() {
@@ -37,4 +37,4 @@ inline u32 crc32(const void* data, std::size_t n, u32 seed = 0) {
   return c ^ 0xffffffffu;
 }
 
-}  // namespace legw::ckpt
+}  // namespace legw::core

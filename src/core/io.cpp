@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 namespace legw::core {
@@ -81,6 +82,28 @@ Status atomic_write_file(const std::string& path, const void* data,
 
 Status atomic_write_file(const std::string& path, const std::string& content) {
   return atomic_write_file(path, content.data(), content.size());
+}
+
+Status read_file(const std::string& path, std::string* out) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return Status::error("cannot open " + path + ": " + errno_string());
+  }
+  struct stat st {};
+  if (::fstat(::fileno(f), &st) != 0 || !S_ISREG(st.st_mode)) {
+    std::fclose(f);
+    return Status::error(path + " is not a regular file");
+  }
+  std::string bytes;
+  bytes.reserve(static_cast<std::size_t>(st.st_size));  // a hint only
+  char buf[1 << 16];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
+  const bool failed = std::ferror(f) != 0;
+  std::fclose(f);
+  if (failed) return Status::error("read error on " + path);
+  *out = std::move(bytes);
+  return {};
 }
 
 }  // namespace legw::core

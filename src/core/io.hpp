@@ -64,4 +64,10 @@ Status atomic_write_file(const std::string& path, const void* data,
                          std::size_t n);
 Status atomic_write_file(const std::string& path, const std::string& content);
 
+// Reads the whole regular file at `path` into `out`. Directories and other
+// non-regular files are refused (fopen succeeds on a directory, and its
+// size is not a byte count), and the bytes are read to EOF rather than
+// sized up front from ftell.
+Status read_file(const std::string& path, std::string* out);
+
 }  // namespace legw::core

@@ -1,106 +1,12 @@
 #include "serve/container.hpp"
 
-#include <cstdio>
-#include <cstring>
-#include <map>
-
-#include "ckpt/crc32.hpp"  // header-only CRC; no legw_ckpt link
+#include "core/io.hpp"
 
 namespace legw::serve {
 
 namespace {
 
-// Container constants mirrored from ckpt/checkpoint.cpp (the writer). The
-// caps reject bit-flipped length fields before they become allocations.
-constexpr char kMagicV2[8] = {'L', 'E', 'G', 'W', 'C', 'K', 'P', '2'};
-constexpr char kMagicV1[8] = {'L', 'E', 'G', 'W', 'C', 'K', 'P', 'T'};
-constexpr u32 kVersion = 2;
-constexpr u32 kMaxNameLen = 1u << 16;
-constexpr u64 kMaxNdim = 16;
-constexpr u64 kMaxEntries = 1u << 24;
-constexpr i64 kMaxDim = 1ll << 32;
-
-Result fail(Status status, std::string message) {
-  Result r;
-  r.status = status;
-  r.message = std::move(message);
-  return r;
-}
-
-Result truncated(const char* what) {
-  return fail(Status::kTruncated,
-              std::string("serve checkpoint truncated/malformed in ") + what);
-}
-
-// Bounds-checked cursor over the in-memory file image; every read either
-// succeeds completely or reports truncation.
-struct Reader {
-  const char* data;
-  std::size_t size;
-  std::size_t pos = 0;
-
-  bool bytes(void* out, std::size_t n) {
-    if (n > size - pos) return false;
-    std::memcpy(out, data + pos, n);
-    pos += n;
-    return true;
-  }
-  template <typename T>
-  bool pod(T* v) {
-    return bytes(v, sizeof(T));
-  }
-  bool str(std::string* out) {
-    u32 len = 0;
-    if (!pod(&len) || len > kMaxNameLen) return false;
-    if (len > size - pos) return false;
-    out->assign(data + pos, len);
-    pos += len;
-    return true;
-  }
-  const char* borrow(std::size_t n) {
-    if (n > size - pos) return nullptr;
-    const char* p = data + pos;
-    pos += n;
-    return p;
-  }
-  std::size_t remaining() const { return size - pos; }
-};
-
-// Decodes one `name | ndim | dims | float data` entry into an owned tensor.
-bool decode_named_tensor(Reader& r, NamedTensor* out) {
-  if (!r.str(&out->name)) return false;
-  u64 ndim = 0;
-  if (!r.pod(&ndim) || ndim > kMaxNdim) return false;
-  core::Shape shape(static_cast<std::size_t>(ndim), 0);
-  i64 numel = 1;
-  for (u64 d = 0; d < ndim; ++d) {
-    i64 dim = 0;
-    if (!r.pod(&dim) || dim < 0 || dim > kMaxDim) return false;
-    shape[static_cast<std::size_t>(d)] = dim;
-    if (dim > 0 && numel > kMaxDim / dim) return false;  // overflow guard
-    numel *= dim;
-  }
-  const char* bytes =
-      r.borrow(static_cast<std::size_t>(numel) * sizeof(float));
-  if (bytes == nullptr) return false;
-  core::Tensor t = core::Tensor::uninit(std::move(shape));
-  std::memcpy(t.data(), bytes,
-              static_cast<std::size_t>(numel) * sizeof(float));
-  out->tensor = std::move(t);
-  return true;
-}
-
-// Decodes a `u64 count | entries...` named-tensor section payload.
-Result decode_tensor_section(Reader r, const char* what,
-                             std::vector<NamedTensor>* out) {
-  u64 n = 0;
-  if (!r.pod(&n) || n > kMaxEntries) return truncated(what);
-  out->resize(static_cast<std::size_t>(n));
-  for (auto& entry : *out) {
-    if (!decode_named_tensor(r, &entry)) return truncated(what);
-  }
-  return {};
-}
+namespace container = core::container;
 
 const core::Tensor* find_in(const std::vector<NamedTensor>& list,
                             const std::string& name) {
@@ -110,37 +16,20 @@ const core::Tensor* find_in(const std::vector<NamedTensor>& list,
   return nullptr;
 }
 
-bool slurp(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::fseek(f, 0, SEEK_END);
-  const long sz = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  out->resize(sz < 0 ? 0 : static_cast<std::size_t>(sz));
-  const bool ok =
-      out->empty() || std::fread(out->data(), 1, out->size(), f) == out->size();
-  std::fclose(f);
-  return ok;
+// Decodes a named-tensor section into owned copies.
+Result copy_tensor_list(std::string_view payload, const char* what,
+                        std::vector<NamedTensor>* out) {
+  std::vector<container::TensorView> views;
+  Result res = container::decode_tensor_list(payload, /*named=*/true, what,
+                                             &views);
+  if (!res.ok()) return res;
+  out->clear();
+  out->reserve(views.size());
+  for (const auto& v : views) out->push_back({v.name, v.to_tensor()});
+  return {};
 }
 
 }  // namespace
-
-const char* status_name(Status s) {
-  switch (s) {
-    case Status::kOk: return "ok";
-    case Status::kOpenFailed: return "open-failed";
-    case Status::kTruncated: return "truncated";
-    case Status::kBadMagic: return "bad-magic";
-    case Status::kBadVersion: return "bad-version";
-    case Status::kCrcMismatch: return "crc-mismatch";
-    case Status::kMalformed: return "malformed";
-    case Status::kMissingSection: return "missing-section";
-    case Status::kSchemaMismatch: return "schema-mismatch";
-    case Status::kInvalidRequest: return "invalid-request";
-    case Status::kUnavailable: return "unavailable";
-  }
-  return "unknown";
-}
 
 const core::Tensor* ModelImage::find_param(const std::string& name) const {
   return find_in(params, name);
@@ -152,110 +41,42 @@ const core::Tensor* ModelImage::find_buffer(const std::string& name) const {
 
 Result read_model_image_bytes(const std::string& image, ModelImage* out) {
   LEGW_CHECK(out != nullptr, "read_model_image: null output");
-  Reader r{image.data(), image.size()};
-
-  char magic[8];
-  if (!r.bytes(magic, sizeof magic)) {
-    return fail(Status::kTruncated,
-                "serve checkpoint shorter than a header");
-  }
-  if (std::memcmp(magic, kMagicV1, sizeof kMagicV1) == 0) {
-    // v1 files carry parameters only. Training can restore them (ckpt::load
-    // falls back), but serving needs the meta provenance and the buffer
-    // section (BatchNorm running stats), so the failure names exactly what a
-    // re-save under the v2 writer would add.
-    return fail(Status::kMissingSection,
-                "v1 parameter-only checkpoint: serving requires the v2 "
-                "sections [meta, buffers]; re-save with ckpt::save");
-  }
-  if (std::memcmp(magic, kMagicV2, sizeof kMagicV2) != 0) {
-    return fail(Status::kBadMagic, "bad magic in serve checkpoint");
-  }
-  u32 version = 0;
-  if (!r.pod(&version)) return truncated("header");
-  if (version != kVersion) {
-    return fail(Status::kBadVersion,
-                "unsupported container version " + std::to_string(version));
-  }
-
-  u32 n_sections = 0;
-  if (!r.pod(&n_sections) || n_sections > 64) return truncated("header");
-  std::map<std::string, Reader> sections;
-  for (u32 i = 0; i < n_sections; ++i) {
-    std::string name;
-    u64 payload_bytes = 0;
-    u32 crc = 0;
-    if (!r.str(&name) || !r.pod(&payload_bytes) || !r.pod(&crc)) {
-      return truncated("section header");
-    }
-    const char* payload = r.borrow(static_cast<std::size_t>(payload_bytes));
-    if (payload == nullptr) {
-      return fail(Status::kTruncated,
-                  "section '" + name + "' truncated in serve checkpoint");
-    }
-    if (ckpt::crc32(payload, static_cast<std::size_t>(payload_bytes)) != crc) {
-      return fail(Status::kCrcMismatch,
-                  "CRC mismatch in section '" + name + "'");
-    }
-    if (!sections
-             .emplace(name,
-                      Reader{payload, static_cast<std::size_t>(payload_bytes)})
-             .second) {
-      return fail(Status::kMalformed, "duplicate section '" + name + "'");
-    }
-  }
-  if (r.remaining() != 0) {
-    return fail(Status::kMalformed,
-                std::to_string(r.remaining()) +
-                    " trailing bytes after last section");
-  }
+  container::Container c;
+  Result res = container::parse(image, &c);
+  if (!res.ok()) return res;
 
   // Serving requires these three; collect every absence into one message so
-  // the operator fixes the file once, not section by section.
+  // the operator fixes the file once, not section by section. A v1 file
+  // (parameters only) lands here too, missing [meta, buffers].
   std::string missing;
   for (const char* required : {"meta", "params", "buffers"}) {
-    if (sections.find(required) == sections.end()) {
+    if (c.find(required) == nullptr) {
       missing += missing.empty() ? "" : ", ";
       missing += required;
     }
   }
   if (!missing.empty()) {
-    return fail(Status::kMissingSection,
-                "serve checkpoint missing required sections [" + missing +
-                    "]");
+    std::string message = "v";
+    message += std::to_string(c.version);
+    message += " checkpoint missing the sections serving requires [" +
+               missing + "]; re-save with ckpt::save";
+    return container::fail(Status::kMissingSection, std::move(message));
   }
 
-  // meta: u32 n_ints | (str key, i64 value)... | u32 n_strs | (key, val)...
   ModelImage staged;
-  {
-    Reader meta = sections.at("meta");
-    u32 n_ints = 0;
-    if (!meta.pod(&n_ints) || n_ints > 64) return truncated("meta");
-    for (u32 i = 0; i < n_ints; ++i) {
-      std::string key;
-      i64 value = 0;
-      if (!meta.str(&key) || !meta.pod(&value)) return truncated("meta");
-      if (key == "step") staged.step = value;
-      if (key == "epoch") staged.epoch = value;
-    }
-    u32 n_strs = 0;
-    if (!meta.pod(&n_strs) || n_strs > 64) return truncated("meta");
-    for (u32 i = 0; i < n_strs; ++i) {
-      std::string key, value;
-      if (!meta.str(&key) || !meta.str(&value)) return truncated("meta");
-      if (key == "optimizer") staged.optimizer = value;
-    }
-  }
-
-  Result res =
-      decode_tensor_section(sections.at("params"), "params", &staged.params);
+  container::Meta meta;
+  res = container::decode_meta(*c.find("meta"), &meta);
   if (!res.ok()) return res;
-  res = decode_tensor_section(sections.at("buffers"), "buffers",
-                              &staged.buffers);
+  staged.step = meta.step;
+  staged.epoch = meta.epoch;
+  staged.optimizer = std::move(meta.optimizer);
+  res = copy_tensor_list(*c.find("params"), "params", &staged.params);
+  if (!res.ok()) return res;
+  res = copy_tensor_list(*c.find("buffers"), "buffers", &staged.buffers);
   if (!res.ok()) return res;
   if (staged.params.empty()) {
-    return fail(Status::kSchemaMismatch,
-                "serve checkpoint has an empty params section");
+    return container::fail(Status::kStateMismatch,
+                           "serve checkpoint has an empty params section");
   }
 
   *out = std::move(staged);
@@ -264,11 +85,10 @@ Result read_model_image_bytes(const std::string& image, ModelImage* out) {
 
 Result read_model_image(const std::string& path, ModelImage* out) {
   std::string image;
-  if (!slurp(path, &image)) {
-    return fail(Status::kOpenFailed, "cannot read " + path);
-  }
+  const core::Status st = core::read_file(path, &image);
+  if (!st.ok()) return container::fail(Status::kOpenFailed, st.message());
   Result res = read_model_image_bytes(image, out);
-  if (!res.ok() && !res.message.empty()) res.message += " (" + path + ")";
+  if (!res.ok()) res.message += " (" + path + ")";
   return res;
 }
 

@@ -1,14 +1,11 @@
-// Standalone checkpoint-container reader for the serving runtime.
+// The serving runtime's view of a checkpoint.
 //
 // The serving path (src/serve) is deliberately tape-free: it links only
-// legw_core + legw_mem + legw_obs, never the autograd/nn/ckpt stack
-// (tools/lint.py's serve-no-tape rule enforces this statically). ckpt::load
-// restores into live nn::Module state and therefore drags the whole training
-// graph in, so serving re-reads the same v2 container bytes
-// (ckpt/checkpoint.cpp writes them; docs/CHECKPOINT.md has the layout) into
-// plain name->tensor maps here, with the identical validation posture: the
-// whole file is parsed and every section CRC-checked before anything is
-// returned, failures are structured Status values, never aborts.
+// legw_core + legw_mem + legw_obs (tools/lint.py's serve-no-tape rule
+// enforces this). ckpt::load restores into live nn::Module state, so serving
+// decodes the same bytes through the shared codec (core/container.hpp) into
+// plain name->tensor maps instead: the whole file is parsed and CRC-checked
+// before anything is returned, and failures are structured Status values.
 //
 // Serving requires a *full-state* v2 checkpoint: `meta` (provenance),
 // `params` and `buffers` (inference-mode BatchNorm needs the running stats a
@@ -20,35 +17,15 @@
 #include <string>
 #include <vector>
 
+#include "core/container.hpp"
 #include "core/tensor.hpp"
 
 namespace legw::serve {
 
-enum class Status {
-  kOk,
-  kOpenFailed,      // cannot open/read the file
-  kTruncated,       // file ends inside a declared header/section
-  kBadMagic,        // not a LEGW checkpoint at all
-  kBadVersion,      // container version newer than this reader
-  kCrcMismatch,     // a section's payload fails its CRC32
-  kMalformed,       // implausible lengths/counts (bit-flipped fields)
-  kMissingSection,  // v1 file, or v2 container without a serve-required
-                    // section; the message names every missing section
-  kSchemaMismatch,  // checkpoint disagrees with the session's model config
-                    // (missing tensor, wrong shape)
-  kInvalidRequest,  // request rejected before batching (bad tokens/shape)
-  kUnavailable,     // broker already shut down
-};
-
-const char* status_name(Status s);
-
-// [[nodiscard]]: a dropped serve status silently serves a stale or broken
-// model image.
-struct [[nodiscard]] Result {
-  Status status = Status::kOk;
-  std::string message;  // empty when ok
-  bool ok() const { return status == Status::kOk; }
-};
+// The container codec's one status taxonomy (core/container.hpp).
+using Status = core::container::Status;
+using Result = core::container::Result;
+using core::container::status_name;
 
 struct NamedTensor {
   std::string name;

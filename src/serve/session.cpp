@@ -11,25 +11,20 @@ namespace legw::serve {
 
 namespace {
 
-Result fail(Status status, std::string message) {
-  Result r;
-  r.status = status;
-  r.message = std::move(message);
-  return r;
-}
+using core::container::fail;
 
 // Pulls one named tensor out of the image, shape-checked. The training-side
 // dot-joined module path ("transform.weight", "lstm.layer0.bias", ...) is
-// the schema; anything absent or misshapen is a kSchemaMismatch.
+// the schema; anything absent or misshapen is a kStateMismatch.
 Result take_param(const ModelImage& image, const std::string& name,
                   const core::Shape& want, core::Tensor* dst) {
   const core::Tensor* src = image.find_param(name);
   if (src == nullptr) {
-    return fail(Status::kSchemaMismatch,
+    return fail(Status::kStateMismatch,
                 "checkpoint has no parameter '" + name + "'");
   }
   if (src->shape() != want) {
-    return fail(Status::kSchemaMismatch,
+    return fail(Status::kStateMismatch,
                 "parameter '" + name + "': checkpoint shape " +
                     core::shape_to_string(src->shape()) +
                     " vs session config " + core::shape_to_string(want));
@@ -99,8 +94,26 @@ Result ServeSession::load_bytes(const SessionConfig& config,
   out->reset();
   ModelImage img;
   Result res = read_model_image_bytes(image, &img);
-  if (!res.ok()) return res;
+  return res.ok() ? compile(config, img, out) : res;
+}
 
+Result ServeSession::load(const SessionConfig& config,
+                          const std::string& ckpt_path,
+                          std::unique_ptr<ServeSession>* out) {
+  LEGW_CHECK(out != nullptr, "ServeSession::load: null output");
+  out->reset();
+  ModelImage img;
+  Result res = read_model_image(ckpt_path, &img);
+  if (!res.ok()) return res;
+  res = compile(config, img, out);
+  if (!res.ok()) res.message += " (" + ckpt_path + ")";
+  return res;
+}
+
+Result ServeSession::compile(const SessionConfig& config,
+                             const ModelImage& img,
+                             std::unique_ptr<ServeSession>* out) {
+  Result res;
   std::unique_ptr<ServeSession> session(new ServeSession());
   session->config_ = config;
   session->step_ = img.step;
@@ -160,32 +173,6 @@ Result ServeSession::load_bytes(const SessionConfig& config,
 
   *out = std::move(session);
   return {};
-}
-
-Result ServeSession::load(const SessionConfig& config,
-                          const std::string& ckpt_path,
-                          std::unique_ptr<ServeSession>* out) {
-  LEGW_CHECK(out != nullptr, "ServeSession::load: null output");
-  out->reset();
-  std::string image;
-  {
-    std::FILE* f = std::fopen(ckpt_path.c_str(), "rb");
-    if (f == nullptr) {
-      return fail(Status::kOpenFailed, "cannot read " + ckpt_path);
-    }
-    std::fseek(f, 0, SEEK_END);
-    const long sz = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    image.resize(sz < 0 ? 0 : static_cast<std::size_t>(sz));
-    const bool ok = image.empty() ||
-                    std::fread(image.data(), 1, image.size(), f) ==
-                        image.size();
-    std::fclose(f);
-    if (!ok) return fail(Status::kOpenFailed, "cannot read " + ckpt_path);
-  }
-  Result res = load_bytes(config, image, out);
-  if (!res.ok() && !res.message.empty()) res.message += " (" + ckpt_path + ")";
-  return res;
 }
 
 i64 ServeSession::request_length(const Request& req) const {

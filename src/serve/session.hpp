@@ -130,6 +130,10 @@ class ServeSession {
  private:
   ServeSession() = default;
 
+  // Schema-validates `img` against `config` and builds the plan.
+  static Result compile(const SessionConfig& config, const ModelImage& img,
+                        std::unique_ptr<ServeSession>* out);
+
   void forward_mnist(const std::vector<Request>& reqs, i64 batch,
                      std::vector<Response>* out) const;
   void forward_ptb(const std::vector<Request>& reqs, i64 batch, i64 pad_len,

@@ -7,22 +7,26 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "ag/ops.hpp"
 #include "ckpt/checkpoint.hpp"
-#include "ckpt/crc32.hpp"
+#include "core/container.hpp"
+#include "core/crc32.hpp"
 #include "core/io.hpp"
 #include "core/rng.hpp"
 #include "nn/conv.hpp"
 #include "nn/layers.hpp"
-#include "nn/serialize.hpp"
 #include "optim/ema.hpp"
 #include "optim/optimizer.hpp"
 #include "serve/container.hpp"
+#include "serve/session.hpp"
 #include "train/accumulate.hpp"
 
 namespace legw {
@@ -62,6 +66,19 @@ void write_file(const std::string& path, const std::string& bytes) {
   ASSERT_NE(f, nullptr) << path;
   ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
   std::fclose(f);
+}
+
+// A version-1 (parameter-only) file: "LEGWCKPT" | u32 1 | a body that is
+// byte-identical to the v2 `params` payload.
+std::string encode_v1(const nn::Module& model) {
+  std::string out = "LEGWCKPT";
+  core::container::append_pod(out, u32{1});
+  const auto named = model.named_parameters();
+  core::container::append_pod(out, static_cast<u64>(named.size()));
+  for (const auto& p : named) {
+    core::container::append_named_tensor(out, p.name, p.var.value());
+  }
+  return out;
 }
 
 // Drives a few optimizer steps with a deterministic synthetic gradient so
@@ -128,21 +145,21 @@ TEST(AtomicFile, WriteFileOverwritesAtomically) {
   EXPECT_EQ(read_file(path), "second");
 }
 
-// ---- ckpt::crc32 ------------------------------------------------------------
+// ---- core::crc32 ------------------------------------------------------------
 
 TEST(Crc32, MatchesKnownVectors) {
   // The canonical CRC-32/IEEE check value.
-  EXPECT_EQ(ckpt::crc32("123456789", 9), 0xCBF43926u);
-  EXPECT_EQ(ckpt::crc32("", 0), 0u);
+  EXPECT_EQ(core::crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(core::crc32("", 0), 0u);
 }
 
 TEST(Crc32, DetectsSingleBitFlip) {
   std::string data = "the quick brown fox jumps over the lazy dog";
-  const u32 clean = ckpt::crc32(data.data(), data.size());
+  const u32 clean = core::crc32(data.data(), data.size());
   for (std::size_t byte : {0u, 10u, 42u}) {
     std::string flipped = data;
     flipped[byte] ^= 0x10;
-    EXPECT_NE(ckpt::crc32(flipped.data(), flipped.size()), clean);
+    EXPECT_NE(core::crc32(flipped.data(), flipped.size()), clean);
   }
 }
 
@@ -431,7 +448,7 @@ TEST(TrainStateRoundTrip, ReadsV1ParameterOnlyFiles) {
   const std::string path = dir.file("v1.ckpt");
   Rng rng(5);
   nn::Linear a(4, 3, rng);
-  ASSERT_TRUE(nn::save_checkpoint(a, path).ok());  // v1 writer
+  write_file(path, encode_v1(a));
 
   Rng rng_b(99);
   nn::Linear b(4, 3, rng_b);
@@ -448,6 +465,122 @@ TEST(TrainStateRoundTrip, ReadsV1ParameterOnlyFiles) {
   const auto pb = b.parameters();
   for (std::size_t i = 0; i < pa.size(); ++i) {
     EXPECT_TRUE(tensors_equal(pa[i].value(), pb[i].value())) << "param " << i;
+  }
+}
+
+// ---- format pin -------------------------------------------------------------
+
+// Every float from seeded integers / 64: exactly representable, so the image
+// bytes cannot depend on how the compiler contracts floating-point math.
+void fill_exact(Tensor& t, Rng& rng) {
+  for (i64 i = 0; i < t.numel(); ++i) {
+    t[i] = static_cast<float>(static_cast<int>(rng.uniform_int(2001)) - 1000) /
+           64.0f;
+  }
+}
+
+// A seeded TrainState that fills every section: params, buffers, optim, ema,
+// rng, extra and (micro_step > 0) grads.
+struct PinnedState {
+  nn::BatchNorm2d model{3};
+  std::unique_ptr<optim::Optimizer> opt =
+      optim::make_optimizer("lars", model.parameters(), 0.0f);
+  optim::EmaWeights ema{model.parameters(), 0.9f};
+  Rng dropout{77};
+  Tensor carried = Tensor::zeros({2, 3});
+  ckpt::TrainState state;
+
+  explicit PinnedState(u64 seed = 2024) {
+    Rng rng(seed);
+    for (auto& p : model.named_parameters()) {
+      fill_exact(p.var.mutable_value(), rng);
+    }
+    for (auto& b : model.named_buffers()) fill_exact(*b.tensor, rng);
+    for (auto& p : model.parameters()) fill_exact(p.mutable_grad(), rng);
+    auto view = opt->state_entries();
+    for (auto& e : view.tensors) fill_exact(*e.tensor, rng);
+    for (auto& e : view.scalars) *e.value = 7;
+    for (auto& t : ema.mutable_shadow()) fill_exact(t, rng);
+    fill_exact(carried, rng);
+    for (int i = 0; i < 5; ++i) (void)dropout.uniform_int(1000);
+    state.models.push_back(&model);
+    state.optimizers.push_back(opt.get());
+    state.emas.push_back(&ema);
+    state.rngs.emplace_back("dropout", &dropout);
+    state.extra.emplace_back("carried", &carried);
+    state.step = 12;
+    state.epoch = 3;
+    state.micro_step = 1;
+  }
+};
+
+TEST(ContainerFormat, EncodeBytesArePinned) {
+  // The pinned bytes are the on-disk format: files written by earlier builds
+  // must keep loading, so a change here is a format change.
+  PinnedState pinned;
+  const std::string image = ckpt::encode(pinned.state);
+  EXPECT_EQ(image.size(), 794u);
+  EXPECT_EQ(core::crc32(image.data(), image.size()), 0xA73A943Du);
+  core::container::Container parsed;
+  ASSERT_TRUE(core::container::parse(image, &parsed).ok());
+  for (const char* section :
+       {"meta", "params", "buffers", "optim", "ema", "rng", "extra", "grads"}) {
+    EXPECT_NE(parsed.find(section), nullptr) << section;
+  }
+
+  // Decoding into a differently seeded state and re-encoding reproduces the
+  // image byte for byte.
+  PinnedState other(99);
+  const auto res = ckpt::load_image(other.state, image, "pinned");
+  ASSERT_TRUE(res.ok()) << res.message;
+  EXPECT_EQ(ckpt::encode(other.state), image);
+}
+
+// ---- shared reader contracts ------------------------------------------------
+
+TEST(ContainerReaders, DirectoryPathIsOpenFailed) {
+  // fopen succeeds on a directory; a reader that sized its buffer from
+  // ftell asked for LONG_MAX bytes and died of std::bad_alloc.
+  TempDir dir("dir_path");
+  Rng rng(1);
+  nn::Linear target(3, 2, rng);
+  ckpt::TrainState tgt;
+  tgt.models.push_back(&target);
+  EXPECT_EQ(ckpt::load(tgt, dir.path).status, ckpt::Status::kOpenFailed);
+
+  serve::ModelImage img;
+  EXPECT_EQ(serve::read_model_image(dir.path, &img).status,
+            serve::Status::kOpenFailed);
+
+  std::unique_ptr<serve::ServeSession> session;
+  const auto res =
+      serve::ServeSession::load(serve::SessionConfig{}, dir.path, &session);
+  EXPECT_EQ(res.status, serve::Status::kOpenFailed);
+  EXPECT_NE(res.message.find(dir.path), std::string::npos) << res.message;
+  EXPECT_EQ(session, nullptr);
+}
+
+TEST(ContainerReaders, NegativeMetaCountersAreMalformedForBoth) {
+  for (int field = 0; field < 3; ++field) {
+    Rng rng(5);
+    nn::Linear model(3, 2, rng);
+    ckpt::TrainState state;
+    state.models.push_back(&model);
+    (field == 0 ? state.step : field == 1 ? state.epoch : state.micro_step) =
+        -1;
+    const std::string image = ckpt::encode(state);
+
+    Rng rng_b(6);
+    nn::Linear target(3, 2, rng_b);
+    ckpt::TrainState tgt;
+    tgt.models.push_back(&target);
+    EXPECT_EQ(ckpt::load_image(tgt, image, "negative").status,
+              ckpt::Status::kMalformed)
+        << "field " << field;
+    serve::ModelImage img;
+    EXPECT_EQ(serve::read_model_image_bytes(image, &img).status,
+              serve::Status::kMalformed)
+        << "field " << field;
   }
 }
 
@@ -625,7 +758,7 @@ TEST_F(CorruptionCorpus, ServeReaderRefusesV1FilesWithMissingSections) {
   Rng rng(5);
   nn::Linear model(3, 2, rng);
   const std::string path = dir_->file("v1_for_serve.ckpt");
-  ASSERT_TRUE(nn::save_checkpoint(model, path).ok());  // v1 writer
+  write_file(path, encode_v1(model));
 
   // Training-side load succeeds on the same file.
   nn::Linear target(3, 2, rng);
@@ -660,6 +793,185 @@ TEST_F(CorruptionCorpus, ServeReaderStatusTaxonomyMatchesTheFailure) {
   const auto missing =
       serve::read_model_image("/tmp/legw_ckpt_never_written.legw", &img);
   EXPECT_EQ(missing.status, serve::Status::kOpenFailed);
+}
+
+// ---- seeded mutation over the one codec --------------------------------------
+// Tens of thousands of seeded bit flips, truncations, splices and edits of
+// real length/count/dimension fields, half of them with every reachable
+// section CRC re-sealed so the damage gets past the CRC and into the section
+// decoders. Both readers must answer every mutant with a structured status,
+// and a failed ckpt load must leave the live state bitwise untouched.
+
+struct Field {
+  std::size_t offset;
+  int width;  // 4 or 8 bytes
+};
+
+// Offsets of every length, count and dimension field of a v2 image.
+std::vector<Field> length_fields(const std::string& image) {
+  std::vector<Field> out{{12, 4}};
+  core::container::Reader r(image);
+  r.pos = 12;
+  u32 n_sections = 0;
+  EXPECT_TRUE(r.pod(&n_sections));
+  for (u32 s = 0; s < n_sections; ++s) {
+    std::string name;
+    u64 bytes = 0;
+    u32 crc = 0;
+    out.push_back({r.pos, 4});
+    EXPECT_TRUE(r.str(&name));
+    out.push_back({r.pos, 8});
+    EXPECT_TRUE(r.pod(&bytes) && r.pod(&crc));
+    const std::size_t start = r.pos;
+    core::container::Reader p(std::string_view(image).substr(start, bytes));
+    const auto at = [&](int width) { out.push_back({start + p.pos, width}); };
+    const auto str = [&] {
+      at(4);
+      std::string ignored;
+      EXPECT_TRUE(p.str(&ignored));
+    };
+    const auto count = [&](auto* n) {
+      at(static_cast<int>(sizeof *n));
+      EXPECT_TRUE(p.pod(n));
+    };
+    const auto tensor = [&](bool named) {
+      if (named) str();
+      u64 ndim = 0;
+      count(&ndim);
+      i64 numel = 1;
+      for (u64 d = 0; d < ndim; ++d) {
+        i64 dim = 0;
+        count(&dim);
+        numel *= dim;
+      }
+      EXPECT_NE(p.borrow(static_cast<std::size_t>(numel) * sizeof(float)),
+                nullptr);
+    };
+    i64 scalar = 0;
+    if (name == "meta") {
+      u32 n = 0;
+      count(&n);
+      for (u32 i = 0; i < n; ++i) str(), p.pod(&scalar);
+      count(&n);
+      for (u32 i = 0; i < n; ++i) str(), str();
+    } else if (name == "optim") {
+      str();
+      u32 n = 0;
+      count(&n);
+      for (u32 i = 0; i < n; ++i) tensor(true);
+      count(&n);
+      for (u32 i = 0; i < n; ++i) str(), p.pod(&scalar);
+    } else if (name == "rng") {
+      u32 n = 0;
+      count(&n);
+      for (u32 i = 0; i < n; ++i) {
+        str();
+        p.borrow(sizeof(u64) + sizeof(u16) + sizeof(double));
+      }
+    } else {
+      u64 n = 0;
+      count(&n);
+      for (u64 i = 0; i < n; ++i) tensor(name != "ema" && name != "grads");
+    }
+    r.pos = start + bytes;
+  }
+  return out;
+}
+
+// Recomputes the CRC of every section the (possibly damaged) framing still
+// reaches.
+void reseal(std::string& image) {
+  if (image.size() < 16 || image.compare(0, 8, "LEGWCKP2") != 0) return;
+  core::container::Reader r(image);
+  r.pos = 12;
+  u32 n_sections = 0;
+  if (!r.pod(&n_sections)) return;
+  for (u32 s = 0; s < n_sections; ++s) {
+    std::string name;
+    u64 bytes = 0;
+    u32 crc = 0;
+    if (!r.str(&name) || !r.pod(&bytes)) return;
+    const std::size_t crc_at = r.pos;
+    if (!r.pod(&crc) || bytes > r.remaining()) return;
+    crc = core::crc32(image.data() + r.pos, static_cast<std::size_t>(bytes));
+    std::memcpy(image.data() + crc_at, &crc, sizeof crc);
+    r.pos += static_cast<std::size_t>(bytes);
+  }
+}
+
+TEST(ContainerMutation, BothReadersSurviveSeededMutants) {
+  PinnedState source;
+  const std::string v2 = ckpt::encode(source.state);
+  const std::string v1 = encode_v1(source.model);
+  const std::vector<Field> fields = length_fields(v2);
+  ASSERT_GT(fields.size(), 40u);
+
+  PinnedState target(99);
+  const std::string pristine = ckpt::encode(target.state);
+  Rng rng(20240613);
+  constexpr int kMutants = 24000;
+  std::map<ckpt::Status, int> ckpt_seen;
+  int loaded = 0;
+  for (int m = 0; m < kMutants; ++m) {
+    const int kind = m % 4;
+    // One mutant in ten starts from the v1 image, whose body has no CRC.
+    const bool from_v1 = rng.uniform_int(10) == 0;
+    std::string bytes = from_v1 ? v1 : v2;
+    const std::size_t size = bytes.size();
+    if (kind == 0) {  // 1-4 bit flips
+      for (u64 f = 0, n = 1 + rng.uniform_int(4); f < n; ++f) {
+        bytes[rng.uniform_int(size)] ^= static_cast<char>(1 << rng.uniform_int(8));
+      }
+    } else if (kind == 1) {  // truncation
+      bytes.resize(rng.uniform_int(size));
+    } else if (kind == 2) {  // splice: a chunk copied over or into the image
+      const std::size_t from = rng.uniform_int(size);
+      const std::size_t len = 1 + rng.uniform_int(std::min<std::size_t>(64, size - from));
+      const std::size_t to = rng.uniform_int(size);
+      const std::string chunk = bytes.substr(from, len);
+      if (rng.uniform_int(2) == 0) {
+        bytes.insert(to, chunk);
+      } else {
+        bytes.replace(to, std::min(len, size - to), chunk);
+      }
+    } else {  // length-field edit
+      const Field f = fields[rng.uniform_int(fields.size())];
+      if (from_v1) bytes = v2;  // the fields were walked on the v2 image
+      u64 value = 0;
+      std::memcpy(&value, bytes.data() + f.offset, static_cast<std::size_t>(f.width));
+      const u64 edits[] = {0, 1, value + 1, value - 1, value * 2,
+                           value + 4096, ~0ull, rng.next_u64()};
+      value = edits[rng.uniform_int(std::size(edits))];
+      std::memcpy(bytes.data() + f.offset, &value, static_cast<std::size_t>(f.width));
+    }
+    if (rng.uniform_int(2) == 0) reseal(bytes);
+
+    const auto res = ckpt::load_image(target.state, bytes, "mutant");
+    ++ckpt_seen[res.status];
+    ASSERT_STRNE(ckpt::status_name(res.status), "unknown") << "mutant " << m;
+    if (res.ok()) {
+      ++loaded;
+      ASSERT_TRUE(ckpt::load_image(target.state, pristine, "reset").ok());
+    } else {
+      ASSERT_FALSE(res.message.empty()) << "mutant " << m;
+      ASSERT_EQ(ckpt::encode(target.state), pristine)
+          << "failed load of mutant " << m << " (kind " << kind
+          << ") changed the live state: " << res.message;
+    }
+
+    serve::ModelImage img;
+    const auto sres = serve::read_model_image_bytes(bytes, &img);
+    ASSERT_STRNE(serve::status_name(sres.status), "unknown") << "mutant " << m;
+    ASSERT_TRUE(sres.ok() || !sres.message.empty()) << "mutant " << m;
+  }
+  // The mutants reach past the framing: every decode stage rejects some.
+  for (const ckpt::Status s :
+       {ckpt::Status::kTruncated, ckpt::Status::kBadMagic,
+        ckpt::Status::kCrcMismatch, ckpt::Status::kMalformed,
+        ckpt::Status::kStateMismatch}) {
+    EXPECT_GT(ckpt_seen[s], 0) << ckpt::status_name(s);
+  }
+  EXPECT_GT(loaded, 0);  // re-sealed float flips are valid checkpoints
 }
 
 // ---- CheckpointManager ------------------------------------------------------

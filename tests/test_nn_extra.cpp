@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "ag/gradcheck.hpp"
+#include "ckpt/checkpoint.hpp"
 #include "data/images.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "data/translation.hpp"
@@ -12,7 +13,6 @@
 #include "models/resnet.hpp"
 #include "nn/conv.hpp"
 #include "nn/lstm.hpp"
-#include "nn/serialize.hpp"
 #include "sched/schedule.hpp"
 #include "train/runners.hpp"
 
@@ -115,11 +115,15 @@ TEST(GnmtCheckpoint, RoundTripPreservesDecoding) {
   auto before = a.greedy_decode(batch, 10);
 
   const std::string path = "/tmp/legw_test_gnmt.ckpt";
-  ASSERT_TRUE(nn::save_checkpoint(a, path).ok());
+  ckpt::TrainState source;
+  source.models.push_back(&a);
+  ASSERT_TRUE(ckpt::save(source, path).ok());
   models::GnmtConfig cfg_b = cfg;
   cfg_b.seed = 999;
   models::Gnmt b(cfg_b);
-  ASSERT_TRUE(nn::load_checkpoint(b, path).ok());
+  ckpt::TrainState target;
+  target.models.push_back(&b);
+  ASSERT_TRUE(ckpt::load(target, path).ok());
   std::remove(path.c_str());
   auto after = b.greedy_decode(batch, 10);
   EXPECT_EQ(before, after);

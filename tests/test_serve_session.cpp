@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
+#include "core/container.hpp"
 #include "core/rng.hpp"
 #include "mem/alloc.hpp"
 #include "mem/arena.hpp"
@@ -91,6 +92,19 @@ std::string encode_model(nn::Module& model, i64 step = 12, i64 epoch = 2) {
   state.step = step;
   state.epoch = epoch;
   return ckpt::encode(state);
+}
+
+// A version-1 (parameter-only) file: "LEGWCKPT" | u32 1 | a body that is
+// byte-identical to the v2 `params` payload.
+std::string encode_v1(const nn::Module& model) {
+  std::string out = "LEGWCKPT";
+  core::container::append_pod(out, u32{1});
+  const auto named = model.named_parameters();
+  core::container::append_pod(out, static_cast<u64>(named.size()));
+  for (const auto& p : named) {
+    core::container::append_named_tensor(out, p.name, p.var.value());
+  }
+  return out;
 }
 
 serve::Request random_mnist_request(u64 id, Rng& rng) {
@@ -177,9 +191,8 @@ TEST(ServeContainer, V1ParameterOnlyFileNamesTheMissingSections) {
   // cannot serve: the failure must name the absent v2 sections, not abort.
   models::MnistLstm model(small_mnist_config());
   std::unique_ptr<serve::ServeSession> session;
-  const std::string v1_prefixed = std::string("LEGWCKPT") + "rest of a v1 file";
   const auto res = serve::ServeSession::load_bytes(
-      serve_mnist_config(model.config()), v1_prefixed, &session);
+      serve_mnist_config(model.config()), encode_v1(model), &session);
   EXPECT_EQ(res.status, serve::Status::kMissingSection);
   EXPECT_NE(res.message.find("v1"), std::string::npos) << res.message;
   EXPECT_NE(res.message.find("meta"), std::string::npos) << res.message;
@@ -204,7 +217,7 @@ TEST(ServeContainer, WrongDimsAreSchemaMismatchNamingTheTensor) {
   std::unique_ptr<serve::ServeSession> session;
   const auto res =
       serve::ServeSession::load_bytes(config, image, &session);
-  EXPECT_EQ(res.status, serve::Status::kSchemaMismatch);
+  EXPECT_EQ(res.status, serve::Status::kStateMismatch);
   EXPECT_NE(res.message.find("lstm.weight"), std::string::npos)
       << res.message;
   EXPECT_EQ(session, nullptr);
@@ -218,7 +231,7 @@ TEST(ServeContainer, WrongModelKindIsSchemaMismatch) {
   std::unique_ptr<serve::ServeSession> session;
   const auto res =
       serve::ServeSession::load_bytes(config, image, &session);
-  EXPECT_EQ(res.status, serve::Status::kSchemaMismatch);
+  EXPECT_EQ(res.status, serve::Status::kStateMismatch);
   EXPECT_NE(res.message.find("embedding.weight"), std::string::npos)
       << res.message;
 }

@@ -6,10 +6,10 @@
 #include <vector>
 
 #include "ag/ops.hpp"
+#include "ckpt/checkpoint.hpp"
 #include "dist/overlap.hpp"
 #include "models/mnist_lstm.hpp"
 #include "nn/layers.hpp"
-#include "nn/serialize.hpp"
 #include "sched/batch_schedule.hpp"
 #include "train/accumulate.hpp"
 
@@ -26,18 +26,26 @@ struct TempFile {
   ~TempFile() { std::remove(path.c_str()); }
 };
 
+// A parameters-and-buffers-only training state over one model.
+ckpt::TrainState model_state(nn::Module& model) {
+  ckpt::TrainState state;
+  state.models.push_back(&model);
+  return state;
+}
+
 TEST(Checkpoint, RoundTripsLinearLayer) {
   TempFile tmp("linear.ckpt");
   Rng rng(1);
   nn::Linear a(4, 3, rng);
-  ASSERT_TRUE(nn::save_checkpoint(a, tmp.path).ok());
+  ASSERT_TRUE(ckpt::save(model_state(a), tmp.path).ok());
 
   Rng rng2(999);  // different init
   nn::Linear b(4, 3, rng2);
   EXPECT_NE(a.weight().value()[0], b.weight().value()[0]);
-  const nn::SerializeResult restored = nn::load_checkpoint(b, tmp.path);
+  ckpt::TrainState target = model_state(b);
+  const ckpt::Result restored = ckpt::load(target, tmp.path);
   ASSERT_TRUE(restored.ok()) << restored.message;
-  EXPECT_EQ(restored.restored, 2);
+  EXPECT_EQ(b.parameters().size(), 2u);
   for (i64 i = 0; i < a.weight().numel(); ++i) {
     ASSERT_EQ(a.weight().value()[i], b.weight().value()[i]);
   }
@@ -56,11 +64,12 @@ TEST(Checkpoint, RoundTripsFullModelAndPreservesOutputs) {
   Tensor images = Tensor::rand_uniform({2, 784}, rng);
   ag::Variable out_a = a.forward(images);
 
-  ASSERT_TRUE(nn::save_checkpoint(a, tmp.path).ok());
+  ASSERT_TRUE(ckpt::save(model_state(a), tmp.path).ok());
   models::MnistLstmConfig cfg_b = cfg;
   cfg_b.seed = 777;  // different init
   models::MnistLstm b(cfg_b);
-  ASSERT_TRUE(nn::load_checkpoint(b, tmp.path).ok());
+  ckpt::TrainState target = model_state(b);
+  ASSERT_TRUE(ckpt::load(target, tmp.path).ok());
   ag::Variable out_b = b.forward(images);
   for (i64 i = 0; i < out_a.numel(); ++i) {
     ASSERT_EQ(out_a.value()[i], out_b.value()[i]);
@@ -71,10 +80,11 @@ TEST(Checkpoint, RejectsShapeMismatchWithoutAborting) {
   TempFile tmp("mismatch.ckpt");
   Rng rng(3);
   nn::Linear a(4, 3, rng);
-  ASSERT_TRUE(nn::save_checkpoint(a, tmp.path).ok());
+  ASSERT_TRUE(ckpt::save(model_state(a), tmp.path).ok());
   nn::Linear b(5, 3, rng);
-  const nn::SerializeResult res = nn::load_checkpoint(b, tmp.path);
-  EXPECT_EQ(res.status, nn::SerializeStatus::kShapeMismatch);
+  ckpt::TrainState target = model_state(b);
+  const ckpt::Result res = ckpt::load(target, tmp.path);
+  EXPECT_EQ(res.status, ckpt::Status::kStateMismatch);
   EXPECT_NE(res.message.find("shape"), std::string::npos);
 }
 
@@ -85,8 +95,9 @@ TEST(Checkpoint, RejectsCorruptMagicWithoutAborting) {
   std::fclose(f);
   Rng rng(4);
   nn::Linear a(2, 2, rng);
-  const nn::SerializeResult res = nn::load_checkpoint(a, tmp.path);
-  EXPECT_EQ(res.status, nn::SerializeStatus::kBadMagic);
+  ckpt::TrainState target = model_state(a);
+  const ckpt::Result res = ckpt::load(target, tmp.path);
+  EXPECT_EQ(res.status, ckpt::Status::kBadMagic);
 }
 
 TEST(GradientAccumulator, MatchesLargeBatchGradient) {
