@@ -145,17 +145,23 @@ void gemm_blocked(bool trans_a, bool trans_b, i64 m, i64 n, i64 k, float alpha,
   }
   if (k == 0 || alpha == 0.0f) return;
 
-  // Sized to the actual problem so small GEMMs don't pay for full panels.
-  std::vector<float> bpack(
+  // B pack buffer of the submitting thread, reused across calls and grown
+  // only when a larger problem arrives. It is bound to a pointer here, before
+  // parallel_for: a thread_local named inside the worker lambda would resolve
+  // to each worker's own (unpacked) copy.
+  static thread_local std::vector<float> t_bpack;
+  const std::size_t bpack_size =
       static_cast<std::size_t>(round_up(std::min(n, kNc), kNr)) *
-      static_cast<std::size_t>(std::min(k, kKc)));
+      static_cast<std::size_t>(std::min(k, kKc));
+  if (t_bpack.size() < bpack_size) t_bpack.resize(bpack_size);
+  float* const bpack = t_bpack.data();
 
   for (i64 jc = 0; jc < n; jc += kNc) {
     const i64 nc = std::min(kNc, n - jc);
     for (i64 kk = 0; kk < k; kk += kKc) {
       const i64 kc = std::min(kKc, k - kk);
       // Packed by the submitting thread, then shared read-only by workers.
-      pack_b(trans_b, b, ldb, kk, jc, kc, nc, bpack.data());
+      pack_b(trans_b, b, ldb, kk, jc, kc, nc, bpack);
 
       parallel_for(0, m, kMc, [&](i64 row_begin, i64 row_end) {
         // Per-worker A pack buffer, reused across calls.
@@ -169,7 +175,7 @@ void gemm_blocked(bool trans_a, bool trans_b, i64 m, i64 n, i64 k, float alpha,
             const i64 nr = std::min<i64>(kNr, nc - jr);
             for (i64 ir = 0; ir < mc; ir += kMr) {
               const i64 mr = std::min<i64>(kMr, mc - ir);
-              micro_kernel(kc, apack.data() + ir * kc, bpack.data() + jr * kc,
+              micro_kernel(kc, apack.data() + ir * kc, bpack + jr * kc,
                            c + (ic + ir) * ldc + jc + jr, ldc, mr, nr);
             }
           }
