@@ -11,8 +11,7 @@
 #include "ag/ops.hpp"
 #include "core/flags.hpp"
 #include "data/translation.hpp"
-#include "dist/allreduce.hpp"
-#include "dist/compression.hpp"
+#include "dist/algorithms.hpp"
 #include "models/gnmt.hpp"
 #include "models/mnist_lstm.hpp"
 #include "nn/lstm.hpp"
@@ -160,25 +159,6 @@ void BM_TreeAllreduce(benchmark::State& state) {
                           static_cast<i64>(sizeof(float)));
 }
 BENCHMARK(BM_TreeAllreduce)->Arg(2)->Arg(8)->Arg(16);
-
-void BM_TreeAllreduceFp16(benchmark::State& state) {
-  // Compressed variant: half the wire bytes per hop, software codec cost.
-  const int workers = static_cast<int>(state.range(0));
-  Rng rng(15);
-  std::vector<Tensor> storage;
-  for (int i = 0; i < workers; ++i) {
-    storage.push_back(Tensor::randn({1 << 16}, rng));
-  }
-  for (auto _ : state) {
-    std::vector<Tensor*> shards;
-    for (auto& t : storage) shards.push_back(&t);
-    dist::tree_allreduce_mean_fp16(shards);
-    benchmark::DoNotOptimize(storage[0].data());
-  }
-  state.SetBytesProcessed(state.iterations() * workers * (1 << 16) *
-                          static_cast<i64>(sizeof(u16)));
-}
-BENCHMARK(BM_TreeAllreduceFp16)->Arg(2)->Arg(8);
 
 void BM_MnistLstmStep(benchmark::State& state) {
   const i64 batch = state.range(0);

@@ -1,7 +1,9 @@
 // Synchronous data-parallel training with LEGW: R thread-replicas train the
 // MNIST-LSTM on shards of a global batch, gradients flow through the
-// deterministic tree all-reduce, and every replica applies the identical
-// update — the execution model behind the paper's TPU-pod runs, in miniature.
+// data-parallel engine's deterministic bucketed all-reduce, and every replica
+// applies the identical update — the execution model behind the paper's
+// TPU-pod runs, in miniature. LEGW_DIST=overlap reduces during backward
+// instead of after it, with identical results.
 //
 // Run: ./build/examples/data_parallel [--replicas 4] [--global_batch 128]
 #include <cstdio>
@@ -9,7 +11,7 @@
 #include "core/flags.hpp"
 #include "data/images.hpp"
 #include "data/synthetic_mnist.hpp"
-#include "dist/data_parallel.hpp"
+#include "dist/overlap.hpp"
 #include "models/mnist_lstm.hpp"
 #include "optim/optimizer.hpp"
 #include "sched/legw.hpp"
@@ -60,7 +62,7 @@ int main(int argc, char** argv) {
           static_cast<double>(epoch * steps_per_epoch + s) / steps_per_epoch;
       const float lr = schedule->lr(frac);
       std::vector<i64> idx = batcher.next();
-      mean_loss = dist::synchronous_backward(params, [&](int r) {
+      mean_loss = dist::replica_backward(params, [&](int r) {
         std::vector<i64> slice(idx.begin() + r * shard,
                                idx.begin() + (r + 1) * shard);
         return replicas[static_cast<std::size_t>(r)]->loss(

@@ -39,12 +39,12 @@ const char* gemm_kernel_name(GemmKernel k);
 bool fused_lstm_enabled();
 void set_fused_lstm_enabled(bool enabled);
 
-// Which gradient-allreduce engine dist::replica_backward dispatches to:
-//   kSync     — synchronous_backward: run every replica's backward to
-//               completion, barrier, then reduce parameter by parameter.
-//   kOverlap  — overlapped_backward: bucketed tree-allreduce fired while the
-//               tail of backward still executes (dist/overlap.hpp). Bitwise
-//               identical results to kSync on fault-free runs.
+// Which schedule dist::replica_backward runs the data-parallel engine
+// (dist/overlap.hpp) with — it sets OverlapConfig::overlap:
+//   kSync     — run every replica's backward to completion, barrier, then
+//               reduce the gradient buckets.
+//   kOverlap  — reduce each bucket while the tail of backward still
+//               executes. Bitwise identical results to kSync.
 // Initial selection comes from LEGW_DIST ("sync" default, "overlap"), read
 // once on first use; same override pattern as LEGW_KERNEL.
 enum class DistMode { kSync, kOverlap };

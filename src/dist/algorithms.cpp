@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "dist/allreduce.hpp"
 #include "obs/trace.hpp"
 
 namespace legw::dist {
@@ -37,6 +36,22 @@ int hier_group_size(int n_shards) {
   if (g < 2) g = 2;
   if (g > n_shards) g = n_shards;
   return g;
+}
+
+void tree_allreduce_mean(std::vector<core::Tensor*>& shards) {
+  check_shards(shards, "tree_allreduce_mean");
+  const std::size_t n = shards.size();
+  obs::Span span("allreduce");
+  obs::count("dist.algo.tree", 1);
+  for (std::size_t stride = 1; stride < n; stride *= 2) {
+    for (std::size_t i = 0; i + stride < n; i += 2 * stride) {
+      shards[i]->add_(*shards[i + stride]);
+    }
+  }
+  shards[0]->scale_(1.0f / static_cast<float>(n));
+  for (std::size_t i = 1; i < n; ++i) {
+    *shards[i] = *shards[0];
+  }
 }
 
 void ring_allreduce_mean(std::vector<core::Tensor*>& shards) {
@@ -134,7 +149,6 @@ void allreduce_mean(std::vector<core::Tensor*>& shards, DistAlgo algo,
       choose_algorithm(algo, payload_bytes, static_cast<int>(shards.size()));
   switch (resolved) {
     case DistAlgo::kTree:
-      obs::count("dist.algo.tree", 1);
       tree_allreduce_mean(shards);
       return;
     case DistAlgo::kRing:

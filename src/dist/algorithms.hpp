@@ -1,14 +1,13 @@
-// Scale-out all-reduce algorithms.
+// All-reduce algorithms.
 //
-// The original engine reduced every bucket through one flat stride-doubling
-// tree (allreduce.hpp). That is latency-optimal for tiny payloads but its
-// critical path carries the full payload log2(n) times, which is exactly why
-// BENCH_dist.json showed the overlap win decaying toward 1x at 8 replicas.
-// This layer adds the two algorithms production all-reduce stacks use at
-// scale, plus a size-based policy that picks per bucket:
+// Every algorithm below leaves the element-wise mean of all shards in every
+// shard, executed by the calling thread in a fixed order. The three differ
+// in how the (simulated) cost scales with shard count and payload, and this
+// file also holds the size-based policy that picks one per bucket:
 //
-//   kTree — flat binary tree; critical path 2*ceil(log2 n) hops, each
-//           carrying the full payload. Best for latency-bound small buckets.
+//   kTree — flat stride-doubling binary tree; critical path 2*ceil(log2 n)
+//           hops, each carrying the full payload. Best for latency-bound
+//           small buckets.
 //   kRing — chunked reduce-scatter + all-gather; 2*(n-1) hops but each
 //           carries only payload/n, so the bandwidth term is ~2*payload
 //           regardless of n (the classic bandwidth-optimal schedule).
@@ -18,11 +17,13 @@
 //           inter-group links (NVLink island vs. fabric), which WireModel
 //           models with a separate intra bandwidth/latency.
 //
-// All three are executed by the calling thread in a fixed order, so every
-// algorithm is bitwise deterministic run to run for a given shard count.
+// Because the order is fixed, every algorithm is bitwise deterministic run
+// to run for a given shard count (floating-point addition is not
+// associative, so a "whoever finishes first" reduction would not be).
 // Different algorithms sum in different orders, so *across* algorithms
 // results agree only to floating-point tolerance (the property suite checks
-// each against a double-precision mean reference).
+// each against a double-precision mean reference). Each algorithm bumps its
+// own dist.algo.<name> counter once per call.
 #pragma once
 
 #include <vector>
@@ -46,6 +47,11 @@ DistAlgo choose_algorithm(DistAlgo requested, i64 payload_bytes, int n_shards);
 // plain tree — is the whole topology).
 int hier_group_size(int n_shards);
 
+// Stride-doubling tree all-reduce with averaging: shard[i] += shard[i +
+// stride] for stride = 1, 2, 4, ..., the mean is taken at shard 0 and
+// broadcast. The summation order is fixed by n alone.
+void tree_allreduce_mean(std::vector<core::Tensor*>& shards);
+
 // Chunked ring all-reduce with averaging: the payload is split into n chunks
 // (sizes differing by at most one element, so non-divisible payloads work);
 // chunk c accumulates around the ring starting at shard c, is averaged, and
@@ -60,9 +66,8 @@ void ring_allreduce_mean(std::vector<core::Tensor*>& shards);
 void hier_allreduce_mean(std::vector<core::Tensor*>& shards,
                          int group_size = 0);
 
-// Dispatcher: resolves kAuto from the payload size via choose_algorithm,
-// runs the selected algorithm, and bumps the dist.algo.<name> counter.
-// `group_size` only affects kHier.
+// Dispatcher: resolves kAuto from the payload size via choose_algorithm and
+// runs the selected algorithm. `group_size` only affects kHier.
 void allreduce_mean(std::vector<core::Tensor*>& shards, DistAlgo algo,
                     int group_size = 0);
 

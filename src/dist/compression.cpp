@@ -244,33 +244,4 @@ void quantize_broadcast(std::vector<core::Tensor*>& shards,
   }
 }
 
-void tree_allreduce_mean_fp16(std::vector<core::Tensor*>& shards) {
-  LEGW_CHECK(!shards.empty(), "tree_allreduce_mean_fp16: no shards");
-  const std::size_t n = shards.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    LEGW_CHECK(shards[i] != nullptr && shards[i]->same_shape(*shards[0]),
-               "tree_allreduce_mean_fp16: shard mismatch");
-  }
-  // Every hop ships fp16: compress both operands, sum in float, keep the
-  // running partial in the destination shard.
-  std::vector<u16> wire_a, wire_b;
-  for (std::size_t stride = 1; stride < n; stride *= 2) {
-    for (std::size_t i = 0; i + stride < n; i += 2 * stride) {
-      compress_fp16(*shards[i], wire_a);
-      compress_fp16(*shards[i + stride], wire_b);
-      core::Tensor& dst = *shards[i];
-      for (i64 j = 0; j < dst.numel(); ++j) {
-        dst[j] = half_to_float(wire_a[static_cast<std::size_t>(j)]) +
-                 half_to_float(wire_b[static_cast<std::size_t>(j)]);
-      }
-    }
-  }
-  shards[0]->scale_(1.0f / static_cast<float>(n));
-  // Broadcast the (fp16-rounded) result.
-  compress_fp16(*shards[0], wire_a);
-  for (std::size_t i = 0; i < n; ++i) {
-    decompress_fp16(wire_a, *shards[i]);
-  }
-}
-
 }  // namespace legw::dist

@@ -103,10 +103,4 @@ void quantize_contributions(std::vector<core::Tensor*>& shards,
 // identical bytes and stays bit-synchronised.
 void quantize_broadcast(std::vector<core::Tensor*>& shards, WireFormat format);
 
-// tree_allreduce_mean with fp16 on the wire: shards are compressed, summed
-// in float at each tree node, recompressed per hop — the error model of a
-// real fp16 ring/tree all-reduce. After the call every shard holds the same
-// (half-precision-rounded) mean.
-void tree_allreduce_mean_fp16(std::vector<core::Tensor*>& shards);
-
 }  // namespace legw::dist

@@ -13,9 +13,7 @@
 #include "core/mutex.hpp"
 #include "core/rng.hpp"
 #include "dist/algorithms.hpp"
-#include "dist/allreduce.hpp"
 #include "dist/compression.hpp"
-#include "dist/data_parallel.hpp"
 #include "mem/alloc.hpp"
 #include "obs/trace.hpp"
 
@@ -61,14 +59,6 @@ double FaultPlan::delay_ms_for(int replica) const {
     if (f.replica == replica && f.kind == Kind::kSlow) total += f.delay_ms;
   }
   return total;
-}
-
-double WireModel::bucket_us(i64 bytes) const {
-  double us = latency_us;
-  if (gbytes_per_sec > 0.0) {
-    us += static_cast<double>(bytes) / (gbytes_per_sec * 1e3);
-  }
-  return us;
 }
 
 namespace {
@@ -304,7 +294,7 @@ class OverlapEngine {
       for (auto& t : threads) t.join();
       for (auto& t : reducers) t.join();
     } else {
-      // Synchronous baseline: identical buckets, identical reduction order,
+      // Synchronous schedule: identical buckets, identical reduction order,
       // identical wire bill — but nothing reduces until every replica
       // joined.
       for (auto& t : threads) t.join();
@@ -618,18 +608,6 @@ OverlapResult overlapped_backward(
   return engine.run();
 }
 
-float replica_backward(
-    const std::vector<std::vector<ag::Variable>>& replica_params,
-    const std::function<ag::Variable(int replica)>& loss_fn) {
-  if (core::dist_mode() == core::DistMode::kOverlap) {
-    const OverlapResult res =
-        overlapped_backward(replica_params, loss_fn, default_overlap_config());
-    LEGW_CHECK(res.ok, "replica_backward: " + res.error);
-    return res.mean_loss;
-  }
-  return synchronous_backward(replica_params, loss_fn);
-}
-
 OverlapResult replica_backward_ex(
     const std::vector<std::vector<ag::Variable>>& replica_params,
     const std::function<ag::Variable(int replica)>& loss_fn,
@@ -642,6 +620,32 @@ OverlapResult replica_backward_ex(
   config.bucket_timeout_ms = options.bucket_timeout_ms;
   config.timeout_policy = options.timeout_policy;
   return overlapped_backward(replica_params, loss_fn, config);
+}
+
+float replica_backward(
+    const std::vector<std::vector<ag::Variable>>& replica_params,
+    const std::function<ag::Variable(int replica)>& loss_fn) {
+  const OverlapResult res =
+      replica_backward_ex(replica_params, loss_fn, ReplicaStepOptions{});
+  LEGW_CHECK(res.ok, "replica_backward: " + res.error);
+  return res.mean_loss;
+}
+
+i64 first_divergent_param(
+    const std::vector<std::vector<ag::Variable>>& replica_params) {
+  LEGW_CHECK(!replica_params.empty(), "first_divergent_param: no replicas");
+  const auto& ref = replica_params[0];
+  for (std::size_t p = 0; p < ref.size(); ++p) {
+    const core::Tensor& base = ref[p].value();
+    for (std::size_t r = 1; r < replica_params.size(); ++r) {
+      const core::Tensor& other = replica_params[r][p].value();
+      if (!base.same_shape(other)) return static_cast<i64>(p);
+      for (i64 i = 0; i < base.numel(); ++i) {
+        if (base[i] != other[i]) return static_cast<i64>(p);
+      }
+    }
+  }
+  return -1;
 }
 
 }  // namespace legw::dist

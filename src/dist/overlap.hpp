@@ -1,23 +1,29 @@
-// Overlapped, bucketed gradient all-reduce over in-process model replicas.
+// The data-parallel engine: bucketed gradient all-reduce over in-process
+// model replicas.
 //
-// synchronous_backward (data_parallel.hpp) runs every replica's backward to
-// completion, joins at a barrier, then reduces gradients one parameter at a
-// time — the serialization that large-batch scaling work (Goyal et al.; You
-// et al., LARS/LAMB) engineers away. This engine removes it: parameters are
-// grouped into size-targeted buckets, fixed before backward starts, and a
-// bucket's deterministic tree-allreduce fires on a communication thread as
-// soon as every replica has populated all of that bucket's gradients —
-// signalled by ag::BackwardHooks::on_leaf_grad_ready — while the tail of
-// backward is still executing on the replica threads.
+// This is the execution pattern behind every system in the paper's related
+// work (Goyal et al.; You et al., LARS/LAMB on TPU pods): R replicas hold
+// identical weights, each computes gradients on its shard of the global
+// batch, an all-reduce averages the gradients, and every replica applies
+// the identical optimizer update — so replicas stay bit-synchronised without
+// ever shipping weights. Replicas are real threads in one process.
+//
+// Parameters are grouped into size-targeted buckets, fixed before backward
+// starts. With OverlapConfig::overlap on, a bucket's all-reduce fires on a
+// communication thread as soon as every replica has populated all of that
+// bucket's gradients — signalled by ag::BackwardHooks::on_leaf_grad_ready —
+// while the tail of backward is still executing on the replica threads.
+// With it off, every replica joins first and the buckets reduce afterwards:
+// the classic synchronous schedule, same buckets, same values.
 //
 // Determinism argument: bucket membership depends only on parameter order
-// and the configured bucket size, never on arrival time. Within a bucket,
-// gradients reduce parameter by parameter through the same stride-doubling
-// tree as tree_allreduce_mean, in replica-index order. Buckets are disjoint,
-// so the order in which the communication thread happens to service them
-// cannot change any value: the result is bitwise identical to the
-// synchronous path (tests/test_dist_overlap.cpp asserts this at 1/2/4/8
-// replicas).
+// and the configured bucket size, never on arrival time. The algorithm
+// (dist/algorithms.hpp) resolves once per bucket, and within a bucket
+// gradients reduce parameter by parameter in replica-index order. Buckets
+// are disjoint, so the order in which the communication thread happens to
+// service them cannot change any value: both schedules are bitwise identical
+// to reducing each replica's serial backward parameter by parameter
+// (tests/test_dist_overlap.cpp asserts this at 1/2/4/8 replicas).
 //
 // Fault injection: a seeded FaultPlan makes chosen replicas slow (straggler
 // delay before their backward starts) or dead (never launched, never
@@ -95,8 +101,6 @@ struct WireModel {
   // the fabric numbers above.
   double intra_latency_us = 0.0;
   double intra_gbytes_per_sec = 0.0;
-  // Legacy flat cost: latency + bytes/bandwidth, one hop.
-  double bucket_us(i64 bytes) const;
   double allreduce_us(DistAlgo resolved, int n_shards, i64 bytes,
                       WireFormat wire, int group_size) const;
 };
@@ -105,9 +109,9 @@ struct OverlapConfig {
   // Target bucket payload in bytes; a bucket closes once it reaches this.
   // Parameters larger than the target get a bucket of their own.
   i64 bucket_bytes = 256 * 1024;
-  // false: barrier-join every replica, then reduce buckets in index order on
-  // the calling thread — the synchronous baseline, same buckets, same wire
-  // bill, for A/B measurement. Results are bitwise identical either way.
+  // false: barrier-join every replica, then reduce the buckets — the
+  // synchronous schedule (LEGW_DIST=sync), same buckets, same wire bill.
+  // Results are bitwise identical either way.
   bool overlap = true;
   // false: skip the per-replica zero_grad so gradients accumulate onto
   // whatever the caller left in them (micro-batch accumulation composes with
@@ -179,25 +183,18 @@ std::vector<std::vector<std::size_t>> plan_buckets(
 // LEGW_DIST_COMM_THREADS.
 OverlapConfig default_overlap_config();
 
-// One overlapped data-parallel backward pass. Contract matches
-// synchronous_backward: replica_params[r] are replica r's parameters
-// (aligned across r), loss_fn(r) builds replica r's shard loss from replica
-// r's parameters only, and on success every non-excluded replica's gradients
-// hold the element-wise mean over the participating replicas. loss_fn runs
-// concurrently, one thread per live replica.
+// One data-parallel backward pass: replica_params[r] are replica r's
+// parameters (aligned across r), loss_fn(r) builds replica r's shard loss
+// from replica r's parameters only, and on success every non-excluded
+// replica's gradients hold the element-wise mean over the participating
+// replicas (shard-mean losses over equal shards therefore yield the
+// global-batch mean gradient). Gradients are zeroed first unless
+// config.zero_grads is false. loss_fn runs concurrently, one thread per live
+// replica.
 OverlapResult overlapped_backward(
     const std::vector<std::vector<ag::Variable>>& replica_params,
     const std::function<ag::Variable(int replica)>& loss_fn,
     const OverlapConfig& config = {});
-
-// Dispatches on core::dist_mode() (env LEGW_DIST): kSync →
-// synchronous_backward, kOverlap → overlapped_backward with
-// default_overlap_config(). Returns the mean shard loss; aborts if the
-// overlap engine reports failure (no fault plan is installed here, so a
-// failure is a programming error, not an injected fault).
-float replica_backward(
-    const std::vector<std::vector<ag::Variable>>& replica_params,
-    const std::function<ag::Variable(int replica)>& loss_fn);
 
 // Per-step options the training loop threads through the dispatcher when it
 // runs an elastic membership: injected faults for replicas dying this step,
@@ -211,13 +208,26 @@ struct ReplicaStepOptions {
   TimeoutPolicy timeout_policy = TimeoutPolicy::kFailFast;
 };
 
-// replica_backward with full result reporting and per-step options. Both
-// dist modes run through the engine (kSync = overlap disabled: identical
-// buckets, identical values, barrier schedule), so fault handling and the
-// quantized wire behave identically under either LEGW_DIST setting.
+// overlapped_backward with default_overlap_config() and the per-step
+// options; core::dist_mode() (env LEGW_DIST) only sets the overlap flag
+// (kSync = barrier schedule, kOverlap = overlapped). Values are identical
+// either way, and so are fault handling and the quantized wire.
 OverlapResult replica_backward_ex(
     const std::vector<std::vector<ag::Variable>>& replica_params,
     const std::function<ag::Variable(int replica)>& loss_fn,
     const ReplicaStepOptions& options);
+
+// replica_backward_ex with default options. Returns the mean shard loss;
+// aborts if the engine reports failure (no fault plan is installed here, so
+// a failure is a programming error, not an injected fault).
+float replica_backward(
+    const std::vector<std::vector<ag::Variable>>& replica_params,
+    const std::function<ag::Variable(int replica)>& loss_fn);
+
+// Verifies the synchrony invariant: all replicas hold bitwise-identical
+// parameter values. Returns the index of the first mismatching parameter,
+// or -1 if synchronised.
+i64 first_divergent_param(
+    const std::vector<std::vector<ag::Variable>>& replica_params);
 
 }  // namespace legw::dist

@@ -749,9 +749,6 @@ RunResult train_mnist(const data::SyntheticMnist& dataset,
       return factor == 1.0f && mine.size() == 1 ? total
                                                 : ag::scale(total, factor);
     };
-    if (!membership.has_value() && wire_state == nullptr) {
-      return dist::replica_backward(replica_params, loss_fn);
-    }
     dist::FaultPlan faults;
     for (int d : tr.died) {
       faults.faults.push_back({d, dist::FaultPlan::Kind::kDead, 0.0});

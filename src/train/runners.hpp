@@ -75,10 +75,11 @@ struct RunConfig {
   // Data-parallel replica count. 1 = the classic single-model loop. For
   // replicas > 1 (train_mnist only, for now) the runner instantiates
   // `replicas` identically-initialised models, shards every batch across
-  // them, and averages gradients through dist::replica_backward — the
-  // sync or overlapped engine per LEGW_DIST. batch_size must be divisible
-  // by replicas. Metrics and captured parameters come from replica 0
-  // (replicas stay bit-synchronised, so the choice is immaterial).
+  // them, and averages gradients through dist::replica_backward_ex — the
+  // data-parallel engine, on the barrier or overlapped schedule per
+  // LEGW_DIST. batch_size must be divisible by replicas. Metrics and
+  // captured parameters come from replica 0 (replicas stay
+  // bit-synchronised, so the choice is immaterial).
   i64 replicas = 1;
   // --- elastic membership (dist/membership.hpp; train_mnist, replicas > 1) --
   // Step-indexed join/leave/die plan; not owned, nullptr = static membership.

@@ -6,6 +6,7 @@
 
 #include "analysis/lr_finder.hpp"
 #include "core/rng.hpp"
+#include "dist/algorithms.hpp"
 #include "dist/compression.hpp"
 
 namespace legw {
@@ -85,7 +86,12 @@ TEST(Fp16Allreduce, CloseToExactMean) {
   }
   std::vector<Tensor*> ptrs;
   for (auto& t : shards) ptrs.push_back(&t);
-  dist::tree_allreduce_mean_fp16(ptrs);
+  // The engine's fp16 wire: quantize each contribution at the sender, sum
+  // in fp32, quantize the mean once more for the broadcast.
+  dist::quantize_contributions(ptrs, core::WireFormat::kFp16, nullptr,
+                               nullptr, 0);
+  dist::tree_allreduce_mean(ptrs);
+  dist::quantize_broadcast(ptrs, core::WireFormat::kFp16);
   for (i64 j = 0; j < 32; ++j) {
     const double want = exact[static_cast<std::size_t>(j)] / 8.0;
     EXPECT_NEAR(shards[0][j], want, std::abs(want) * 0.01 + 1e-3);

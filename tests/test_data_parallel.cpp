@@ -1,13 +1,13 @@
-// Synchronous data-parallel training: replica synchrony, equivalence with
-// single-process training, beam search, EMA, cosine schedule, tied
-// embeddings.
+// Data-parallel training through dist::replica_backward: replica synchrony,
+// equivalence with single-process training; plus beam search, EMA, cosine
+// schedule, tied embeddings.
 #include <gtest/gtest.h>
 
 #include "data/corpus.hpp"
 #include "data/images.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "data/translation.hpp"
-#include "dist/data_parallel.hpp"
+#include "dist/overlap.hpp"
 #include "models/gnmt.hpp"
 #include "models/mnist_lstm.hpp"
 #include "models/ptb_model.hpp"
@@ -44,7 +44,7 @@ TEST(DataParallel, ReplicasStaySynchronisedOverSteps) {
   data::IndexBatcher batcher(dataset.n_train(), 8 * kReplicas, 7);
   for (int step = 0; step < 5; ++step) {
     std::vector<i64> idx = batcher.next();
-    dist::synchronous_backward(params, [&](int r) {
+    dist::replica_backward(params, [&](int r) {
       std::vector<i64> shard(idx.begin() + r * 8, idx.begin() + (r + 1) * 8);
       return replicas[static_cast<std::size_t>(r)]->loss(
           dataset.gather_images(shard, true),
@@ -75,7 +75,7 @@ TEST(DataParallel, MatchesSingleProcessLargeBatch) {
   models::MnistLstm ra(cfg), rb(cfg);
   std::vector<std::vector<ag::Variable>> params = {ra.parameters(),
                                                    rb.parameters()};
-  dist::synchronous_backward(params, [&](int r) {
+  dist::replica_backward(params, [&](int r) {
     std::vector<i64> shard(idx.begin() + r * 4, idx.begin() + (r + 1) * 4);
     models::MnistLstm& model = r == 0 ? ra : rb;
     return model.loss(dataset.gather_images(shard, true),

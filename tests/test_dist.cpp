@@ -1,12 +1,13 @@
 // Distributed simulation: tree all-reduce, data-parallel gradient
-// equivalence, and the cluster performance model.
+// equivalence through the replica engine, and the cluster performance model.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "ag/ops.hpp"
-#include "dist/allreduce.hpp"
+#include "dist/algorithms.hpp"
 #include "dist/cluster_model.hpp"
+#include "dist/overlap.hpp"
 #include "nn/layers.hpp"
 
 namespace legw::dist {
@@ -61,7 +62,7 @@ TEST_P(AllreduceWorkerCountTest, DeterministicAcrossRuns) {
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, AllreduceWorkerCountTest,
                          ::testing::Values(1, 2, 3, 4, 7, 8, 16));
 
-TEST(ParallelGradients, MatchesFullBatchGradient) {
+TEST(ReplicaBackward, MatchesFullBatchGradient) {
   // Data-parallel invariant: mean of per-shard mean-loss gradients over
   // equal shards == full-batch mean-loss gradient.
   Rng rng(5);
@@ -78,27 +79,34 @@ TEST(ParallelGradients, MatchesFullBatchGradient) {
   Tensor full_grad = layer.weight().grad();
   layer.zero_grad();
 
-  // 4 workers, 2 rows each. Workers only read the shared layer weights and
-  // allocate their own leaves, so concurrent execution is safe.
-  auto worker_fn = [&](int w) {
+  // 4 replicas, 2 rows each. Each replica owns fresh leaves holding the
+  // layer's weight *values*, so concurrent replica threads share nothing.
+  constexpr int kReplicas = 4;
+  std::vector<std::vector<ag::Variable>> replica_params;
+  for (int r = 0; r < kReplicas; ++r) {
+    replica_params.push_back(
+        {ag::Variable::leaf(layer.weight().value(), true),
+         ag::Variable::leaf(layer.bias().value(), true)});
+  }
+  const float mean_loss = replica_backward(replica_params, [&](int r) {
     Tensor shard_x({2, 4});
     Tensor shard_w({2, 3});
-    for (i64 r = 0; r < 2; ++r) {
-      for (i64 c = 0; c < 4; ++c) shard_x.at(r, c) = full_x.at(w * 2 + r, c);
-      for (i64 c = 0; c < 3; ++c) shard_w.at(r, c) = weights.at(w * 2 + r, c);
+    for (i64 i = 0; i < 2; ++i) {
+      for (i64 c = 0; c < 4; ++c) shard_x.at(i, c) = full_x.at(r * 2 + i, c);
+      for (i64 c = 0; c < 3; ++c) shard_w.at(i, c) = weights.at(r * 2 + i, c);
     }
-    // Local replica: fresh leaf sharing the weight *values*.
-    ag::Variable local_w = ag::Variable::leaf(layer.weight().value(), true);
-    ag::Variable local_b = ag::Variable::leaf(layer.bias().value(), true);
-    ag::Variable y = ag::add_bias(
-        ag::matmul(ag::Variable::constant(shard_x), local_w), local_b);
-    ag::backward(ag::mean_all(ag::mul(y, ag::Variable::constant(shard_w))));
-    return std::vector<Tensor>{local_w.grad(), local_b.grad()};
-  };
-  std::vector<Tensor> reduced = parallel_gradients(4, worker_fn);
-  ASSERT_EQ(reduced.size(), 2u);
-  for (i64 i = 0; i < full_grad.numel(); ++i) {
-    EXPECT_NEAR(reduced[0][i], full_grad[i], 1e-5f) << "elem " << i;
+    const auto& p = replica_params[static_cast<std::size_t>(r)];
+    ag::Variable y =
+        ag::add_bias(ag::matmul(ag::Variable::constant(shard_x), p[0]), p[1]);
+    return ag::mean_all(ag::mul(y, ag::Variable::constant(shard_w)));
+  });
+  EXPECT_TRUE(std::isfinite(mean_loss));
+  for (int r = 0; r < kReplicas; ++r) {
+    const Tensor& got = replica_params[static_cast<std::size_t>(r)][0].grad();
+    for (i64 i = 0; i < full_grad.numel(); ++i) {
+      EXPECT_NEAR(got[i], full_grad[i], 1e-5f)
+          << "replica " << r << " elem " << i;
+    }
   }
 }
 

@@ -3,18 +3,20 @@
 // double-precision mean reference across replica counts 1..32 (including odd
 // counts and counts that do not divide the payload, which exercises the
 // ring's uneven chunking), leave every shard bitwise identical, and be
-// bitwise deterministic run to run. Plus pins for the kAuto size policy, the
-// hierarchical grouping, and the simulated wire-volume accounting.
+// bitwise deterministic run to run. Plus pins for the per-algorithm
+// counters, the kAuto size policy, the hierarchical grouping, and the
+// simulated wire-volume accounting.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/rng.hpp"
 #include "core/tensor.hpp"
 #include "dist/algorithms.hpp"
-#include "dist/allreduce.hpp"
+#include "obs/trace.hpp"
 
 namespace legw::dist {
 namespace {
@@ -165,6 +167,35 @@ TEST(AllreduceEdge, SingleShardIsIdentity) {
       EXPECT_EQ(fx.shards[0][i], before[i]) << core::dist_algo_name(algo);
     }
   }
+}
+
+// ---- per-algorithm counters ------------------------------------------------
+
+TEST(AlgoCounters, DirectCallCountsItsOwnAlgorithmOnce) {
+  // The counter is bumped inside each algorithm, so a direct call (not just
+  // one through the allreduce_mean dispatcher) is counted, exactly once,
+  // under its own name. obs::count is gated on tracing.
+  const bool was_tracing = obs::tracing_enabled();
+  obs::set_tracing_enabled(true);
+  for (DistAlgo algo : {DistAlgo::kTree, DistAlgo::kRing, DistAlgo::kHier}) {
+    obs::TraceRecorder::global().clear();
+    Fixture fx(4, 9, 5u);
+    auto ptrs = fx.pointers();
+    run_algo(algo, ptrs);
+    const auto counters = obs::TraceRecorder::global().counters();
+    for (DistAlgo other :
+         {DistAlgo::kTree, DistAlgo::kRing, DistAlgo::kHier}) {
+      const std::string name =
+          std::string("dist.algo.") + core::dist_algo_name(other);
+      const auto it = counters.find(name);
+      const i64 got = it == counters.end() ? 0 : it->second;
+      EXPECT_EQ(got, other == algo ? 1 : 0)
+          << name << " after a direct " << core::dist_algo_name(algo)
+          << " call";
+    }
+  }
+  obs::TraceRecorder::global().clear();
+  obs::set_tracing_enabled(was_tracing);
 }
 
 // ---- kAuto policy -----------------------------------------------------------

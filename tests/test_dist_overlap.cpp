@@ -1,9 +1,10 @@
-// The overlapped bucketed allreduce engine: grad-ready hook semantics,
-// bitwise equivalence with synchronous_backward at 1/2/4/8 replicas,
+// The bucketed data-parallel engine: grad-ready hook semantics, bitwise
+// equivalence of both schedules with a serial oracle at 1/2/4/8 replicas,
 // fault injection (stragglers, dead replicas, degrade and fail-fast
 // policies), observability, and end-to-end runner parity under LEGW_DIST.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -11,8 +12,7 @@
 #include "ag/variable.hpp"
 #include "core/flags.hpp"
 #include "data/synthetic_mnist.hpp"
-#include "dist/allreduce.hpp"
-#include "dist/data_parallel.hpp"
+#include "dist/algorithms.hpp"
 #include "dist/overlap.hpp"
 #include "models/mnist_lstm.hpp"
 #include "obs/trace.hpp"
@@ -88,7 +88,7 @@ TEST(BackwardHooks, UnreachableLeafNeverFires) {
   EXPECT_NE(fired[0], unused.node().get());
 }
 
-// ---- sync/overlap equivalence ----------------------------------------------
+// ---- equivalence with a serial oracle ----------------------------------------------
 
 struct ReplicaSet {
   std::vector<std::unique_ptr<models::MnistLstm>> models;
@@ -107,17 +107,51 @@ ReplicaSet make_replicas(int n) {
   return set;
 }
 
+// The data-parallel contract with no engine, no threads and no buckets:
+// each replica's backward runs alone on this thread, then every parameter's
+// gradients are tree-reduced across replicas in parameter-index order.
+// Returns the mean shard loss, summed in replica-index order.
+float serial_oracle_backward(
+    const std::vector<std::vector<ag::Variable>>& params,
+    const std::function<ag::Variable(int)>& loss_fn) {
+  const int n = static_cast<int>(params.size());
+  float loss_sum = 0.0f;
+  for (int r = 0; r < n; ++r) {
+    for (ag::Variable p : params[static_cast<std::size_t>(r)]) {
+      p.mutable_grad().zero_();
+    }
+    ag::Variable loss = loss_fn(r);
+    loss_sum += loss.value()[0];
+    ag::backward(loss);
+  }
+  for (std::size_t p = 0; p < params[0].size(); ++p) {
+    std::vector<Tensor*> shards;
+    for (int r = 0; r < n; ++r) {
+      ag::Variable handle = params[static_cast<std::size_t>(r)][p];
+      shards.push_back(&handle.mutable_grad());
+    }
+    tree_allreduce_mean(shards);
+  }
+  return loss_sum / static_cast<float>(n);
+}
+
+// One identical momentum step on every replica.
+void momentum_step(const std::vector<std::vector<ag::Variable>>& params) {
+  for (const auto& replica : params) {
+    auto opt = optim::make_optimizer("momentum", replica);
+    opt->set_lr(0.05f);
+    opt->step();
+  }
+}
+
 class OverlapEquivalenceTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(OverlapEquivalenceTest, BitwiseMatchesSynchronousBackward) {
+TEST_P(OverlapEquivalenceTest, BitwiseMatchesSerialOracle) {
   const int n = GetParam();
   data::SyntheticMnist dataset(64, 16, 42);
   const i64 shard = 4;
   std::vector<i64> idx(static_cast<std::size_t>(n) * shard);
   for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = static_cast<i64>(i);
-
-  ReplicaSet sync_set = make_replicas(n);
-  ReplicaSet ovl_set = make_replicas(n);
 
   auto loss_fn = [&](ReplicaSet& set) {
     return [&set, &dataset, &idx, shard](int r) {
@@ -128,53 +162,60 @@ TEST_P(OverlapEquivalenceTest, BitwiseMatchesSynchronousBackward) {
     };
   };
 
-  const float sync_loss = synchronous_backward(sync_set.params,
-                                               loss_fn(sync_set));
+  ReplicaSet oracle = make_replicas(n);
+  const float oracle_loss =
+      serial_oracle_backward(oracle.params, loss_fn(oracle));
+  std::vector<std::vector<Tensor>> oracle_grads;
+  for (const auto& replica : oracle.params) {
+    oracle_grads.emplace_back();
+    for (const ag::Variable& p : replica) oracle_grads.back().push_back(p.grad());
+  }
+  momentum_step(oracle.params);
 
-  OverlapConfig config;
-  config.bucket_bytes = 1024;  // small target => several buckets
-  const OverlapResult res =
-      overlapped_backward(ovl_set.params, loss_fn(ovl_set), config);
-  ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_GT(res.stats.n_buckets, 1);
-  EXPECT_EQ(res.stats.buckets_reduced, res.stats.n_buckets);
-  EXPECT_EQ(res.mean_loss, sync_loss);
+  // Both schedules: overlapped, and the barrier schedule LEGW_DIST=sync runs.
+  for (const bool overlap : {true, false}) {
+    SCOPED_TRACE(overlap ? "overlap" : "barrier");
+    ReplicaSet set = make_replicas(n);
+    OverlapConfig config;
+    config.bucket_bytes = 1024;  // small target => several buckets
+    config.overlap = overlap;
+    const OverlapResult res =
+        overlapped_backward(set.params, loss_fn(set), config);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_GT(res.stats.n_buckets, 1);
+    EXPECT_EQ(res.stats.buckets_reduced, res.stats.n_buckets);
+    EXPECT_EQ(res.mean_loss, oracle_loss);
 
-  // Averaged gradients bitwise identical on every replica.
-  for (int r = 0; r < n; ++r) {
-    for (std::size_t p = 0; p < sync_set.params[0].size(); ++p) {
-      const Tensor& want = sync_set.params[static_cast<std::size_t>(r)][p].grad();
-      const Tensor& got = ovl_set.params[static_cast<std::size_t>(r)][p].grad();
-      ASSERT_EQ(want.numel(), got.numel());
-      for (i64 i = 0; i < want.numel(); ++i) {
-        ASSERT_EQ(got[i], want[i])
-            << "replica " << r << " param " << p << " elem " << i;
+    // Averaged gradients bitwise identical on every replica.
+    for (int r = 0; r < n; ++r) {
+      const auto rs = static_cast<std::size_t>(r);
+      for (std::size_t p = 0; p < oracle.params[0].size(); ++p) {
+        const Tensor& want = oracle_grads[rs][p];
+        const Tensor& got = set.params[rs][p].grad();
+        ASSERT_EQ(want.numel(), got.numel());
+        for (i64 i = 0; i < want.numel(); ++i) {
+          ASSERT_EQ(got[i], want[i])
+              << "replica " << r << " param " << p << " elem " << i;
+        }
       }
     }
-  }
 
-  // Identical momentum steps must then produce bitwise-identical parameters.
-  for (int r = 0; r < n; ++r) {
-    auto sync_opt = optim::make_optimizer(
-        "momentum", sync_set.params[static_cast<std::size_t>(r)]);
-    auto ovl_opt = optim::make_optimizer(
-        "momentum", ovl_set.params[static_cast<std::size_t>(r)]);
-    sync_opt->set_lr(0.05f);
-    ovl_opt->set_lr(0.05f);
-    sync_opt->step();
-    ovl_opt->step();
-  }
-  for (int r = 0; r < n; ++r) {
-    for (std::size_t p = 0; p < sync_set.params[0].size(); ++p) {
-      const Tensor& want = sync_set.params[static_cast<std::size_t>(r)][p].value();
-      const Tensor& got = ovl_set.params[static_cast<std::size_t>(r)][p].value();
-      for (i64 i = 0; i < want.numel(); ++i) {
-        ASSERT_EQ(got[i], want[i])
-            << "post-step replica " << r << " param " << p << " elem " << i;
+    // Identical momentum steps must then produce bitwise-identical
+    // parameters.
+    momentum_step(set.params);
+    for (int r = 0; r < n; ++r) {
+      const auto rs = static_cast<std::size_t>(r);
+      for (std::size_t p = 0; p < oracle.params[0].size(); ++p) {
+        const Tensor& want = oracle.params[rs][p].value();
+        const Tensor& got = set.params[rs][p].value();
+        for (i64 i = 0; i < want.numel(); ++i) {
+          ASSERT_EQ(got[i], want[i]) << "post-step replica " << r
+                                     << " param " << p << " elem " << i;
+        }
       }
     }
+    EXPECT_EQ(first_divergent_param(set.params), -1);
   }
-  EXPECT_EQ(first_divergent_param(ovl_set.params), -1);
 }
 
 INSTANTIATE_TEST_SUITE_P(ReplicaCounts, OverlapEquivalenceTest,
@@ -213,6 +254,36 @@ TEST(OverlapEngine, NonOverlappedModeAlsoBitwiseMatches) {
       ASSERT_EQ(got[i], want[i]) << "param " << p << " elem " << i;
     }
   }
+}
+
+TEST(OverlapEngine, AutoPolicyResolvesPerBucket) {
+  // kAuto sees the bucket's payload, not each parameter's: three 24 KB
+  // parameters (each under the 64 KB tree cutoff) share one 72 KB bucket,
+  // which 4 replicas reduce with the ring.
+  const int n = 4;
+  const i64 numel = 6000;
+  std::vector<std::vector<ag::Variable>> params;
+  for (int r = 0; r < n; ++r) {
+    Rng rng(70 + static_cast<u64>(r));
+    params.push_back({ag::Variable::leaf(Tensor::randn({numel}, rng), true),
+                      ag::Variable::leaf(Tensor::randn({numel}, rng), true),
+                      ag::Variable::leaf(Tensor::randn({numel}, rng), true)});
+  }
+  OverlapConfig config;  // 256 KB buckets, kAuto
+  ASSERT_EQ(config.algo, DistAlgo::kAuto);
+  const OverlapResult res = overlapped_backward(
+      params,
+      [&](int r) {
+        const auto& p = params[static_cast<std::size_t>(r)];
+        return ag::add(ag::mean_all(ag::mul(p[0], p[0])),
+                       ag::add(ag::mean_all(ag::mul(p[1], p[1])),
+                               ag::mean_all(ag::mul(p[2], p[2]))));
+      },
+      config);
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(res.stats.n_buckets, 1);
+  EXPECT_EQ(res.stats.buckets_ring, 1);
+  EXPECT_EQ(res.stats.buckets_tree, 0);
 }
 
 // ---- fault injection --------------------------------------------------------

@@ -1,11 +1,13 @@
 // Quantized gradient wire battery (dist/compression): fp16 and int8 edge
 // values — subnormals, +-inf, the NaN tripwire interplay — the error-feedback
-// residual staying bounded (and compensating) over 100 steps, replica
-// bit-synchrony under a lossy wire, and convergence parity of quantized
-// training against the fp32 wire.
+// residual staying bounded (and compensating) over 100 steps, zero-element
+// and all-zero shards through the full wire, replica bit-synchrony under a
+// lossy wire, and convergence parity of quantized training against the fp32
+// wire.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -14,8 +16,9 @@
 #include "core/rng.hpp"
 #include "core/tensor.hpp"
 #include "data/synthetic_mnist.hpp"
+#include "dist/algorithms.hpp"
 #include "dist/compression.hpp"
-#include "dist/data_parallel.hpp"
+#include "dist/overlap.hpp"
 #include "models/mnist_lstm.hpp"
 #include "obs/trace.hpp"
 #include "optim/optimizer.hpp"
@@ -221,6 +224,47 @@ TEST(ErrorFeedback, BroadcastKeepsShardsBitIdentical) {
   }
 }
 
+// One reduction over the lossy wire, as the engine runs it per parameter:
+// quantize each contribution, reduce in fp32, quantize the broadcast.
+void wire_allreduce(std::vector<Tensor*>& shards, WireFormat format,
+                    WireState* state) {
+  quantize_contributions(shards, format, state, nullptr, 0);
+  tree_allreduce_mean(shards);
+  quantize_broadcast(shards, format);
+}
+
+TEST(QuantizedWire, EmptyAndAllZeroShards) {
+  for (WireFormat format : {WireFormat::kFp16, WireFormat::kInt8}) {
+    SCOPED_TRACE(core::wire_format_name(format));
+    // Zero-element shards, with and without error feedback: must not crash.
+    auto empty_params = one_param_replicas(2, 0);
+    WireState empty_state(empty_params);
+    for (WireState* state : {static_cast<WireState*>(nullptr), &empty_state}) {
+      Tensor a({0}), b({0});
+      std::vector<Tensor*> shards = {&a, &b};
+      wire_allreduce(shards, format, state);
+      EXPECT_EQ(a.numel(), 0);
+      EXPECT_EQ(b.numel(), 0);
+    }
+    EXPECT_EQ(empty_state.max_abs_residual(), 0.0f);
+
+    // All-zero shards stay +0.0 bit for bit, on every shard.
+    Tensor z1 = Tensor::zeros({9});
+    Tensor z2 = Tensor::zeros({9});
+    Tensor z3 = Tensor::zeros({9});
+    std::vector<Tensor*> zero_shards = {&z1, &z2, &z3};
+    wire_allreduce(zero_shards, format, nullptr);
+    for (const Tensor* t : zero_shards) {
+      for (i64 i = 0; i < t->numel(); ++i) {
+        u32 bits = 0;
+        const float v = (*t)[i];
+        std::memcpy(&bits, &v, sizeof bits);
+        EXPECT_EQ(bits, 0u) << "elem " << i;
+      }
+    }
+  }
+}
+
 // ---- end-to-end: quantized training -----------------------------------------
 
 struct TrainOutcome {
@@ -250,7 +294,9 @@ TrainOutcome train_quantized(core::WireFormat format, bool use_ef) {
   data::SyntheticMnist dataset(128, 16, 42);
   TrainOutcome out;
   for (int step = 0; step < 6; ++step) {
-    out.final_loss = synchronous_backward(
+    ReplicaStepOptions step_opts;
+    step_opts.wire_state = state.get();
+    const OverlapResult res = replica_backward_ex(
         params,
         [&](int r) {
           std::vector<i64> idx;
@@ -261,7 +307,9 @@ TrainOutcome train_quantized(core::WireFormat format, bool use_ef) {
               dataset.gather_images(idx, true),
               dataset.gather_labels(idx, true));
         },
-        state.get());
+        step_opts);
+    EXPECT_TRUE(res.ok) << res.error;
+    out.final_loss = res.mean_loss;
     for (auto& opt : opts) {
       opt->set_lr(0.05);
       opt->step();

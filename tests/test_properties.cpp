@@ -7,7 +7,7 @@
 #include "ag/ops.hpp"
 #include "core/kernels.hpp"
 #include "core/tensor.hpp"
-#include "dist/allreduce.hpp"
+#include "dist/algorithms.hpp"
 #include "optim/optimizer.hpp"
 #include "sched/legw.hpp"
 #include "train/metrics.hpp"
