@@ -2,6 +2,8 @@
 // shapes the real models hit (square sweeps, LSTM gate matmuls, GNMT
 // attention, ResNet im2col) plus the fused LSTM cell, and emits
 // BENCH_kernels.json so future PRs can track per-shape GFLOP/s regressions.
+// The output names the micro-kernel compiled into gemm_blocked ("avx512" or
+// "scalar"), since the GFLOP/s mean little without it.
 //
 // Usage: perf_baseline [--out BENCH_kernels.json] [--reps N] [--min-ms M]
 // See docs/KERNELS.md for how to read the output.
@@ -242,7 +244,10 @@ int main(int argc, char** argv) {
   LEGW_CHECK(out.ok(), "perf_baseline: cannot open " + out_path);
   std::FILE* f = out.stream();
 
+  const char* micro_kernel = core::gemm_micro_kernel();
+  std::printf("micro_kernel %s\n", micro_kernel);
   std::fprintf(f, "{\n");
+  std::fprintf(f, "  \"micro_kernel\": \"%s\",\n", micro_kernel);
   std::fprintf(f, "  \"threads\": %d,\n", core::ThreadPool::global().size());
   std::fprintf(f, "  \"gemm\": [\n");
   const std::size_t n_shapes = sizeof(kShapes) / sizeof(kShapes[0]);

@@ -14,17 +14,26 @@
 // over contiguous memory for all four transpose cases — the transpose only
 // changes the gather pattern during packing. Partial edge tiles are packed
 // with zero fill and stored back masked, so the hot loop has fixed trip
-// counts and auto-vectorises cleanly (16 zmm accumulators + 3 B loads on
-// AVX-512).
+// counts. With AVX-512 the kernel is written in intrinsics: 24 zmm
+// accumulators, three B loads and one A broadcast per depth step. Without it
+// the same loop is plain C that the compiler vectorises as it sees fit.
 //
 // Determinism contract (tested in tests/test_gemm_parity.cpp): the k
 // reduction for any C element is performed by exactly one thread, in
 // ascending-k order (KC panels outer, ascending p within each panel), and
 // that order is independent of how rows are partitioned across threads.
 // Results are therefore bitwise identical across runs, thread counts, and
-// chunk boundaries.
+// chunk boundaries. Per element, each KC panel starts an accumulator at 0,
+// applies one fused multiply-add per ascending p, then adds it into C. Both
+// micro-kernel paths keep that order (the scalar one through the compiler's
+// FMA contraction), so they agree bit for bit and the goldens do not depend
+// on which one was compiled in.
 #include <algorithm>
 #include <vector>
+
+#if defined(__AVX512F__)
+#include <immintrin.h>
+#endif
 
 #include "core/tensor.hpp"
 #include "core/thread_pool.hpp"
@@ -50,6 +59,47 @@ inline i64 round_up(i64 v, i64 mult) { return (v + mult - 1) / mult * mult; }
 // acc = Apanel * Bpanel over kc depths, then C[0:mr, 0:nr] += acc.
 // ap: packed A micro-panel, kc x kMr (row index fastest).
 // bp: packed B micro-panel, kc x kNr (column index fastest).
+#if defined(__AVX512F__)
+constexpr i64 kVec = 16;  // floats per zmm register
+static_assert(kNr == 3 * kVec, "one C row of the tile is three zmm vectors");
+
+void micro_kernel(i64 kc, const float* __restrict ap, const float* __restrict bp,
+                  float* __restrict c, i64 ldc, i64 mr, i64 nr) {
+  __m512 acc[kMr][3];
+  for (i64 i = 0; i < kMr; ++i)
+    for (i64 v = 0; v < 3; ++v) acc[i][v] = _mm512_setzero_ps();
+  for (i64 p = 0; p < kc; ++p) {
+    const float* brow = bp + p * kNr;
+    const float* arow = ap + p * kMr;
+    const __m512 b0 = _mm512_loadu_ps(brow);
+    const __m512 b1 = _mm512_loadu_ps(brow + kVec);
+    const __m512 b2 = _mm512_loadu_ps(brow + 2 * kVec);
+    for (i64 i = 0; i < kMr; ++i) {
+      const __m512 av = _mm512_set1_ps(arow[i]);
+      acc[i][0] = _mm512_fmadd_ps(av, b0, acc[i][0]);
+      acc[i][1] = _mm512_fmadd_ps(av, b1, acc[i][1]);
+      acc[i][2] = _mm512_fmadd_ps(av, b2, acc[i][2]);
+    }
+  }
+  if (mr == kMr && nr == kNr) {
+    for (i64 i = 0; i < kMr; ++i) {
+      float* ci = c + i * ldc;
+      for (i64 v = 0; v < 3; ++v)
+        _mm512_storeu_ps(ci + v * kVec,
+                         _mm512_add_ps(_mm512_loadu_ps(ci + v * kVec),
+                                       acc[i][v]));
+    }
+    return;
+  }
+  alignas(64) float tile[kMr][kNr];
+  for (i64 i = 0; i < kMr; ++i)
+    for (i64 v = 0; v < 3; ++v) _mm512_store_ps(&tile[i][v * kVec], acc[i][v]);
+  for (i64 i = 0; i < mr; ++i) {
+    float* ci = c + i * ldc;
+    for (i64 j = 0; j < nr; ++j) ci[j] += tile[i][j];
+  }
+}
+#else
 void micro_kernel(i64 kc, const float* __restrict ap, const float* __restrict bp,
                   float* __restrict c, i64 ldc, i64 mr, i64 nr) {
   float acc[kMr][kNr];
@@ -75,6 +125,7 @@ void micro_kernel(i64 kc, const float* __restrict ap, const float* __restrict bp
     }
   }
 }
+#endif
 
 // Packs B[kk : kk+kc, jc : jc+nc] (logical indices, after the optional
 // transpose) into NR-wide column micro-panels, zero-padding the last panel.
@@ -128,6 +179,14 @@ void pack_a(bool trans_a, const float* a, i64 lda, i64 ic, i64 kk, i64 mc,
 }
 
 }  // namespace
+
+const char* gemm_micro_kernel() {
+#if defined(__AVX512F__)
+  return "avx512";
+#else
+  return "scalar";
+#endif
+}
 
 void gemm_blocked(bool trans_a, bool trans_b, i64 m, i64 n, i64 k, float alpha,
                   const float* a, i64 lda, const float* b, i64 ldb, float beta,

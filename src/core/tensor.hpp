@@ -188,6 +188,10 @@ void gemm_blocked(bool trans_a, bool trans_b, i64 m, i64 n, i64 k, float alpha,
                   const float* a, i64 lda, const float* b, i64 ldb, float beta,
                   float* c, i64 ldc);
 
+// The micro-kernel gemm_blocked was compiled with: "avx512" (explicit 512-bit
+// intrinsics, when the target has AVX-512F) or "scalar" (the portable loop).
+const char* gemm_micro_kernel();
+
 // Tensor-level matmul: a is [m,k], b is [k,n] after optional transposes.
 Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a = false,
               bool trans_b = false);

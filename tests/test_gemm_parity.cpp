@@ -4,6 +4,7 @@
 // implementations explicitly so they are env-independent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -12,6 +13,7 @@
 #include "core/flags.hpp"
 #include "core/rng.hpp"
 #include "core/tensor.hpp"
+#include "core/thread_pool.hpp"
 
 namespace legw::core {
 namespace {
@@ -193,6 +195,102 @@ TEST(GemmParity, ZeroLadenInputsRegression) {
   for (std::size_t i = 0; i < c_ref.size(); ++i) {
     EXPECT_EQ(c_ref[i], 7.0f);
     EXPECT_EQ(c_blk[i], 7.0f);
+  }
+}
+
+// Scalar model of gemm_blocked's per-element summation order: the beta pass
+// first, alpha folded into A, then for each KC-deep panel (KC = 256, as in
+// gemm_blocked.cpp) an accumulator started at 0 and built by one std::fma per
+// ascending p, added into C when the panel ends. The goldens depend on this
+// order, so the blocked kernel must match it bit for bit on every path.
+std::vector<float> blocked_order_oracle(const GemmCase& cs,
+                                        const std::vector<float>& a,
+                                        const std::vector<float>& b,
+                                        std::vector<float> c) {
+  constexpr i64 kKc = 256;
+  for (i64 i = 0; i < cs.m; ++i) {
+    for (i64 j = 0; j < cs.n; ++j) {
+      float& cij = c[static_cast<std::size_t>(i * cs.ldc + j)];
+      if (cs.beta == 0.0f) {
+        cij = 0.0f;
+      } else if (cs.beta != 1.0f) {
+        cij *= cs.beta;
+      }
+    }
+  }
+  if (cs.k == 0 || cs.alpha == 0.0f) return c;
+  for (i64 i = 0; i < cs.m; ++i) {
+    for (i64 j = 0; j < cs.n; ++j) {
+      float& cij = c[static_cast<std::size_t>(i * cs.ldc + j)];
+      for (i64 kk = 0; kk < cs.k; kk += kKc) {
+        float acc = 0.0f;
+        for (i64 p = kk; p < std::min(cs.k, kk + kKc); ++p) {
+          const float av =
+              cs.alpha * a[static_cast<std::size_t>(
+                             cs.trans_a ? p * cs.lda + i : i * cs.lda + p)];
+          const float bv = b[static_cast<std::size_t>(
+              cs.trans_b ? j * cs.ldb + p : p * cs.ldb + j)];
+          acc = std::fma(av, bv, acc);
+        }
+        cij += acc;
+      }
+    }
+  }
+  return c;
+}
+
+TEST(GemmOrder, BlockedMatchesFmaOrderOracleBitwise) {
+  // Full tiles, mr < 8 and nr < 48 edge tiles, K crossing one and two KC
+  // panels, M crossing MC = 128 and N crossing NC = 960, in all four
+  // transpose cases. gemm_blocked runs once on the global pool (4 threads
+  // under the .blocked-mt4 registration) and once from inside a pool chunk,
+  // where its parallel_for runs serially on one thread.
+  const GemmCase shapes[] = {
+      {8, 48, 256, false, false, 0, 0, 48, 1.0f, 0.0f, 21},
+      {5, 30, 100, false, false, 0, 0, 33, -0.5f, 1.0f, 22},
+      {13, 49, 257, false, false, 0, 0, 50, 2.0f, -0.5f, 23},
+      {7, 47, 9, false, false, 0, 0, 47, 1.0f, 2.0f, 24},
+      {130, 97, 600, false, false, 0, 0, 99, 1.0f, 1.0f, 25},
+      {9, 1000, 300, false, false, 0, 0, 1001, -0.5f, 0.0f, 26},
+      {1, 1, 513, false, false, 0, 0, 1, 1.0f, 1.0f, 27},
+  };
+  ThreadPool outer(2);
+  for (const GemmCase& base : shapes) {
+    for (int t = 0; t < 4; ++t) {
+      GemmCase cs = base;
+      cs.trans_a = (t & 1) != 0;
+      cs.trans_b = (t & 2) != 0;
+      cs.lda = (cs.trans_a ? cs.m : cs.k) + 1;
+      cs.ldb = (cs.trans_b ? cs.k : cs.n) + 3;
+      SCOPED_TRACE(testing::Message()
+                   << "m=" << cs.m << " n=" << cs.n << " k=" << cs.k
+                   << " ta=" << cs.trans_a << " tb=" << cs.trans_b);
+      Rng rng(cs.seed);
+      const std::vector<float> a =
+          random_buf(cs.trans_a ? cs.k : cs.m, cs.lda, rng, 0.0);
+      const std::vector<float> b =
+          random_buf(cs.trans_b ? cs.n : cs.k, cs.ldb, rng, 0.0);
+      const std::vector<float> c0 = random_buf(cs.m, cs.ldc, rng, 0.0);
+      const std::vector<float> want = blocked_order_oracle(cs, a, b, c0);
+
+      std::vector<float> pooled = c0;
+      gemm_blocked(cs.trans_a, cs.trans_b, cs.m, cs.n, cs.k, cs.alpha,
+                   a.data(), cs.lda, b.data(), cs.ldb, cs.beta, pooled.data(),
+                   cs.ldc);
+      std::vector<float> serial = c0;
+      outer.parallel_for(0, 2, 1, [&](i64 begin, i64) {
+        if (begin != 0) return;
+        gemm_blocked(cs.trans_a, cs.trans_b, cs.m, cs.n, cs.k, cs.alpha,
+                     a.data(), cs.lda, b.data(), cs.ldb, cs.beta,
+                     serial.data(), cs.ldc);
+      });
+      ASSERT_EQ(0, std::memcmp(want.data(), pooled.data(),
+                               want.size() * sizeof(float)))
+          << "pooled gemm_blocked left the FMA order";
+      ASSERT_EQ(0, std::memcmp(want.data(), serial.data(),
+                               want.size() * sizeof(float)))
+          << "serial gemm_blocked left the FMA order";
+    }
   }
 }
 
