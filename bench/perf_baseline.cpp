@@ -19,7 +19,6 @@
 #include "core/io.hpp"
 #include "core/tensor.hpp"
 #include "core/thread_pool.hpp"
-#include "mem/alloc.hpp"
 #include "nn/lstm.hpp"
 #include "obs/trace.hpp"
 
@@ -121,70 +120,6 @@ LstmResult lstm_cell_rate(i64 batch, i64 hidden, int reps, double min_ms) {
     const double sec = time_loop(run, reps, min_ms);
     (fused ? res.fused_steps_per_s : res.composed_steps_per_s) = 1.0 / sec;
   }
-  return res;
-}
-
-// Memory characterisation: one fused-LSTM training step over a 20-timestep
-// unrolled sequence (the paper's PTB-small BPTT length) under each storage
-// mode. The malloc row is the seed behaviour — every interior value and
-// gradient stays live until the graph drops after backward, so the peak
-// holds all T timesteps of activations AND gradients at once. The arena row
-// opens a mem::TrainStepScope: interior buffers are freed the moment their
-// backward closure has run, and steps 2+ replay the recorded static plan in
-// place. peak_step_bytes counts the transient bytes live above the pre-step
-// baseline (heap + arena, so both modes are measured with the same ruler);
-// planned/naive report how far the plan compresses a no-reuse bump
-// footprint.
-constexpr i64 kMemBenchSeqLen = 20;
-
-struct MemResult {
-  i64 batch, hidden;
-  double malloc_steps_per_s = 0.0;
-  double arena_steps_per_s = 0.0;
-  i64 malloc_peak_step_bytes = 0;
-  i64 arena_peak_step_bytes = 0;
-  i64 arena_planned_bytes = 0;
-  i64 arena_naive_bytes = 0;
-};
-
-MemResult memory_rate(i64 batch, i64 hidden, int reps, double min_ms) {
-  MemResult res;
-  res.batch = batch;
-  res.hidden = hidden;
-  const mem::AllocMode saved = mem::alloc_mode();
-  for (mem::AllocMode mode : {mem::AllocMode::kMalloc, mem::AllocMode::kArena}) {
-    mem::set_alloc_mode(mode);
-    Rng rng(7);
-    nn::LstmCellLayer layer(hidden, hidden, rng, 1.0f, /*fused=*/true);
-    ag::Variable x =
-        ag::Variable::constant(Tensor::randn({batch, hidden}, rng));
-    auto run = [&] {
-      mem::TrainStepScope scope;
-      layer.zero_grad();
-      nn::LstmState s = layer.zero_state(batch);
-      for (i64 t = 0; t < kMemBenchSeqLen; ++t) s = layer.step(x, s);
-      ag::backward(ag::sum_all(s.h));
-    };
-    const double sec = time_loop(run, reps, min_ms);
-    // Peak of one isolated step, measured from the settled baseline (leaf
-    // grads and parameters are live in both modes and cancel out).
-    mem::reset_mem_peaks();
-    const mem::MemStats base = mem::mem_stats();
-    run();
-    const mem::MemStats after = mem::mem_stats();
-    const i64 peak = (after.heap_peak_bytes - base.heap_live_bytes) +
-                     (after.arena_peak_bytes - base.arena_live_bytes);
-    if (mode == mem::AllocMode::kMalloc) {
-      res.malloc_steps_per_s = 1.0 / sec;
-      res.malloc_peak_step_bytes = peak;
-    } else {
-      res.arena_steps_per_s = 1.0 / sec;
-      res.arena_peak_step_bytes = peak;
-      res.arena_planned_bytes = after.arena_planned_bytes;
-      res.arena_naive_bytes = after.arena_naive_bytes;
-    }
-  }
-  mem::set_alloc_mode(saved);
   return res;
 }
 
@@ -297,49 +232,6 @@ int main(int argc, char** argv) {
                  r.composed_steps_per_s,
                  r.fused_steps_per_s / r.composed_steps_per_s,
                  i + 1 < lstm_shapes.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-
-  // Memory: fused-LSTM train step, LEGW_ALLOC=arena vs malloc (see
-  // memory_rate's doc comment; docs/MEMORY.md explains the columns).
-  std::fprintf(f, "  \"memory\": [\n");
-  const std::vector<std::pair<i64, i64>> mem_shapes = {
-      {32, 128}, {128, 128}, {512, 256}};
-  for (std::size_t i = 0; i < mem_shapes.size(); ++i) {
-    const MemResult r = memory_rate(mem_shapes[i].first, mem_shapes[i].second,
-                                    reps, min_ms);
-    const double peak_reduction =
-        1.0 - static_cast<double>(r.arena_peak_step_bytes) /
-                  static_cast<double>(r.malloc_peak_step_bytes);
-    std::printf("memory b=%-4lld h=%-4lld  malloc %8.1f step/s %8.2f MiB  "
-                "arena %8.1f step/s %8.2f MiB  peak -%4.1f%%  plan %.2f MiB "
-                "(naive %.2f)\n",
-                static_cast<long long>(r.batch),
-                static_cast<long long>(r.hidden), r.malloc_steps_per_s,
-                static_cast<double>(r.malloc_peak_step_bytes) / 1048576.0,
-                r.arena_steps_per_s,
-                static_cast<double>(r.arena_peak_step_bytes) / 1048576.0,
-                100.0 * peak_reduction,
-                static_cast<double>(r.arena_planned_bytes) / 1048576.0,
-                static_cast<double>(r.arena_naive_bytes) / 1048576.0);
-    std::fprintf(f,
-                 "    {\"batch\": %lld, \"hidden\": %lld, \"seq\": %lld, "
-                 "\"malloc_steps_per_s\": %.2f, \"arena_steps_per_s\": %.2f, "
-                 "\"speedup\": %.3f, \"malloc_peak_step_bytes\": %lld, "
-                 "\"arena_peak_step_bytes\": %lld, \"peak_reduction\": %.3f, "
-                 "\"arena_planned_bytes\": %lld, \"arena_naive_bytes\": "
-                 "%lld}%s\n",
-                 static_cast<long long>(r.batch),
-                 static_cast<long long>(r.hidden),
-                 static_cast<long long>(kMemBenchSeqLen), r.malloc_steps_per_s,
-                 r.arena_steps_per_s,
-                 r.arena_steps_per_s / r.malloc_steps_per_s,
-                 static_cast<long long>(r.malloc_peak_step_bytes),
-                 static_cast<long long>(r.arena_peak_step_bytes),
-                 peak_reduction,
-                 static_cast<long long>(r.arena_planned_bytes),
-                 static_cast<long long>(r.arena_naive_bytes),
-                 i + 1 < mem_shapes.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
 

@@ -32,12 +32,6 @@ Variable make_op_node(const char* op, Tensor value,
   return Variable(std::move(n));
 }
 
-Variable make_op_node(Tensor value, std::vector<Variable> parents,
-                      std::function<void(Node&)> backward_fn) {
-  return make_op_node("op", std::move(value), std::move(parents),
-                      std::move(backward_fn));
-}
-
 namespace {
 
 // Iterative post-order DFS. Recursion would overflow the stack on BPTT
@@ -101,13 +95,6 @@ void backward(const Variable& root, const Tensor* seed) {
   backward(root, seed, BackwardHooks{});
 }
 
-std::vector<Node*> topological_order(const Variable& root) {
-  LEGW_CHECK(root.defined(), "topological_order on undefined Variable");
-  std::vector<Node*> order;
-  topo_sort(root.node(), order);
-  return order;
-}
-
 void backward(const Variable& root, const Tensor* seed,
               const BackwardHooks& hooks) {
   LEGW_CHECK(root.defined(), "backward on undefined Variable");
@@ -160,30 +147,12 @@ void backward(const Variable& root, const Tensor* seed,
     }
   }
 
-  // With a step arena bound, backward IS the lifetime oracle: execution runs
-  // consumers before producers (reverse topological order), so once node n's
-  // closure has run, n's value, gradient, and saved-for-backward captures
-  // have had their last use and can be released immediately. That is what
-  // lets the recorded plan reuse an activation's bytes for gradient buffers
-  // later in the same step. Skipped on the heap path (no benefit) and for
-  // the root (callers read loss.value() after backward) and leaves
-  // (parameters persist).
-  const bool release_after_use = mem::bound_step_arena() != nullptr;
-  Node* const root_node = root.node().get();
-
   // Post-order puts parents before children; reverse to propagate root-first.
   for (std::size_t i = 0; i < n_nodes; ++i) {
     Node* n = order[n_nodes - 1 - i];
     if (n->backward_fn) {
       n->backward_fn(*n);
       if (tripwires) check_backward_step(*n);
-      if (release_after_use && n != root_node) {
-        // Keep n->parents: the shared_ptr edges own upstream nodes whose
-        // closures have not run yet (order[] holds raw pointers).
-        n->backward_fn = nullptr;
-        n->grad = Tensor();
-        n->value = Tensor();
-      }
     }
     if (leaf_hook && !fire_after[i].empty()) {
       for (Node* leaf : fire_after[i]) {

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/tensor.hpp"
-#include "mem/alloc.hpp"
 
 namespace legw::ag {
 
@@ -40,17 +39,7 @@ struct Node {
   std::function<void(Node&)> backward_fn;
 
   Tensor& ensure_grad() {
-    if (grad.empty() && value.numel() > 0) {
-      if (parents.empty()) {
-        // Leaf gradients (parameters) accumulate across steps and feed the
-        // optimizer after the step scope closes, so they must never live in
-        // the step-scoped arena even when one is bound to this thread.
-        mem::HeapBindGuard heap_only;
-        grad = Tensor::zeros(value.shape());
-      } else {
-        grad = Tensor::zeros(value.shape());
-      }
-    }
+    if (grad.empty() && value.numel() > 0) grad = Tensor::zeros(value.shape());
     return grad;
   }
 };
@@ -109,9 +98,6 @@ class Variable {
 Variable make_op_node(const char* op, Tensor value,
                       std::vector<Variable> parents,
                       std::function<void(Node&)> backward_fn);
-// Legacy unnamed form; diagnostics report the op as "op".
-Variable make_op_node(Tensor value, std::vector<Variable> parents,
-                      std::function<void(Node&)> backward_fn);
 
 // Optional callbacks observing one backward pass.
 struct BackwardHooks {
@@ -138,11 +124,5 @@ void backward(const Variable& root, const Tensor* seed = nullptr);
 // forwards here with empty hooks at zero extra cost.
 void backward(const Variable& root, const Tensor* seed,
               const BackwardHooks& hooks);
-
-// The requires_grad subgraph reachable from `root` in post-order (parents
-// before children) — exactly the order backward() reverses to execute
-// closures. Exposed for the tape-lifetime extraction (ag/lifetimes.hpp) and
-// diagnostics; the returned pointers stay valid while the graph is alive.
-std::vector<Node*> topological_order(const Variable& root);
 
 }  // namespace legw::ag

@@ -4,36 +4,22 @@
 #include <cstring>
 
 #include "mem/alloc.hpp"
-#include "mem/arena.hpp"
 
 namespace legw::core {
 
 void FloatStorage::allocate(i64 n) {
   LEGW_DCHECK(ptr_ == nullptr, "FloatStorage: allocate over live storage");
   if (n <= 0) return;
-  const i64 bytes = n * static_cast<i64>(sizeof(float));
-  if (mem::StepArena* arena = mem::bound_step_arena()) {
-    ptr_ = static_cast<float*>(arena->allocate(bytes));
-    arena_ = arena;
-    gen_ = arena->generation();
-  } else {
-    ptr_ = static_cast<float*>(mem::heap_alloc(bytes));
-  }
+  ptr_ = static_cast<float*>(
+      mem::heap_alloc(n * static_cast<i64>(sizeof(float))));
   size_ = n;
 }
 
 void FloatStorage::release() {
   if (ptr_ == nullptr) return;
-  const i64 bytes = size_ * static_cast<i64>(sizeof(float));
-  if (arena_ != nullptr) {
-    arena_->deallocate(ptr_, bytes, gen_);
-  } else {
-    mem::heap_free(ptr_, bytes);
-  }
+  mem::heap_free(ptr_, size_ * static_cast<i64>(sizeof(float)));
   ptr_ = nullptr;
   size_ = 0;
-  arena_ = nullptr;
-  gen_ = 0;
 }
 
 FloatStorage::FloatStorage(i64 n, float fill) {
@@ -55,11 +41,9 @@ FloatStorage::FloatStorage(const FloatStorage& o) {
 }
 
 FloatStorage::FloatStorage(FloatStorage&& o) noexcept
-    : ptr_(o.ptr_), size_(o.size_), arena_(o.arena_), gen_(o.gen_) {
+    : ptr_(o.ptr_), size_(o.size_) {
   o.ptr_ = nullptr;
   o.size_ = 0;
-  o.arena_ = nullptr;
-  o.gen_ = 0;
 }
 
 FloatStorage& FloatStorage::operator=(const FloatStorage& o) {
@@ -79,24 +63,9 @@ FloatStorage& FloatStorage::operator=(FloatStorage&& o) noexcept {
   release();
   ptr_ = o.ptr_;
   size_ = o.size_;
-  arena_ = o.arena_;
-  gen_ = o.gen_;
   o.ptr_ = nullptr;
   o.size_ = 0;
-  o.arena_ = nullptr;
-  o.gen_ = 0;
   return *this;
-}
-
-void FloatStorage::make_heap_owned() {
-  if (arena_ == nullptr || ptr_ == nullptr) return;
-  const i64 bytes = size_ * static_cast<i64>(sizeof(float));
-  float* heap = static_cast<float*>(mem::heap_alloc(bytes));
-  std::memcpy(heap, ptr_, static_cast<std::size_t>(bytes));
-  arena_->deallocate(ptr_, bytes, gen_);
-  ptr_ = heap;
-  arena_ = nullptr;
-  gen_ = 0;
 }
 
 }  // namespace legw::core

@@ -1,31 +1,21 @@
-// Tensor storage: a flat float buffer behind the LEGW_ALLOC dispatcher.
+// Tensor storage: a flat float buffer on the counted heap (mem/alloc.hpp).
 //
 // Replaces std::vector<float> as Tensor's backing store. Semantics are the
 // same (owning, value-semantic, zero-filled by the sized constructor); the
-// difference is where the bytes come from: when the current thread has a
-// StepArena bound (mem::TrainStepScope, arena mode) allocations are served
-// from the step's planned arena, otherwise from kArenaAlignment-aligned,
-// counted heap memory. Copies copy data and re-dispatch — so copying an
-// arena tensor outside the step scope yields a heap tensor, which is what
-// keeps checkpoint capture and final-params snapshots safe by construction.
+// difference is where the bytes come from: mem::heap_alloc, which aligns
+// every buffer to mem::kAlignment and counts allocations and live/peak bytes.
 #pragma once
 
 #include <cstddef>
 
 #include "core/common.hpp"
 
-namespace legw::mem {
-class StepArena;
-}
-
 namespace legw::core {
 
 class FloatStorage {
  public:
   FloatStorage() = default;
-  // n zero-filled floats (matches std::vector value-initialisation — the
-  // arena recycles memory, so the explicit fill is what preserves bitwise
-  // parity with the malloc path).
+  // n zero-filled floats (matches std::vector value-initialisation).
   explicit FloatStorage(i64 n) : FloatStorage(n, 0.0f) {}
   FloatStorage(i64 n, float fill);
   // n floats of UNSPECIFIED content. Only for callers that provably
@@ -50,24 +40,12 @@ class FloatStorage {
   float& operator[](std::size_t i) { return ptr_[i]; }
   float operator[](std::size_t i) const { return ptr_[i]; }
 
-  // True when the bytes live in a step arena (and therefore die at the next
-  // begin_step).
-  bool arena_backed() const { return arena_ != nullptr; }
-  // Moves arena-backed contents into heap storage (no-op when already
-  // heap-backed). Lets step-scoped results legitimately outlive the step —
-  // e.g. PTB's carried BPTT state.
-  void make_heap_owned();
-
  private:
   void allocate(i64 n);
   void release();
 
   float* ptr_ = nullptr;
   i64 size_ = 0;
-  // Owning arena (nullptr = heap) and the arena generation observed at
-  // allocation, so a free that races a retired generation is ignored.
-  mem::StepArena* arena_ = nullptr;
-  u64 gen_ = 0;
 };
 
 }  // namespace legw::core

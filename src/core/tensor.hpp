@@ -53,9 +53,9 @@ class Tensor {
   static Tensor zeros(Shape shape) { return Tensor(std::move(shape), 0.0f); }
   static Tensor ones(Shape shape) { return Tensor(std::move(shape), 1.0f); }
   static Tensor full(Shape shape, float v) { return Tensor(std::move(shape), v); }
-  // Storage with UNSPECIFIED contents (the arena recycles step memory, so
-  // "uninitialised" can mean last step's bytes or a NaN scribble). Strictly
-  // for producers that overwrite every element before any read.
+  // Storage with UNSPECIFIED contents (fresh heap bytes, possibly a freed
+  // tensor's). Strictly for producers that overwrite every element before
+  // any read.
   static Tensor uninit(Shape shape);
   // i.i.d. N(mean, stddev^2).
   static Tensor randn(Shape shape, Rng& rng, float stddev = 1.0f,
@@ -129,18 +129,8 @@ class Tensor {
   u32 version() const { return version_; }
   void bump_version() { ++version_; }
 
-  // --- storage placement (see mem/alloc.hpp) ---------------------------------
-  // True when the data lives in a step-scoped arena and dies at the next
-  // begin_step.
-  bool arena_backed() const { return data_.arena_backed(); }
-  // Moves arena-backed data onto the heap (no-op otherwise). Call before
-  // letting a step-scoped tensor outlive its TrainStepScope — e.g. the
-  // carried BPTT state in train_ptb. Contents are unchanged, so the
-  // mutation version does not bump.
-  Tensor& rehome_() {
-    data_.make_heap_owned();
-    return *this;
-  }
+  // No-op kept only for perfbench's training replays; goes with them.
+  Tensor& rehome_() { return *this; }
 
   // --- reductions / norms ----------------------------------------------------
   float sum() const;

@@ -80,55 +80,6 @@ float half_to_float(u16 h) {
   return f;
 }
 
-void compress_fp16(const core::Tensor& src, std::vector<u16>& out) {
-  out.resize(static_cast<std::size_t>(src.numel()));
-  for (i64 i = 0; i < src.numel(); ++i) {
-    out[static_cast<std::size_t>(i)] = float_to_half(src[i]);
-  }
-}
-
-void decompress_fp16(const std::vector<u16>& src, core::Tensor& out) {
-  LEGW_CHECK(static_cast<i64>(src.size()) == out.numel(),
-             "decompress_fp16: size mismatch");
-  for (i64 i = 0; i < out.numel(); ++i) {
-    out[i] = half_to_float(src[static_cast<std::size_t>(i)]);
-  }
-}
-
-void quantize_int8(const core::Tensor& src, std::vector<i8>& out,
-                   float* scale_out) {
-  const i64 n = src.numel();
-  out.resize(static_cast<std::size_t>(n));
-  float amax = 0.0f;
-  for (i64 i = 0; i < n; ++i) {
-    const float v = src[i];
-    if (std::isfinite(v)) amax = std::max(amax, std::fabs(v));
-  }
-  const float scale = amax / 127.0f;
-  if (scale_out != nullptr) *scale_out = scale;
-  const float inv = scale > 0.0f ? 1.0f / scale : 0.0f;
-  for (i64 i = 0; i < n; ++i) {
-    const float v = src[i];
-    if (!std::isfinite(v)) {
-      out[static_cast<std::size_t>(i)] = 0;
-      continue;
-    }
-    float q = std::nearbyint(v * inv);
-    if (q > 127.0f) q = 127.0f;
-    if (q < -127.0f) q = -127.0f;
-    out[static_cast<std::size_t>(i)] = static_cast<i8>(q);
-  }
-}
-
-void dequantize_int8(const std::vector<i8>& src, float scale,
-                     core::Tensor& out) {
-  LEGW_CHECK(static_cast<i64>(src.size()) == out.numel(),
-             "dequantize_int8: size mismatch");
-  for (i64 i = 0; i < out.numel(); ++i) {
-    out[i] = static_cast<float>(src[static_cast<std::size_t>(i)]) * scale;
-  }
-}
-
 void wire_roundtrip(WireFormat format, core::Tensor& t) {
   switch (format) {
     case WireFormat::kFp32:

@@ -39,20 +39,6 @@ using core::WireFormat;
 u16 float_to_half(float f);
 float half_to_float(u16 h);
 
-// Lossy round-trip of a whole tensor through binary16.
-void compress_fp16(const core::Tensor& src, std::vector<u16>& out);
-void decompress_fp16(const std::vector<u16>& src, core::Tensor& out);
-
-// Symmetric per-tensor int8 quantization (exposed for tests). `scale_out`
-// receives max|finite x| / 127 (0 when every element is 0 or non-finite);
-// non-finite elements encode as 0 — use wire_roundtrip for the NaN/Inf
-// preserving in-place path.
-void quantize_int8(const core::Tensor& src, std::vector<i8>& out,
-                   float* scale_out);
-// Decode: out[i] = src[i] * scale.
-void dequantize_int8(const std::vector<i8>& src, float scale,
-                     core::Tensor& out);
-
 // Lossy in-place round-trip of `t` through `format` (kFp32 is the identity).
 // Non-finite elements pass through unchanged (NaN stays NaN, +-Inf stays
 // +-Inf), so the check/ tripwires still fire after the wire. Every call is

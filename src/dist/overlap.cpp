@@ -14,7 +14,6 @@
 #include "core/rng.hpp"
 #include "dist/algorithms.hpp"
 #include "dist/compression.hpp"
-#include "mem/alloc.hpp"
 #include "obs/trace.hpp"
 
 namespace legw::dist {
@@ -373,11 +372,6 @@ class OverlapEngine {
       }
     }
     obs::Span span("replica_backward");
-    // Arena mode: each replica thread drives its own step arena (slot r),
-    // so forward activations and interior gradients replay in place with no
-    // cross-replica sharing. Leaf grads stay heap-bound (Node::ensure_grad)
-    // — the reducer thread reads them outside this scope.
-    mem::TrainStepScope arena_scope(mem::step_arena(r));
     if (config_.zero_grads) {
       for (std::size_t p = 0; p < n_params_; ++p) {
         grads_[static_cast<std::size_t>(r)][p]->zero_();

@@ -1,43 +1,14 @@
 #include "mem/alloc.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <map>
-#include <memory>
 #include <new>
-
-#include "core/mutex.hpp"
-#include "mem/arena.hpp"
 
 namespace legw::mem {
 
 namespace {
 
-std::atomic<AllocMode>& alloc_mode_state() {
-  static std::atomic<AllocMode> state{[] {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env probe, no setenv
-    if (const char* env = std::getenv("LEGW_ALLOC")) {
-      const std::string v(env);
-      if (v == "arena") return AllocMode::kArena;
-      LEGW_CHECK(v == "malloc" || v.empty(),
-                 "LEGW_ALLOC must be 'arena' or 'malloc', got '" + v + "'");
-    }
-    return AllocMode::kMalloc;
-  }()};
-  return state;
-}
-
-thread_local StepArena* t_bound_arena = nullptr;
-
-core::Mutex g_registry_mu;
-std::map<int, std::unique_ptr<StepArena>>& registry_locked()
-    LEGW_REQUIRES(g_registry_mu) {
-  static std::map<int, std::unique_ptr<StepArena>> arenas;
-  return arenas;
-}
-
-// Heap-side accounting. Relaxed atomics: the counters are diagnostics, the
-// values themselves are never used for synchronisation.
+// Relaxed atomics: the counters are diagnostics, the values themselves are
+// never used for synchronisation.
 std::atomic<i64> g_heap_allocs{0};
 std::atomic<i64> g_heap_live_bytes{0};
 std::atomic<i64> g_heap_peak_bytes{0};
@@ -52,71 +23,6 @@ void raise_heap_peak(i64 live) {
 
 }  // namespace
 
-AllocMode alloc_mode() {
-  return alloc_mode_state().load(std::memory_order_relaxed);
-}
-
-void set_alloc_mode(AllocMode m) {
-  alloc_mode_state().store(m, std::memory_order_relaxed);
-}
-
-bool set_alloc_mode(const std::string& name) {
-  if (name == "malloc") {
-    set_alloc_mode(AllocMode::kMalloc);
-    return true;
-  }
-  if (name == "arena") {
-    set_alloc_mode(AllocMode::kArena);
-    return true;
-  }
-  return false;
-}
-
-const char* alloc_mode_name(AllocMode m) {
-  return m == AllocMode::kMalloc ? "malloc" : "arena";
-}
-
-StepArena* bound_step_arena() { return t_bound_arena; }
-
-StepArena& step_arena(int slot) {
-  core::MutexLock lock(g_registry_mu);
-  auto& arenas = registry_locked();
-  auto it = arenas.find(slot);
-  if (it == arenas.end()) {
-    it = arenas
-             .emplace(slot, std::make_unique<StepArena>(
-                                "step" + std::to_string(slot)))
-             .first;
-  }
-  return *it->second;
-}
-
-TrainStepScope::TrainStepScope() {
-  if (alloc_mode() != AllocMode::kArena || t_bound_arena != nullptr) return;
-  arena_ = &step_arena(0);
-  arena_->begin_step();
-  t_bound_arena = arena_;
-}
-
-TrainStepScope::TrainStepScope(StepArena& arena) {
-  if (alloc_mode() != AllocMode::kArena || t_bound_arena != nullptr) return;
-  arena_ = &arena;
-  arena_->begin_step();
-  t_bound_arena = arena_;
-}
-
-TrainStepScope::~TrainStepScope() {
-  if (arena_ == nullptr) return;
-  t_bound_arena = nullptr;
-  arena_->end_step();
-}
-
-HeapBindGuard::HeapBindGuard() : prev_(t_bound_arena) {
-  t_bound_arena = nullptr;
-}
-
-HeapBindGuard::~HeapBindGuard() { t_bound_arena = prev_; }
-
 void* heap_alloc(i64 bytes) {
   LEGW_CHECK(bytes > 0, "heap_alloc: non-positive size");
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -124,12 +30,12 @@ void* heap_alloc(i64 bytes) {
       g_heap_live_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
   raise_heap_peak(live);
   return ::operator new(static_cast<std::size_t>(bytes),
-                        std::align_val_t{kArenaAlignment});
+                        std::align_val_t{kAlignment});
 }
 
 void heap_free(void* p, i64 bytes) {
   g_heap_live_bytes.fetch_sub(bytes, std::memory_order_relaxed);
-  ::operator delete(p, std::align_val_t{kArenaAlignment});
+  ::operator delete(p, std::align_val_t{kAlignment});
 }
 
 MemStats mem_stats() {
@@ -137,32 +43,12 @@ MemStats mem_stats() {
   out.heap_allocs = g_heap_allocs.load(std::memory_order_relaxed);
   out.heap_live_bytes = g_heap_live_bytes.load(std::memory_order_relaxed);
   out.heap_peak_bytes = g_heap_peak_bytes.load(std::memory_order_relaxed);
-  core::MutexLock lock(g_registry_mu);
-  for (const auto& [slot, arena] : registry_locked()) {
-    (void)slot;
-    const StepArena::Stats s = arena->stats();
-    out.arena_allocs += s.allocs;
-    out.arena_live_bytes += s.live_bytes;
-    out.arena_peak_bytes += s.peak_live_bytes;
-    out.arena_planned_bytes += s.planned_bytes;
-    out.arena_naive_bytes += s.naive_bytes;
-    out.arena_capacity_bytes += s.capacity_bytes;
-    out.arena_recorded_steps += s.recorded_steps;
-    out.arena_replayed_steps += s.replayed_steps;
-    out.arena_divergences += s.divergences;
-    out.arena_retired_regions += s.retired_regions;
-  }
   return out;
 }
 
 void reset_mem_peaks() {
   g_heap_peak_bytes.store(g_heap_live_bytes.load(std::memory_order_relaxed),
                           std::memory_order_relaxed);
-  core::MutexLock lock(g_registry_mu);
-  for (const auto& [slot, arena] : registry_locked()) {
-    (void)slot;
-    arena->reset_peak();
-  }
 }
 
 }  // namespace legw::mem

@@ -1,112 +1,35 @@
-// Storage-mode dispatch for core::Tensor: LEGW_ALLOC=arena|malloc.
+// The counted heap behind core::Tensor storage.
 //
-// Mirrors the LEGW_KERNEL / LEGW_DIST dispatchers (core/flags.hpp): the env
-// var picks the default, set_alloc_mode() overrides programmatically, and
-// both paths are bitwise-identical by construction — the arena only changes
-// WHERE bytes live, never their values (tests/test_alloc_parity.cpp holds
-// the line).
-//
-// How a tensor ends up in an arena: train runners open a TrainStepScope for
-// the data/forward/backward portion of each step, which (in arena mode)
-// binds a StepArena to the current thread. While a binding is active, every
-// FloatStorage allocation on that thread comes from the arena; without one
-// (parameters at construction, optimizer state, eval) storage is plain
-// 64-byte-aligned heap memory. Dist replica threads bind their own arena
-// (step_arena(slot)) inside the replica body, so replicas plan and replay
-// independently with no shared hot path.
+// Every FloatStorage buffer comes from heap_alloc: kAlignment-aligned
+// operator new with allocation/live/peak counters, so a trace or a bench can
+// report how many tensors a step allocates and how many bytes it holds at
+// its high-water mark. Values never depend on the allocator.
 #pragma once
-
-#include <string>
 
 #include "core/common.hpp"
 
 namespace legw::mem {
 
-class StepArena;
+// Alignment of every heap_alloc block (one cache line / one zmm register).
+inline constexpr i64 kAlignment = 64;
 
-enum class AllocMode {
-  kMalloc,  // every tensor on the heap (the seed behaviour; default)
-  kArena,   // step-scoped tensors in a planned, reused-in-place arena
-};
-
-// Resolved from LEGW_ALLOC on first use ("arena" or "malloc"); overridable.
-AllocMode alloc_mode();
-void set_alloc_mode(AllocMode m);
-// Returns false (and changes nothing) for an unknown name.
-bool set_alloc_mode(const std::string& name);
-const char* alloc_mode_name(AllocMode m);
-
-// The arena bound to the calling thread, or nullptr. FloatStorage consults
-// this on every allocation; ag::backward uses it to decide whether
-// free-after-use is profitable.
-StepArena* bound_step_arena();
-
-// Process-wide arena registry. Slot 0 serves the single-replica training
-// loop; dist replica r binds slot r inside its worker thread. Arenas are
-// created on first use and live for the process (their plans persist across
-// runs; a changed workload re-records via the divergence fallback).
-StepArena& step_arena(int slot);
-
-// RAII: one training step's arena binding. In malloc mode (or when the
-// current thread already has a binding) this is a no-op. Otherwise it runs
-// begin_step(), binds the arena to this thread, and on destruction unbinds
-// and runs end_step(). Allocation-free when inactive.
-class TrainStepScope {
- public:
-  // Binds step_arena(0).
-  TrainStepScope();
-  explicit TrainStepScope(StepArena& arena);
-  ~TrainStepScope();
-  TrainStepScope(const TrainStepScope&) = delete;
-  TrainStepScope& operator=(const TrainStepScope&) = delete;
-  bool active() const { return arena_ != nullptr; }
-
- private:
-  StepArena* arena_ = nullptr;
-};
-
-// RAII: suppresses any arena binding on this thread for its lifetime, so
-// storage allocated inside is guaranteed heap-backed. Used for buffers that
-// must outlive the step: leaf gradients (ag::Node::ensure_grad) and
-// rehomed carried state.
-class HeapBindGuard {
- public:
-  HeapBindGuard();
-  ~HeapBindGuard();
-  HeapBindGuard(const HeapBindGuard&) = delete;
-  HeapBindGuard& operator=(const HeapBindGuard&) = delete;
-
- private:
-  StepArena* prev_ = nullptr;
-};
-
-// Heap side of the dispatcher: kArenaAlignment-aligned allocation with
-// live/peak accounting, so "peak bytes" is comparable across both modes.
 void* heap_alloc(i64 bytes);
 void heap_free(void* p, i64 bytes);
 
-// Aggregated snapshot: heap counters plus every registry arena's stats.
-// Exported into obs traces under "mem.*" (obs/trace.hpp) and the bench's
-// memory section.
+// Snapshot of the heap counters. Exported into obs traces under "mem.*"
+// (obs/trace.hpp) and read by perfbench's mem.* metrics.
 struct MemStats {
-  i64 heap_allocs = 0;
-  i64 heap_live_bytes = 0;
-  i64 heap_peak_bytes = 0;
-  i64 arena_allocs = 0;
-  i64 arena_live_bytes = 0;
-  i64 arena_peak_bytes = 0;
-  i64 arena_planned_bytes = 0;   // sum of current plans' high-water marks
-  i64 arena_naive_bytes = 0;     // what those steps cost without reuse
-  i64 arena_capacity_bytes = 0;  // bytes actually reserved by arenas
-  i64 arena_recorded_steps = 0;
-  i64 arena_replayed_steps = 0;
-  i64 arena_divergences = 0;
-  i64 arena_retired_regions = 0;
+  i64 heap_allocs = 0;      // heap_alloc calls since process start
+  i64 heap_live_bytes = 0;  // bytes allocated and not yet freed
+  i64 heap_peak_bytes = 0;  // high-water mark of heap_live_bytes
 };
 MemStats mem_stats();
 
-// Resets the heap and per-arena live-byte peaks to the current live values,
-// so a bench can measure the peak of an isolated window.
+// Resets the heap peak to the current live bytes, so a bench can measure the
+// peak of an isolated window.
 void reset_mem_peaks();
+
+// Empty type kept only for perfbench's training replays; goes with them.
+class TrainStepScope {};
 
 }  // namespace legw::mem

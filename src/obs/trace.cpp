@@ -165,19 +165,10 @@ std::map<std::string, i64> TraceRecorder::counters() const {
     const auto c = static_cast<core::DispatchCounter>(i);
     out[core::dispatch_counter_name(c)] = core::dispatch_count(c);
   }
-  // Allocator counters (mem/alloc.hpp): peak/live bytes on both storage
-  // paths plus the arena's plan/reuse statistics, so a trace shows at a
-  // glance whether a run planned, replayed, or kept diverging.
+  // Heap counters (mem/alloc.hpp): live and peak tensor bytes.
   const mem::MemStats ms = mem::mem_stats();
   out["mem.heap_live_bytes"] = ms.heap_live_bytes;
   out["mem.heap_peak_bytes"] = ms.heap_peak_bytes;
-  out["mem.arena_live_bytes"] = ms.arena_live_bytes;
-  out["mem.arena_peak_bytes"] = ms.arena_peak_bytes;
-  out["mem.arena_planned_bytes"] = ms.arena_planned_bytes;
-  out["mem.arena_naive_bytes"] = ms.arena_naive_bytes;
-  out["mem.arena_recorded_steps"] = ms.arena_recorded_steps;
-  out["mem.arena_replayed_steps"] = ms.arena_replayed_steps;
-  out["mem.arena_divergences"] = ms.arena_divergences;
   // Above-obs layers (serve.*): merge every registered source's snapshot.
   std::vector<CounterSource> sources;
   {

@@ -30,7 +30,7 @@ namespace legw::obs {
 
 // Process-global tracing switch. Initialised once from the environment: set
 // LEGW_TRACE (to any non-empty value, conventionally the trace output path)
-// to start enabled. `Span` and the instrumentation sites all branch on this.
+// to start enabled. `Span` branches on this; counters (`count`) do not.
 bool tracing_enabled();
 void set_tracing_enabled(bool enabled);
 // The value of LEGW_TRACE at startup ("" if unset) — benches use it as the
@@ -67,10 +67,10 @@ class TraceRecorder {
   };
 
   // A rare, high-signal occurrence (a corrupt checkpoint skipped at restore,
-  // a sentinel rollback, ...) with structured key/value detail. Unlike spans
-  // and counters, events are recorded even when tracing is disabled: they
-  // are cheap by construction (bounded at kMaxEvents per window) and losing
-  // one hides an incident, not a timing.
+  // a sentinel rollback, ...) with structured key/value detail. Unlike spans,
+  // events are recorded even when tracing is disabled: they are cheap by
+  // construction (bounded at kMaxEvents per window) and losing one hides an
+  // incident, not a timing.
   struct Event {
     std::string kind;
     std::vector<std::pair<std::string, std::string>> fields;
@@ -156,9 +156,10 @@ class Span {
   bool active_;
 };
 
-// Counter convenience: no-op when tracing is disabled.
+// Counter convenience. Always records, tracing enabled or not: counters are
+// cheap per-step tallies that every telemetry record carries.
 inline void count(const char* name, i64 delta) {
-  if (tracing_enabled()) TraceRecorder::global().counter_add(name, delta);
+  TraceRecorder::global().counter_add(name, delta);
 }
 
 }  // namespace legw::obs

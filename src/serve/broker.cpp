@@ -3,7 +3,6 @@
 #include <atomic>
 #include <utility>
 
-#include "mem/alloc.hpp"
 #include "obs/trace.hpp"
 
 namespace legw::serve {
@@ -81,13 +80,11 @@ RequestBroker::RequestBroker(const ServeSession& session, BrokerConfig config)
     obs::register_counter_source(&serve_counter_source);
     return true;
   }();
-  arenas_.resize(static_cast<std::size_t>(config_.workers));
   workers_.reserve(static_cast<std::size_t>(config_.workers));
   for (int w = 0; w < config_.workers; ++w) {
     // lint-allow: raw-thread — dedicated long-lived workers, joined by
     // shutdown(); the core pool is for data-parallel kernels, not services.
-    workers_.emplace_back(
-        [this, w] { worker_loop(static_cast<std::size_t>(w)); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -133,7 +130,7 @@ std::future<Response> RequestBroker::submit(Request req) {
   return fut;
 }
 
-void RequestBroker::worker_loop(std::size_t worker_index) {
+void RequestBroker::worker_loop() {
   for (;;) {
     std::vector<BatchPlan> plans;
     bool draining = false;
@@ -177,34 +174,22 @@ void RequestBroker::worker_loop(std::size_t worker_index) {
         claimed.push_back(std::move(c));
       }
       lk.unlock();
-      for (Claimed& c : claimed) execute(worker_index, std::move(c));
+      for (Claimed& c : claimed) execute(std::move(c));
     }
     // Drain batches were executed above; the next iteration observes stop_
     // with an empty batcher and returns.
   }
 }
 
-void RequestBroker::execute(std::size_t worker_index, Claimed batch) {
+void RequestBroker::execute(Claimed batch) {
   obs::Span span("serve.batch");
   const i64 rows = static_cast<i64>(batch.reqs.size());
   const i64 pad_rows_to =
       config_.pad_rows_to_cap ? config_.policy.batch_cap : 0;
 
-  mem::StepArena* arena = nullptr;
-  if (config_.use_arena) {
-    auto& slot = arenas_[worker_index][batch.plan.bucket_len];
-    if (slot == nullptr) {
-      slot = std::make_unique<mem::StepArena>(
-          "serve.w" + std::to_string(worker_index) + ".b" +
-          std::to_string(batch.plan.bucket_len));
-      slot->set_replay_only(true);
-    }
-    arena = slot.get();
-  }
-
   std::vector<Response> responses;
   Result res = session_.run_batch(batch.reqs, batch.plan.bucket_len,
-                                  pad_rows_to, &responses, arena);
+                                  pad_rows_to, &responses);
   const i64 done = steady_ns();
   if (!res.ok()) {
     for (std::size_t i = 0; i < batch.promises.size(); ++i) {

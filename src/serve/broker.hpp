@@ -9,10 +9,8 @@
 // immediately with Status::kUnavailable.
 //
 // Batches are padded to stable shapes (rows up to batch_cap, sequences to
-// the bucket length) so each worker can keep one replay-only mem::StepArena
-// per bucket: the first batch of a bucket records the step plan, every later
-// one replays it in place. Padding is bitwise-invisible to real rows (see
-// serve/session.hpp).
+// the bucket length), so each bucket runs one fixed set of GEMM shapes.
+// Padding is bitwise-invisible to real rows (see serve/session.hpp).
 //
 // Observability: spans serve.enqueue / serve.batch / serve.infer, and
 // process-global serve.* counters registered with the obs recorder via
@@ -23,12 +21,10 @@
 #include <chrono>
 #include <future>
 #include <map>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "core/mutex.hpp"
-#include "mem/arena.hpp"
 #include "serve/batcher.hpp"
 #include "serve/session.hpp"
 
@@ -38,13 +34,8 @@ struct BrokerConfig {
   BatchPolicy policy = BatchPolicy::from_env();
   int workers = 2;
   // Pad every batch with zero rows up to policy.batch_cap. Costs flops on
-  // partial batches but gives each (worker, bucket) a single step shape, so
-  // the replay-only arena plan always hits after the first batch.
+  // partial batches but gives each bucket a single step shape.
   bool pad_rows_to_cap = true;
-  // Give each worker a replay-only StepArena per bucket. Engages only when
-  // the process allocator is in arena mode (LEGW_ALLOC=arena); a no-op
-  // otherwise, exactly like the training-side TrainStepScope.
-  bool use_arena = true;
 };
 
 // Snapshot of the process-global serve counters (all brokers, all time).
@@ -96,8 +87,8 @@ class RequestBroker {
     std::vector<i64> enqueue_ns;
   };
 
-  void worker_loop(std::size_t worker_index) LEGW_EXCLUDES(mu_);
-  void execute(std::size_t worker_index, Claimed batch);
+  void worker_loop() LEGW_EXCLUDES(mu_);
+  void execute(Claimed batch);
   i64 now_ms() const;
 
   const ServeSession& session_;
@@ -111,9 +102,6 @@ class RequestBroker {
   u64 next_ticket_ LEGW_GUARDED_BY(mu_) = 1;
   bool stop_ LEGW_GUARDED_BY(mu_) = false;
   bool joined_ LEGW_GUARDED_BY(mu_) = false;
-
-  // One replay-only arena per (worker, bucket_len); workers never share one.
-  std::vector<std::map<i64, std::unique_ptr<mem::StepArena>>> arenas_;
 
   // lint-allow: raw-thread — workers block on a condition variable, which
   // the ThreadPool's task model cannot express; shutdown() joins them all.

@@ -33,8 +33,8 @@ struct NamedTensor {
 };
 
 // Everything serving needs out of a checkpoint: trained parameters,
-// non-trainable buffers, and provenance counters. Tensors are heap-owned
-// copies of the file bytes (the image outlives any step arena).
+// non-trainable buffers, and provenance counters. Tensors are owned copies
+// of the file bytes.
 struct ModelImage {
   std::vector<NamedTensor> params;   // file order == module registration order
   std::vector<NamedTensor> buffers;

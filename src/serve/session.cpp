@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/kernels.hpp"
-#include "mem/alloc.hpp"
 #include "obs/trace.hpp"
 
 namespace legw::serve {
@@ -210,8 +209,8 @@ Result ServeSession::validate(const Request& req) const {
 }
 
 Result ServeSession::run_batch(const std::vector<Request>& reqs, i64 pad_len,
-                               i64 pad_rows_to, std::vector<Response>* out,
-                               mem::StepArena* arena) const {
+                               i64 pad_rows_to,
+                               std::vector<Response>* out) const {
   LEGW_CHECK(out != nullptr, "run_batch: null output");
   obs::Span span("serve.infer");
   if (reqs.empty()) {
@@ -237,21 +236,10 @@ Result ServeSession::run_batch(const std::vector<Request>& reqs, i64 pad_len,
   out->assign(reqs.size(), Response{});
   for (std::size_t i = 0; i < reqs.size(); ++i) (*out)[i].id = reqs[i].id;
 
-  const auto compute = [&] {
-    if (config_.kind == ModelKind::kMnistLstm) {
-      forward_mnist(reqs, batch, out);
-    } else {
-      forward_ptb(reqs, batch, pad_len, out);
-    }
-  };
-  if (arena != nullptr) {
-    // Scratch comes from the serving arena (replay-only plan); the responses
-    // themselves are heap-rehomed inside the forwards, so nothing escapes
-    // the step scope.
-    mem::TrainStepScope scope(*arena);
-    compute();
+  if (config_.kind == ModelKind::kMnistLstm) {
+    forward_mnist(reqs, batch, out);
   } else {
-    compute();
+    forward_ptb(reqs, batch, pad_len, out);
   }
   return {};
 }
@@ -291,8 +279,6 @@ void ServeSession::forward_mnist(const std::vector<Request>& reqs, i64 batch,
   core::Tensor logits = core::matmul(h, w_cls_);
   add_bias_rows(logits, b_cls_);
 
-  // Per-request outputs outlive the step arena: force heap storage.
-  mem::HeapBindGuard heap;
   for (i64 b = 0; b < rows; ++b) {
     core::Tensor lg = core::Tensor::uninit({m.n_classes});
     std::copy(logits.data() + b * m.n_classes,
@@ -351,7 +337,6 @@ void ServeSession::forward_ptb(const std::vector<Request>& reqs, i64 batch,
           : core::matmul(stacked, w_dec_);
   add_bias_rows(logits, b_dec_);
 
-  mem::HeapBindGuard heap;
   for (i64 b = 0; b < rows; ++b) {
     const i64 len = request_length(reqs[static_cast<std::size_t>(b)]);
     core::Tensor lg = core::Tensor::uninit({len, p.vocab});

@@ -14,12 +14,6 @@
 //
 // Dropout is inference-mode by construction (there is simply no dropout op
 // here), matching nn::Module::set_training(false) on the training side.
-//
-// Memory: run_batch may be given a mem::StepArena in replay-only mode; the
-// first batch of a given (rows, sequence) shape records the step's buffer
-// plan and every later batch of that shape replays it in place — the
-// serving twin of the training arena. Per-request outputs are heap-owned
-// (they outlive the step).
 #pragma once
 
 #include <memory>
@@ -28,10 +22,6 @@
 
 #include "core/tensor.hpp"
 #include "serve/container.hpp"
-
-namespace legw::mem {
-class StepArena;
-}
 
 namespace legw::serve {
 
@@ -109,22 +99,19 @@ class ServeSession {
   // Runs `reqs` as ONE padded batch. Sequences are padded to `pad_len`
   // positions (ptb; pass the bucket length, or 0 for the batch max) and the
   // batch is padded with all-zero rows up to `pad_rows_to` rows (0 = no row
-  // padding) — stable shapes are what make an arena plan replayable. Padding
-  // never changes any real request's logits (row invariance above).
+  // padding). Padding never changes any real request's logits (row
+  // invariance above).
   //
-  // `arena` may be null; when given it must not be shared with a concurrent
-  // run_batch call (the broker keeps one per worker per bucket). Thread-safe
-  // otherwise: weights are immutable, scratch is per-call.
+  // Thread-safe: weights are immutable, scratch is per-call.
   //
   // Every request must already pass validate(); run_batch checks and fails
   // the whole batch otherwise (the broker rejects at submit, so a failure
   // here is a caller bug, reported not aborted).
   [[nodiscard]] Result run_batch(const std::vector<Request>& reqs,
                                  i64 pad_len, i64 pad_rows_to,
-                                 std::vector<Response>* out,
-                                 mem::StepArena* arena = nullptr) const;
+                                 std::vector<Response>* out) const;
 
-  // Convenience: one request, no padding, no arena.
+  // Convenience: one request, no padding.
   Response run(const Request& req) const;
 
  private:

@@ -60,11 +60,11 @@ class GradientAccumulator {
   //
   // A restored count of 0 means "no accumulation in flight", and the next
   // micro_step must start summing from zero — but the grad buffers may hold
-  // arbitrary content (the pre-crash partial sums, or recycled arena bytes;
-  // the checkpoint only writes a "grads" section when count > 0). Zero-fill
-  // explicitly instead of assuming freshly-zeroed buffers. For count > 0 the
-  // caller restores the partial sums right after this call; materialise the
-  // buffers so that restore always lands in allocated (heap-bound) storage.
+  // arbitrary content (the pre-crash partial sums; the checkpoint only
+  // writes a "grads" section when count > 0). Zero-fill explicitly instead
+  // of assuming freshly-zeroed buffers. For count > 0 the caller restores
+  // the partial sums right after this call; materialise the buffers so that
+  // restore always lands in allocated storage.
   void restore_pending(i64 count) {
     LEGW_CHECK(count >= 0, "GradientAccumulator: negative pending count");
     count_ = count;

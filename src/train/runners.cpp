@@ -15,7 +15,6 @@
 #include "core/flags.hpp"
 #include "dist/compression.hpp"
 #include "dist/overlap.hpp"
-#include "mem/alloc.hpp"
 #include "obs/trace.hpp"
 #include "optim/optimizer.hpp"
 #include "train/metrics.hpp"
@@ -543,11 +542,6 @@ data::IndexBatcher index_stream(i64 n, i64 batch_size, u64 seed, i64 step) {
 template <class Model, class Dataset>
 double image_step(Model& model, const Dataset& dataset,
                   data::IndexBatcher& batcher) {
-  // Arena mode: every tensor below (batch, activations, interior grads)
-  // lives in the step arena and is freed — in tape order, see ag::backward —
-  // before the scope closes; leaf grads and optimizer state stay
-  // heap-bound, so the optimizer update runs outside the scope.
-  mem::TrainStepScope arena_scope;
   core::Tensor images;
   std::vector<i32> labels;
   {
@@ -813,7 +807,6 @@ RunResult train_ptb(const data::SyntheticCorpus& corpus,
     for (i64 i = 0; i < step; ++i) batcher.next_chunk();
   };
   task.step = [&]() -> std::optional<double> {
-    mem::TrainStepScope arena_scope;
     data::BpttBatcher::Chunk chunk;
     {
       obs::Span span("data");
@@ -828,10 +821,6 @@ RunResult train_ptb(const data::SyntheticCorpus& corpus,
                              mc.bptt_len, carried, dropout_rng);
     }
     carried = std::move(out.carried);
-    // The carried BPTT state outlives the step (the next chunk reads it and
-    // checkpoints reference it), so it cannot stay in step storage.
-    for (core::Tensor& t : carried.h) t.rehome_();
-    for (core::Tensor& t : carried.c) t.rehome_();
     const double loss_value = out.loss.value()[0];
     if (!loss_diverged(loss_value)) {
       obs::Span span("backward");
@@ -874,7 +863,6 @@ RunResult train_gnmt(const data::SyntheticTranslation& dataset,
     batcher = index_stream(n_train, run.batch_size, data_seed, step);
   };
   task.step = [&]() -> std::optional<double> {
-    mem::TrainStepScope arena_scope;
     data::TranslationBatch batch;
     {
       obs::Span span("data");

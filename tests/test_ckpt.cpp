@@ -23,6 +23,7 @@
 #include "core/rng.hpp"
 #include "nn/conv.hpp"
 #include "nn/layers.hpp"
+#include "obs/trace.hpp"
 #include "optim/ema.hpp"
 #include "optim/optimizer.hpp"
 #include "serve/container.hpp"
@@ -282,6 +283,50 @@ TEST(OptimizerState, RejectsWrongOptimizerType) {
   other.optimizers.push_back(lamb.get());
   const auto res = ckpt::load(other, path);
   EXPECT_EQ(res.status, ckpt::Status::kStateMismatch);
+}
+
+// Checkpoint counters ride every telemetry record, so they must be recorded
+// in ordinary runs, not only when tracing is on.
+TEST(CkptCounters, SaveCountsWritesWithTracingDisabled) {
+  TempDir dir("counters");
+  const std::string path = dir.file("state.legw");
+  Rng rng(4);
+  nn::Linear a(4, 3, rng);
+  ckpt::TrainState state;
+  state.models.push_back(&a);
+  const bool was_tracing = obs::tracing_enabled();
+  obs::set_tracing_enabled(false);
+  obs::TraceRecorder::global().clear();
+  ASSERT_TRUE(ckpt::save(state, path).ok());
+  const auto counters = obs::TraceRecorder::global().counters();
+  ASSERT_NE(counters.find("ckpt_writes"), counters.end());
+  EXPECT_EQ(counters.at("ckpt_writes"), 1);
+  EXPECT_EQ(counters.at("ckpt_bytes"),
+            static_cast<i64>(read_file(path).size()));
+  EXPECT_TRUE(obs::TraceRecorder::global().spans().empty());
+  obs::TraceRecorder::global().clear();
+  obs::set_tracing_enabled(was_tracing);
+}
+
+TEST(CkptCounters, LoadCountsRestoresWithTracingDisabled) {
+  TempDir dir("restore_counters");
+  const std::string path = dir.file("state.legw");
+  Rng rng(5);
+  nn::Linear a(4, 3, rng);
+  ckpt::TrainState state;
+  state.models.push_back(&a);
+  ASSERT_TRUE(ckpt::save(state, path).ok());
+  const bool was_tracing = obs::tracing_enabled();
+  obs::set_tracing_enabled(false);
+  obs::TraceRecorder::global().clear();
+  ASSERT_TRUE(ckpt::load(state, path).ok());
+  ASSERT_TRUE(ckpt::load(state, path).ok());
+  const auto counters = obs::TraceRecorder::global().counters();
+  obs::TraceRecorder::global().clear();
+  obs::set_tracing_enabled(was_tracing);
+  ASSERT_NE(counters.find("ckpt_restores"), counters.end());
+  EXPECT_EQ(counters.at("ckpt_restores"), 2);
+  EXPECT_EQ(counters.count("ckpt_writes"), 0u);
 }
 
 // ---- full TrainState round trip ---------------------------------------------

@@ -63,15 +63,13 @@ TEST(Fp16, RoundToNearestEven) {
             1.0f + std::ldexp(1.0f, -10));
 }
 
-TEST(Fp16, TensorCompressRoundTrip) {
+TEST(Fp16, TensorWireRoundTrip) {
   Rng rng(2);
   Tensor t = Tensor::randn({64}, rng);
-  std::vector<u16> wire;
-  dist::compress_fp16(t, wire);
-  EXPECT_EQ(wire.size(), 64u);
-  Tensor back({64});
-  dist::decompress_fp16(wire, back);
+  Tensor back = t;
+  dist::wire_roundtrip(dist::WireFormat::kFp16, back);
   for (i64 i = 0; i < 64; ++i) {
+    EXPECT_EQ(back[i], dist::half_to_float(dist::float_to_half(t[i])));
     EXPECT_NEAR(back[i], t[i], std::abs(t[i]) / 1000.0f + 1e-6f);
   }
 }

@@ -9,6 +9,7 @@
 #include "dist/cluster_model.hpp"
 #include "dist/overlap.hpp"
 #include "nn/layers.hpp"
+#include "obs/trace.hpp"
 
 namespace legw::dist {
 namespace {
@@ -108,6 +109,40 @@ TEST(ReplicaBackward, MatchesFullBatchGradient) {
           << "replica " << r << " elem " << i;
     }
   }
+}
+
+TEST(ReplicaBackward, CountsWireTrafficWithTracingDisabled) {
+  // dist.* counters ride every telemetry record: an ordinary run (tracing
+  // off) must still see the allreduce it performed.
+  Rng rng(7);
+  nn::Linear layer(4, 3, rng);
+  constexpr int kReplicas = 2;
+  std::vector<std::vector<ag::Variable>> replica_params;
+  for (int r = 0; r < kReplicas; ++r) {
+    replica_params.push_back(
+        {ag::Variable::leaf(layer.weight().value(), true),
+         ag::Variable::leaf(layer.bias().value(), true)});
+  }
+  Tensor x = Tensor::randn({2, 4}, rng);
+  const bool was_tracing = obs::tracing_enabled();
+  obs::set_tracing_enabled(false);
+  obs::TraceRecorder::global().clear();
+  const float mean_loss = replica_backward(replica_params, [&](int r) {
+    const auto& p = replica_params[static_cast<std::size_t>(r)];
+    return ag::mean_all(
+        ag::add_bias(ag::matmul(ag::Variable::constant(x), p[0]), p[1]));
+  });
+  const auto counters = obs::TraceRecorder::global().counters();
+  const bool spans_empty = obs::TraceRecorder::global().spans().empty();
+  obs::TraceRecorder::global().clear();
+  obs::set_tracing_enabled(was_tracing);
+
+  EXPECT_TRUE(std::isfinite(mean_loss));
+  ASSERT_NE(counters.find("dist.wire_bytes"), counters.end());
+  EXPECT_GT(counters.at("dist.wire_bytes"), 0);
+  ASSERT_NE(counters.find("bucket_reduce"), counters.end());
+  EXPECT_GT(counters.at("bucket_reduce"), 0);
+  EXPECT_TRUE(spans_empty);
 }
 
 TEST(DeviceModel, SaturationCurveShape) {

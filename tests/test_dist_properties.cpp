@@ -174,26 +174,24 @@ TEST(FitDeviceModel, ZeroTimeSamplesDoNotDivideByZero) {
   EXPECT_GT(m.peak_samples_per_sec, 0.0);
 }
 
-// ---- fp16 round-trip edge cases --------------------------------------------
+// ---- wire round-trip edge cases --------------------------------------------
 
-TEST(Fp16RoundTrip, EmptyTensor) {
-  Tensor empty({0});
-  std::vector<u16> wire;
-  compress_fp16(empty, wire);
-  EXPECT_TRUE(wire.empty());
-  Tensor out({0});
-  decompress_fp16(wire, out);
-  EXPECT_EQ(out.numel(), 0);
+TEST(WireRoundtrip, EmptyTensorIsAccepted) {
+  for (WireFormat format : {WireFormat::kFp16, WireFormat::kInt8}) {
+    Tensor empty({0});
+    wire_roundtrip(format, empty);
+    EXPECT_EQ(empty.numel(), 0);
+  }
 }
 
-TEST(Fp16RoundTrip, AllZeroTensorIsExact) {
-  Tensor zeros = Tensor::zeros({17});
-  std::vector<u16> wire;
-  compress_fp16(zeros, wire);
-  Tensor out = Tensor::zeros({17});
-  decompress_fp16(wire, out);
-  for (i64 i = 0; i < out.numel(); ++i) {
-    EXPECT_EQ(out[i], 0.0f);
+TEST(WireRoundtrip, AllZeroTensorStaysZero) {
+  for (WireFormat format : {WireFormat::kFp16, WireFormat::kInt8}) {
+    Tensor zeros = Tensor::zeros({17});
+    wire_roundtrip(format, zeros);
+    for (i64 i = 0; i < zeros.numel(); ++i) {
+      EXPECT_EQ(zeros[i], 0.0f);
+      EXPECT_FALSE(std::signbit(zeros[i]));
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 // wire.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -63,50 +64,105 @@ TEST(Fp16Wire, RoundTripIsExactForRepresentables) {
 
 // ---- int8 edges -------------------------------------------------------------
 
+// The int8 wire's per-tensor scale: max |finite x| / 127.
+float int8_scale(const Tensor& t) {
+  float amax = 0.0f;
+  for (i64 i = 0; i < t.numel(); ++i) {
+    if (std::isfinite(t[i])) amax = std::max(amax, std::fabs(t[i]));
+  }
+  return amax / 127.0f;
+}
+
 TEST(Int8Wire, QuantizationErrorBoundedByHalfScale) {
   Rng rng(23);
   Tensor t({257});
   for (i64 i = 0; i < t.numel(); ++i) {
     t[i] = static_cast<float>(rng.uniform(-2.0, 2.0));
   }
-  std::vector<i8> wire;
-  float scale = 0.0f;
-  quantize_int8(t, wire, &scale);
+  const float scale = int8_scale(t);
   EXPECT_GT(scale, 0.0f);
-  Tensor back({257});
-  dequantize_int8(wire, scale, back);
+  Tensor back = t;
+  wire_roundtrip(WireFormat::kInt8, back);
   for (i64 i = 0; i < t.numel(); ++i) {
     EXPECT_LE(std::fabs(back[i] - t[i]), scale * 0.5f + 1e-7f) << i;
   }
 }
 
-TEST(Int8Wire, AmaxIsExactAndZeroTensorHasZeroScale) {
+TEST(Int8Wire, AmaxDecodesExactlyAndZeroTensorStaysZero) {
+  // The extreme element maps to +-127 and decodes back to amax.
   Tensor t({3}, {0.5f, -1.5f, 0.25f});
-  std::vector<i8> wire;
-  float scale = 0.0f;
-  quantize_int8(t, wire, &scale);
-  // The extreme element maps to exactly +-127 and decodes back to amax.
-  EXPECT_EQ(wire[1], -127);
-  Tensor back({3});
-  dequantize_int8(wire, scale, back);
-  EXPECT_FLOAT_EQ(back[1], -1.5f);
+  wire_roundtrip(WireFormat::kInt8, t);
+  EXPECT_FLOAT_EQ(t[1], -1.5f);
 
-  Tensor zeros({4});
-  for (i64 i = 0; i < 4; ++i) zeros[i] = 0.0f;
-  quantize_int8(zeros, wire, &scale);
-  EXPECT_EQ(scale, 0.0f);
-  for (i8 q : wire) EXPECT_EQ(q, 0);
+  Tensor zeros = Tensor::zeros({4});
+  wire_roundtrip(WireFormat::kInt8, zeros);
+  for (i64 i = 0; i < 4; ++i) EXPECT_EQ(zeros[i], 0.0f);
 }
 
 TEST(Int8Wire, ScaleIgnoresNonFiniteElements) {
-  // An exploded element must not blow up the scale for the finite ones.
+  // An exploded element must not blow up the scale for the finite ones:
+  // they still decode within half of max|finite x| / 127.
   Tensor t({4}, {0.5f, kInf, -1.0f, kNan});
-  std::vector<i8> wire;
-  float scale = 0.0f;
-  quantize_int8(t, wire, &scale);
-  EXPECT_FLOAT_EQ(scale, 1.0f / 127.0f);
-  EXPECT_EQ(wire[1], 0);  // non-finite encodes as 0 on this path
-  EXPECT_EQ(wire[3], 0);
+  wire_roundtrip(WireFormat::kInt8, t);
+  const float scale = 1.0f / 127.0f;
+  EXPECT_LE(std::fabs(t[0] - 0.5f), scale * 0.5f + 1e-7f);
+  EXPECT_FLOAT_EQ(t[2], -1.0f);
+}
+
+TEST(Int8Wire, ErrorBoundHoldsAcrossMagnitudes) {
+  // The scale follows the tensor: the scale/2 bound holds from tiny to huge
+  // gradients alike.
+  Rng rng(29);
+  for (float magnitude : {1e-6f, 1e-3f, 1.0f, 1e3f, 1e6f}) {
+    Tensor t({129});
+    for (i64 i = 0; i < t.numel(); ++i) {
+      t[i] = magnitude * static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    const float scale = int8_scale(t);
+    Tensor back = t;
+    wire_roundtrip(WireFormat::kInt8, back);
+    for (i64 i = 0; i < t.numel(); ++i) {
+      EXPECT_LE(std::fabs(back[i] - t[i]),
+                scale * 0.5f + std::fabs(t[i]) * 1e-6f)
+          << "magnitude " << magnitude << " elem " << i;
+    }
+  }
+}
+
+TEST(Int8Wire, NeverFlipsSignOrExceedsAmax) {
+  Rng rng(31);
+  Tensor t({300});
+  for (i64 i = 0; i < t.numel(); ++i) {
+    t[i] = static_cast<float>(rng.uniform(-5.0, 5.0));
+  }
+  const float amax = int8_scale(t) * 127.0f;
+  Tensor back = t;
+  wire_roundtrip(WireFormat::kInt8, back);
+  for (i64 i = 0; i < t.numel(); ++i) {
+    EXPECT_LE(std::fabs(back[i]), amax * (1.0f + 1e-6f)) << i;
+    EXPECT_GE(back[i] * t[i], 0.0f) << "sign flipped at " << i;
+  }
+}
+
+TEST(Fp16Wire, TensorRoundTripIsIdempotent) {
+  // A decoded fp16 tensor is half-representable, so a second trip through
+  // the wire leaves every bit where the first one put it.
+  Rng rng(37);
+  Tensor t = Tensor::randn({200}, rng);
+  t[0] = -0.0f;
+  t[1] = 0x1.0p-20f;  // subnormal half
+  t[2] = 65504.0f;
+  wire_roundtrip(WireFormat::kFp16, t);
+  Tensor again = t;
+  wire_roundtrip(WireFormat::kFp16, again);
+  for (i64 i = 0; i < t.numel(); ++i) {
+    u32 a = 0;
+    u32 b = 0;
+    std::memcpy(&a, &t[i], sizeof(a));
+    std::memcpy(&b, &again[i], sizeof(b));
+    EXPECT_EQ(a, b) << i;
+  }
+  EXPECT_TRUE(std::signbit(t[0])) << "fp16 keeps the sign of zero";
 }
 
 TEST(WireRoundtrip, PreservesNanAndInfForTripwires) {
@@ -121,8 +177,6 @@ TEST(WireRoundtrip, PreservesNanAndInfForTripwires) {
 }
 
 TEST(WireRoundtrip, Fp32IsIdentityAndOthersCountRequantize) {
-  const bool was_tracing = obs::tracing_enabled();
-  obs::set_tracing_enabled(true);  // obs::count is a no-op otherwise
   obs::TraceRecorder::global().clear();
   Tensor t({3}, {0.1f, 0.2f, 0.3f});
   const Tensor before = t;
@@ -136,7 +190,6 @@ TEST(WireRoundtrip, Fp32IsIdentityAndOthersCountRequantize) {
   ASSERT_NE(counters.find("dist.requantize"), counters.end());
   EXPECT_EQ(counters.at("dist.requantize"), 2);
   obs::TraceRecorder::global().clear();
-  obs::set_tracing_enabled(was_tracing);
 }
 
 // ---- error feedback ---------------------------------------------------------

@@ -353,6 +353,79 @@ TEST(GuardRecovery, ObserveModeKeepsTrajectoryBitwise) {
   EXPECT_EQ(observed.guard_rollbacks, 0);
 }
 
+// ---- counters without tracing -----------------------------------------------
+
+TEST(GuardRecovery, ObserveRunCountsEveryStepWithTracingDisabled) {
+  // guard.* and steps ride every telemetry record, so an ordinary run (no
+  // LEGW_TRACE) must still leave them in the recorder's counters.
+  data::SyntheticMnist dataset(128, 32, 42);
+  models::MnistLstmConfig mcfg;
+  mcfg.transform_dim = 16;
+  mcfg.hidden_dim = 16;
+  sched::ConstantLr schedule(0.1f);
+  RunConfig run;
+  run.batch_size = 32;
+  run.epochs = 2;
+  run.optimizer = "momentum";
+  run.schedule = &schedule;
+  run.final_eval_only = true;
+
+  const core::GuardMode saved_mode = core::guard_mode();
+  const bool was_tracing = obs::tracing_enabled();
+  core::set_guard_mode(core::GuardMode::kObserve);
+  obs::set_tracing_enabled(false);
+  obs::TraceRecorder::global().clear();
+  const RunResult got = train_mnist(dataset, mcfg, run);
+  const auto counters = obs::TraceRecorder::global().counters();
+  const bool spans_empty = obs::TraceRecorder::global().spans().empty();
+  obs::TraceRecorder::global().clear();
+  obs::set_tracing_enabled(was_tracing);
+  core::set_guard_mode(saved_mode);
+
+  ASSERT_FALSE(got.diverged);
+  ASSERT_GT(got.steps, 0);
+  ASSERT_NE(counters.find("guard.steps"), counters.end());
+  EXPECT_EQ(counters.at("guard.steps"), got.steps);
+  ASSERT_NE(counters.find("steps"), counters.end());
+  EXPECT_EQ(counters.at("steps"), got.steps);
+  EXPECT_TRUE(spans_empty) << "spans stay gated by the tracing flag";
+}
+
+TEST(GuardRecovery, RollbackCountersRecordWithTracingDisabled) {
+  // A protect-mode recovery in an ordinary run: the anomaly, the rollback
+  // and the checkpoint traffic behind it all reach counters().
+  TempDir dir("counters");
+  data::SyntheticMnist dataset(128, 32, 42);
+  models::MnistLstmConfig mcfg;
+  mcfg.transform_dim = 16;
+  mcfg.hidden_dim = 16;
+  sched::ConstantLr schedule(0.1f);
+  RunConfig run = mnist_run(&schedule, dir.path);
+  const auto plan = guard::AnomalyPlan::nan_at(10);
+  run.anomaly_plan = &plan;
+
+  const bool was_tracing = obs::tracing_enabled();
+  obs::set_tracing_enabled(false);
+  obs::TraceRecorder::global().clear();
+  const RunResult got = train_mnist(dataset, mcfg, run);
+  const auto counters = obs::TraceRecorder::global().counters();
+  obs::TraceRecorder::global().clear();
+  obs::set_tracing_enabled(was_tracing);
+
+  ASSERT_FALSE(got.diverged);
+  ASSERT_EQ(got.guard_rollbacks, 1);
+  const auto counter = [&](const char* name) -> i64 {
+    const auto it = counters.find(name);
+    return it == counters.end() ? -1 : it->second;
+  };
+  EXPECT_EQ(counter("guard.anomalies"), 1);
+  EXPECT_EQ(counter("guard.rollbacks"), 1);
+  EXPECT_GT(counter("guard.steps"), 0);
+  EXPECT_GT(counter("guard.blessed"), 0);
+  EXPECT_GT(counter("ckpt_writes"), 0);
+  EXPECT_GE(counter("ckpt_restores"), 1);
+}
+
 // ---- corrupt-skip telemetry events ------------------------------------------
 
 TEST(GuardRecovery, CorruptCheckpointSkipEmitsTelemetryEvents) {

@@ -10,6 +10,9 @@
 #include <thread>
 
 #include "core/counters.hpp"
+#include "core/tensor.hpp"
+#include "core/thread_pool.hpp"
+#include "mem/alloc.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "train/recorder.hpp"
@@ -106,6 +109,67 @@ TEST_F(ObsTraceTest, DisabledTracingRecordsNothing) {
   }
   EXPECT_TRUE(obs::TraceRecorder::global().spans().empty());
   EXPECT_EQ(obs::TraceRecorder::global().span_counts().size(), 0u);
+}
+
+TEST_F(ObsTraceTest, CountersRecordWithTracingDisabled) {
+  // Counters are always on; only spans are gated by the tracing flag.
+  obs::set_tracing_enabled(false);
+  obs::count("steps", 2);
+  obs::count("steps", 3);
+  const auto counters = obs::TraceRecorder::global().counters();
+  ASSERT_NE(counters.find("steps"), counters.end());
+  EXPECT_EQ(counters.at("steps"), 5);
+}
+
+TEST_F(ObsTraceTest, CountersSurviveTracingToggles) {
+  // Flipping the tracing flag between counts neither drops nor resets them.
+  obs::set_tracing_enabled(false);
+  obs::count("ckpt_writes", 1);
+  obs::set_tracing_enabled(true);
+  obs::count("ckpt_writes", 1);
+  obs::set_tracing_enabled(false);
+  obs::count("ckpt_writes", 1);
+  const auto counters = obs::TraceRecorder::global().counters();
+  ASSERT_NE(counters.find("ckpt_writes"), counters.end());
+  EXPECT_EQ(counters.at("ckpt_writes"), 3);
+}
+
+TEST_F(ObsTraceTest, ClearDropsCountersRecordedWithTracingDisabled) {
+  obs::set_tracing_enabled(false);
+  obs::count("guard.steps", 4);
+  ASSERT_EQ(obs::TraceRecorder::global().counters().count("guard.steps"), 1u);
+  obs::TraceRecorder::global().clear();
+  EXPECT_EQ(obs::TraceRecorder::global().counters().count("guard.steps"), 0u);
+}
+
+TEST_F(ObsTraceTest, ConcurrentCountsWithTracingDisabledSumExactly) {
+  obs::set_tracing_enabled(false);
+  constexpr int kThreads = 4;
+  constexpr int kCounts = 1000;
+  core::ThreadPool pool(kThreads);
+  pool.parallel_for(0, kThreads, 1, [](i64 begin, i64 end) {
+    for (i64 t = begin; t < end; ++t) {
+      for (int i = 0; i < kCounts; ++i) obs::count("dist.algo.tree", 1);
+    }
+  });
+  const auto counters = obs::TraceRecorder::global().counters();
+  ASSERT_NE(counters.find("dist.algo.tree"), counters.end());
+  EXPECT_EQ(counters.at("dist.algo.tree"), kThreads * kCounts);
+  EXPECT_TRUE(obs::TraceRecorder::global().spans().empty());
+}
+
+TEST_F(ObsTraceTest, HeapCountersExportWithTracingDisabled) {
+  obs::set_tracing_enabled(false);
+  core::Tensor held = core::Tensor::zeros(core::Shape{256});
+  const mem::MemStats ms = mem::mem_stats();
+  const auto counters = obs::TraceRecorder::global().counters();
+  ASSERT_NE(counters.find("mem.heap_live_bytes"), counters.end());
+  ASSERT_NE(counters.find("mem.heap_peak_bytes"), counters.end());
+  EXPECT_EQ(counters.at("mem.heap_live_bytes"), ms.heap_live_bytes);
+  EXPECT_GE(counters.at("mem.heap_peak_bytes"),
+            counters.at("mem.heap_live_bytes"));
+  EXPECT_GE(counters.at("mem.heap_live_bytes"),
+            held.numel() * static_cast<i64>(sizeof(float)));
 }
 
 TEST_F(ObsTraceTest, SpanLatchedAtConstructionClosesAfterDisable) {
