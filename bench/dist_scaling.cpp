@@ -1,13 +1,15 @@
 // Distributed-engine scaling bench: times one data-parallel gradient step
 // per all-reduce algorithm (tree / ring / hier / the auto policy) across
-// replica counts up to 32, in barrier mode (reduce after the full backward —
-// the classic synchronous schedule) versus overlapped mode (buckets reduced
-// concurrently with the backward tail). Both modes share the same bucket
-// plan, reduction order, and simulated wire (latency + bandwidth sleeps, with
-// a faster intra-group link for the hierarchical schedule), so the comparison
-// isolates overlap, and their gradients must stay bitwise identical
-// ("parity" in the output). A second section re-runs the 8-replica auto row
-// under the fp16 and int8 wire formats to show the compression effect on the
+// replica counts up to 32 over a simulated wire (latency + bandwidth sleeps,
+// with a faster intra-group link for the hierarchical schedule); buckets
+// reduce concurrently with the backward tail. Each row alternates the
+// wire-modelled step with a free-wire step on the same replicas: that step
+// is the compute-only floor, and its gradients must be bitwise identical to
+// the wire-modelled ones ("parity" in the output, LEGW_CHECKed). Each row
+// also reports the modelled wire time per step, from which it estimates a
+// join-then-reduce step; the gap to the measured step is the wire time
+// overlap hid. A second section re-runs the 8-replica auto row under the
+// fp16 and int8 wire formats to show the compression effect on the
 // simulated wire volume. Emits BENCH_dist.json.
 //
 // The workload is a deep Linear+ReLU stack rather than the LSTM models: BPTT
@@ -20,10 +22,12 @@
 //
 // Usage: dist_scaling [--out BENCH_dist.json] [--reps N] [--smoke]
 //                     [--lat-us US] [--gbps GB] [--only N]
+//   --reps N: timed steps per config (default 30); rows report the fastest.
 //   --smoke: tiny shapes, 2/4/8 replicas, one rep — the ctest smoke target.
 //   --lat-us/--gbps: fabric wire-model overrides (intra-group link derives
 //   from them); --only N restricts the sweep to one replica count.
 // See docs/DIST.md for how to read the output.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -90,11 +94,10 @@ struct WireParams {
   double gbytes_per_sec = 1.0;
 };
 
-dist::OverlapConfig bench_config(bool overlap, core::DistAlgo algo,
+dist::OverlapConfig bench_config(core::DistAlgo algo,
                                  core::WireFormat wire_format,
                                  const WireParams& wp) {
   dist::OverlapConfig config;
-  config.overlap = overlap;
   config.algo = algo;
   config.wire_format = wire_format;
   config.bucket_bytes = 8 * 1024;  // roughly one bucket per layer
@@ -113,16 +116,20 @@ double now_seconds() {
 }
 
 struct ModeResult {
-  double step_ms = 0.0;
+  double step_ms = 0.0;  // fastest of the reps
   i64 buckets = 0;
   i64 wire_bytes = 0;
+  double wire_ms = 0.0;  // modelled wire time the reducers slept per step
   dist::OverlapStats stats;
   std::vector<Tensor> grads;  // replica 0, for the parity check
 };
 
-ModeResult run_mode(int n_replicas, const Shape& shape, bool overlap,
-                    core::DistAlgo algo, core::WireFormat wire_format,
-                    const WireParams& wp, int reps) {
+// Times one step per config on the same replicas, the configs alternating
+// within each rep so host drift hits every config alike. Nothing updates
+// the weights, so every step recomputes the same gradients.
+std::vector<ModeResult> run_modes(
+    int n_replicas, const Shape& shape,
+    const std::vector<dist::OverlapConfig>& configs, int reps) {
   ReplicaSet set = make_replicas(n_replicas, shape);
   // Per-replica input/target shards, distinct across replicas.
   std::vector<Tensor> inputs, targets;
@@ -142,24 +149,39 @@ ModeResult run_mode(int n_replicas, const Shape& shape, bool overlap,
     return ag::mean_all(ag::mul(
         h, ag::Variable::constant(targets[static_cast<std::size_t>(r)])));
   };
-  const dist::OverlapConfig config =
-      bench_config(overlap, algo, wire_format, wp);
-
-  ModeResult res;
-  dist::OverlapResult step = dist::overlapped_backward(set.params, loss_fn,
-                                                       config);  // warm-up
-  LEGW_CHECK(step.ok, "dist_scaling: " + step.error);
-  const double t0 = now_seconds();
+  const auto step = [&](const dist::OverlapConfig& config) {
+    dist::OverlapResult res =
+        dist::overlapped_backward(set.params, loss_fn, config);
+    LEGW_CHECK(res.ok, "dist_scaling: " + res.error);
+    return res.stats;
+  };
+  std::vector<ModeResult> results(configs.size());
+  std::vector<std::vector<double>> times(configs.size());
+  for (const dist::OverlapConfig& config : configs) (void)step(config);
   for (int i = 0; i < reps; ++i) {
-    step = dist::overlapped_backward(set.params, loss_fn, config);
-    LEGW_CHECK(step.ok, "dist_scaling: " + step.error);
+    // Odd reps run the configs in reverse, so neither always goes first.
+    for (std::size_t j = 0; j < configs.size(); ++j) {
+      const std::size_t k = i % 2 == 0 ? j : configs.size() - 1 - j;
+      const double t0 = now_seconds();
+      results[k].stats = step(configs[k]);
+      times[k].push_back((now_seconds() - t0) * 1e3);
+      if (i + 1 == reps) {
+        for (const ag::Variable& p : set.params[0]) {
+          results[k].grads.push_back(p.grad());
+        }
+      }
+    }
   }
-  res.step_ms = (now_seconds() - t0) * 1e3 / reps;
-  res.buckets = step.stats.n_buckets;
-  res.wire_bytes = step.stats.wire_bytes;
-  res.stats = step.stats;
-  for (const ag::Variable& p : set.params[0]) res.grads.push_back(p.grad());
-  return res;
+  for (std::size_t k = 0; k < configs.size(); ++k) {
+    ModeResult& res = results[k];
+    // Host noise only ever adds time, so the fastest step is the cleanest
+    // estimate of what the schedule itself costs.
+    res.step_ms = *std::min_element(times[k].begin(), times[k].end());
+    res.buckets = res.stats.n_buckets;
+    res.wire_bytes = res.stats.wire_bytes;
+    res.wire_ms = res.stats.wire_us / 1e3;
+  }
+  return results;
 }
 
 bool bitwise_equal(const std::vector<Tensor>& a, const std::vector<Tensor>& b) {
@@ -194,7 +216,7 @@ int main(int argc, char** argv) {
   const std::string out_path = flags.get_string("out", "BENCH_dist.json");
   const bool smoke = flags.get_bool("smoke", false);
   const int reps =
-      static_cast<int>(flags.get_int("reps", smoke ? 1 : 3));
+      static_cast<int>(flags.get_int("reps", smoke ? 1 : 30));
   WireParams wp;
   wp.latency_us = flags.get_double("lat-us", wp.latency_us);
   wp.gbytes_per_sec = flags.get_double("gbps", wp.gbytes_per_sec);
@@ -225,43 +247,55 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"batch_per_replica\": %lld,\n",
                static_cast<long long>(shape.batch));
   const dist::OverlapConfig ref =
-      bench_config(true, core::DistAlgo::kAuto, core::WireFormat::kFp32, wp);
+      bench_config(core::DistAlgo::kAuto, core::WireFormat::kFp32, wp);
   std::fprintf(f, "  \"bucket_bytes\": %lld,\n  \"comm_threads\": %d,\n",
                static_cast<long long>(ref.bucket_bytes), ref.comm_threads);
   std::fprintf(f,
                "  \"wire_latency_us\": %.1f,\n  \"wire_gbytes_per_sec\": "
                "%.3f,\n",
                wp.latency_us, wp.gbytes_per_sec);
-  std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
+  std::fprintf(f, "  \"smoke\": %s,\n  \"reps\": %d,\n",
+               smoke ? "true" : "false", reps);
   std::fprintf(f, "  \"rows\": [\n");
 
   bool first_row = true;
   for (const int n : replica_counts) {
-    // The big counts dominate wall time on small hosts; halve the reps.
-    const int n_reps = n >= 16 ? std::max(1, reps / 2) : reps;
     for (const core::DistAlgo algo : algos) {
-      const ModeResult sync = run_mode(n, shape, /*overlap=*/false, algo,
-                                       core::WireFormat::kFp32, wp, n_reps);
-      const ModeResult ovl = run_mode(n, shape, /*overlap=*/true, algo,
-                                      core::WireFormat::kFp32, wp, n_reps);
-      const bool parity = bitwise_equal(sync.grads, ovl.grads);
-      const double speedup = sync.step_ms / ovl.step_ms;
-      std::printf("replicas %2d  algo %-4s  sync %8.2f ms  overlap %8.2f ms  "
-                  "speedup %.2fx  buckets %lld (%s)  wire %lld B  parity %s\n",
-                  n, core::dist_algo_name(algo), sync.step_ms, ovl.step_ms,
-                  speedup, static_cast<long long>(ovl.buckets),
-                  resolved_name(ovl.stats),
-                  static_cast<long long>(ovl.wire_bytes),
+      const dist::OverlapConfig wired =
+          bench_config(algo, core::WireFormat::kFp32, wp);
+      dist::OverlapConfig free_wire = wired;
+      free_wire.wire = dist::WireModel{};
+      const std::vector<ModeResult> runs =
+          run_modes(n, shape, {wired, free_wire}, reps);
+      const ModeResult& wired_run = runs[0];
+      const ModeResult& free_run = runs[1];
+      const bool parity = bitwise_equal(free_run.grads, wired_run.grads);
+      // Reducing only after a barrier would add the whole wire bill to the
+      // free-wire step, split at best evenly over the comm threads.
+      const double barrier_est_ms =
+          free_run.step_ms + wired_run.wire_ms / wired.comm_threads;
+      std::printf("replicas %2d  algo %-4s  step %8.2f ms  free-wire %8.2f ms  "
+                  "wire %8.2f ms  barrier-est %8.2f ms  buckets %lld (%s)  "
+                  "wire %lld B  parity %s\n",
+                  n, core::dist_algo_name(algo), wired_run.step_ms,
+                  free_run.step_ms, wired_run.wire_ms, barrier_est_ms,
+                  static_cast<long long>(wired_run.buckets),
+                  resolved_name(wired_run.stats),
+                  static_cast<long long>(wired_run.wire_bytes),
                   parity ? "yes" : "NO");
+      LEGW_CHECK(parity, "dist_scaling: wire-modelled gradients differ from "
+                         "the free-wire run");
       std::fprintf(f,
                    "%s    {\"replicas\": %d, \"algo\": \"%s\", "
-                   "\"resolved\": \"%s\", \"sync_step_ms\": %.3f, "
-                   "\"overlap_step_ms\": %.3f, \"speedup\": %.3f, "
+                   "\"resolved\": \"%s\", \"step_ms\": %.3f, "
+                   "\"free_wire_step_ms\": %.3f, \"wire_ms\": %.3f, "
+                   "\"barrier_est_ms\": %.3f, "
                    "\"buckets\": %lld, \"wire_bytes\": %lld, \"parity\": %s}",
                    first_row ? "" : ",\n", n, core::dist_algo_name(algo),
-                   resolved_name(ovl.stats), sync.step_ms, ovl.step_ms,
-                   speedup, static_cast<long long>(ovl.buckets),
-                   static_cast<long long>(ovl.wire_bytes),
+                   resolved_name(wired_run.stats), wired_run.step_ms,
+                   free_run.step_ms, wired_run.wire_ms, barrier_est_ms,
+                   static_cast<long long>(wired_run.buckets),
+                   static_cast<long long>(wired_run.wire_bytes),
                    parity ? "true" : "false");
       first_row = false;
     }
@@ -279,9 +313,10 @@ int main(int argc, char** argv) {
       core::WireFormat::kFp32, core::WireFormat::kFp16,
       core::WireFormat::kInt8};
   for (std::size_t i = 0; i < formats.size(); ++i) {
-    const ModeResult r = run_mode(wire_n, shape, /*overlap=*/true,
-                                  core::DistAlgo::kAuto, formats[i], wp,
-                                  smoke ? 1 : reps);
+    const ModeResult r =
+        run_modes(wire_n, shape,
+                  {bench_config(core::DistAlgo::kAuto, formats[i], wp)},
+                  reps)[0];
     std::printf("wire %-4s  replicas %d  step %8.2f ms  wire %lld B\n",
                 core::wire_format_name(formats[i]), wire_n, r.step_ms,
                 static_cast<long long>(r.wire_bytes));
@@ -301,8 +336,7 @@ int main(int argc, char** argv) {
   auto& rec = obs::TraceRecorder::global();
   obs::set_tracing_enabled(true);
   rec.clear();
-  (void)run_mode(smoke ? 4 : 8, shape, /*overlap=*/true, core::DistAlgo::kAuto,
-                 core::WireFormat::kFp32, wp, 1);
+  (void)run_modes(smoke ? 4 : 8, shape, {ref}, 1);
   obs::set_tracing_enabled(was_enabled);
 
   const auto phases = rec.phase_summary();

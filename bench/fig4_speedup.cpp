@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/flags.hpp"
 #include "dist/cluster_model.hpp"
 #include "optim/optimizer.hpp"
 
@@ -239,8 +238,6 @@ int main(int argc, char** argv) {
   // Cluster extrapolation: with data parallelism the large batch also buys
   // more workers (the paper's TPU-pod setting).
   std::printf("\ncluster-model extrapolation (data-parallel, 1M-param model):\n");
-  std::printf("(local dist engine: LEGW_DIST=%s)\n",
-              core::dist_mode_name(core::dist_mode()));
   dist::ClusterConfig cfg;
   cfg.device = {1000.0, 64.0};
   cfg.max_batch_per_worker = 64;

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/flags.hpp"
 #include "dist/cluster_model.hpp"
 
 using namespace legw;
@@ -58,12 +57,11 @@ int main(int argc, char** argv) {
   const auto ovl = dist::cluster_epoch_time(cluster, 100000, 256,
                                             dist::CommMode::kOverlapped);
   std::printf(
-      "\ncluster model at batch 256 (%lld workers, LEGW_DIST=%s locally):\n"
+      "\ncluster model at batch 256 (%lld workers):\n"
       "  epoch %.2fs with sequential allreduce, %.2fs with comm/compute\n"
-      "  overlap (%.2fx) — see bench/dist_scaling.cpp for the measured\n"
-      "  engine-level counterpart.\n",
-      static_cast<long long>(seq.workers),
-      core::dist_mode_name(core::dist_mode()), seq.epoch_seconds,
+      "  overlap (%.2fx) — bench/dist_scaling's barrier_est_ms against\n"
+      "  step_ms is the measured engine-level counterpart.\n",
+      static_cast<long long>(seq.workers), seq.epoch_seconds,
       ovl.epoch_seconds, seq.epoch_seconds / ovl.epoch_seconds);
   return 0;
 }

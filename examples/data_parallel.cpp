@@ -2,8 +2,8 @@
 // MNIST-LSTM on shards of a global batch, gradients flow through the
 // data-parallel engine's deterministic bucketed all-reduce, and every replica
 // applies the identical update — the execution model behind the paper's
-// TPU-pod runs, in miniature. LEGW_DIST=overlap reduces during backward
-// instead of after it, with identical results.
+// TPU-pod runs, in miniature. Each bucket reduces as soon as every replica
+// has finished its gradients, while the rest of backward still runs.
 //
 // Run: ./build/examples/data_parallel [--replicas 4] [--global_batch 128]
 #include <cstdio>

@@ -21,34 +21,6 @@ std::atomic<GemmKernel>& gemm_kernel_state() {
   return state;
 }
 
-std::atomic<bool>& fused_lstm_state() {
-  static std::atomic<bool> state{[] {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env probe, no setenv
-    if (const char* env = std::getenv("LEGW_LSTM")) {
-      const std::string v(env);
-      if (v == "composed") return false;
-      LEGW_CHECK(v == "fused" || v.empty(),
-                 "LEGW_LSTM must be 'fused' or 'composed', got '" + v + "'");
-    }
-    return true;
-  }()};
-  return state;
-}
-
-std::atomic<DistMode>& dist_mode_state() {
-  static std::atomic<DistMode> state{[] {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env probe, no setenv
-    if (const char* env = std::getenv("LEGW_DIST")) {
-      const std::string v(env);
-      if (v == "overlap") return DistMode::kOverlap;
-      LEGW_CHECK(v == "sync" || v.empty(),
-                 "LEGW_DIST must be 'sync' or 'overlap', got '" + v + "'");
-    }
-    return DistMode::kSync;
-  }()};
-  return state;
-}
-
 std::atomic<DistAlgo>& dist_algo_state() {
   static std::atomic<DistAlgo> state{[] {
     // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env probe, no setenv
@@ -121,38 +93,6 @@ bool set_gemm_kernel(const std::string& name) {
 
 const char* gemm_kernel_name(GemmKernel k) {
   return k == GemmKernel::kRef ? "ref" : "blocked";
-}
-
-bool fused_lstm_enabled() {
-  return fused_lstm_state().load(std::memory_order_relaxed);
-}
-
-void set_fused_lstm_enabled(bool enabled) {
-  fused_lstm_state().store(enabled, std::memory_order_relaxed);
-}
-
-DistMode dist_mode() {
-  return dist_mode_state().load(std::memory_order_relaxed);
-}
-
-void set_dist_mode(DistMode m) {
-  dist_mode_state().store(m, std::memory_order_relaxed);
-}
-
-bool set_dist_mode(const std::string& name) {
-  if (name == "sync") {
-    set_dist_mode(DistMode::kSync);
-    return true;
-  }
-  if (name == "overlap") {
-    set_dist_mode(DistMode::kOverlap);
-    return true;
-  }
-  return false;
-}
-
-const char* dist_mode_name(DistMode m) {
-  return m == DistMode::kSync ? "sync" : "overlap";
 }
 
 DistAlgo dist_algo() {

@@ -33,29 +33,6 @@ void set_gemm_kernel(GemmKernel k);
 bool set_gemm_kernel(const std::string& name);
 const char* gemm_kernel_name(GemmKernel k);
 
-// Whether nn layers should use the fused LSTM-cell kernel (single graph node,
-// single-pass elementwise block) or the op-composed reference path. Initial
-// value comes from LEGW_LSTM ("fused" default, "composed" to disable).
-bool fused_lstm_enabled();
-void set_fused_lstm_enabled(bool enabled);
-
-// Which schedule dist::replica_backward runs the data-parallel engine
-// (dist/overlap.hpp) with — it sets OverlapConfig::overlap:
-//   kSync     — run every replica's backward to completion, barrier, then
-//               reduce the gradient buckets.
-//   kOverlap  — reduce each bucket while the tail of backward still
-//               executes. Bitwise identical results to kSync.
-// Initial selection comes from LEGW_DIST ("sync" default, "overlap"), read
-// once on first use; same override pattern as LEGW_KERNEL.
-enum class DistMode { kSync, kOverlap };
-
-DistMode dist_mode();
-void set_dist_mode(DistMode m);
-// Parses "sync" / "overlap" (the LEGW_DIST vocabulary); returns false on an
-// unknown name and leaves the selection unchanged.
-bool set_dist_mode(const std::string& name);
-const char* dist_mode_name(DistMode m);
-
 // Which all-reduce algorithm reduces a gradient bucket (dist/algorithms.hpp):
 //   kAuto — size-based policy: tree for latency-bound small buckets, ring
 //           for bandwidth-bound large ones, hierarchical at high replica

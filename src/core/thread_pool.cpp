@@ -1,6 +1,7 @@
 #include "core/thread_pool.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 
@@ -151,15 +152,21 @@ void ThreadPool::reset_stats() {
   submissions_.store(0, std::memory_order_relaxed);
 }
 
+int ThreadPool::parse_num_threads(const char* value) {
+  if (value == nullptr) return 0;
+  const std::string v(value);
+  int n = 0;
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+  LEGW_CHECK(ec == std::errc() && end == v.data() + v.size() && n >= 1 &&
+                 n <= 1024,
+             "LEGW_NUM_THREADS must be an integer in [1, 1024], got '" + v +
+                 "'");
+  return n;
+}
+
 ThreadPool& ThreadPool::global() {
-  static ThreadPool pool([] {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env probe, no setenv
-    if (const char* env = std::getenv("LEGW_NUM_THREADS")) {
-      const int n = std::atoi(env);
-      if (n > 0) return n;
-    }
-    return 0;
-  }());
+  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env probe, no setenv
+  static ThreadPool pool(parse_num_threads(std::getenv("LEGW_NUM_THREADS")));
   return pool;
 }
 

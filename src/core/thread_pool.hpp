@@ -41,6 +41,11 @@ class ThreadPool {
   // LEGW_NUM_THREADS or hardware concurrency).
   static ThreadPool& global();
 
+  // Pool size for a LEGW_NUM_THREADS value: nullptr (unset) gives 0, the
+  // hardware default. Otherwise the whole string must be an integer in
+  // [1, 1024]; anything else fails a LEGW_CHECK naming the value.
+  static int parse_num_threads(const char* value);
+
   // Lifetime utilisation statistics, maintained with relaxed atomics (two
   // clock reads per executed chunk — negligible against chunk work, so they
   // stay on unconditionally). At quiescence (no parallel_for in flight)

@@ -140,8 +140,7 @@ void hier_allreduce_mean(std::vector<core::Tensor*>& shards, int group_size) {
   }
 }
 
-void allreduce_mean(std::vector<core::Tensor*>& shards, DistAlgo algo,
-                    int group_size) {
+void allreduce_mean(std::vector<core::Tensor*>& shards, DistAlgo algo) {
   check_shards(shards, "allreduce_mean");
   const i64 payload_bytes =
       shards[0]->numel() * static_cast<i64>(sizeof(float));
@@ -155,7 +154,7 @@ void allreduce_mean(std::vector<core::Tensor*>& shards, DistAlgo algo,
       ring_allreduce_mean(shards);
       return;
     case DistAlgo::kHier:
-      hier_allreduce_mean(shards, group_size);
+      hier_allreduce_mean(shards);
       return;
     case DistAlgo::kAuto:
       break;  // unreachable: choose_algorithm never returns kAuto

@@ -67,9 +67,8 @@ void hier_allreduce_mean(std::vector<core::Tensor*>& shards,
                          int group_size = 0);
 
 // Dispatcher: resolves kAuto from the payload size via choose_algorithm and
-// runs the selected algorithm. `group_size` only affects kHier.
-void allreduce_mean(std::vector<core::Tensor*>& shards, DistAlgo algo,
-                    int group_size = 0);
+// runs the selected algorithm (kHier with hier_group_size groups).
+void allreduce_mean(std::vector<core::Tensor*>& shards, DistAlgo algo);
 
 // Bytes one element occupies on the wire in `format` (int8 payloads also
 // carry one fp32 scale per tensor; see allreduce_wire_bytes).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <deque>
 #include <numeric>
 #include <thread>
@@ -77,7 +76,7 @@ double ceil_log2(int n) {
 }  // namespace
 
 double WireModel::allreduce_us(DistAlgo resolved, int n_shards, i64 bytes,
-                               WireFormat wire, int group_size) const {
+                               WireFormat wire) const {
   if (n_shards <= 1) return 0.0;
   // The bandwidth term scales with the wire format's element width; the
   // per-hop latency does not.
@@ -97,8 +96,7 @@ double WireModel::allreduce_us(DistAlgo resolved, int n_shards, i64 bytes,
       return hops * hop_us(latency_us, gbytes_per_sec, payload / n);
     }
     case DistAlgo::kHier: {
-      const int g = group_size > 0 ? std::min(group_size, n_shards)
-                                   : hier_group_size(n_shards);
+      const int g = hier_group_size(n_shards);
       const int n_groups = (n_shards + g - 1) / g;
       const double intra_lat =
           intra_latency_us > 0.0 ? intra_latency_us : latency_us;
@@ -133,30 +131,10 @@ std::vector<std::vector<std::size_t>> plan_buckets(
   return buckets;
 }
 
-namespace {
-
-i64 positive_int_env(const char* name, i64 def) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env probe, no setenv
-  const char* env = std::getenv(name);
-  if (env == nullptr) return def;
-  char* end = nullptr;
-  const long long v = std::strtoll(env, &end, 10);
-  LEGW_CHECK(end != nullptr && *end == '\0' && v > 0,
-             std::string(name) + " must be a positive integer, got '" + env +
-                 "'");
-  return static_cast<i64>(v);
-}
-
-}  // namespace
-
 OverlapConfig default_overlap_config() {
   OverlapConfig config;
-  config.bucket_bytes = positive_int_env("LEGW_DIST_BUCKET_KB", 256) * 1024;
   config.algo = core::dist_algo();
   config.wire_format = core::dist_wire();
-  config.hier_group = static_cast<int>(positive_int_env("LEGW_DIST_GROUP", 0));
-  config.comm_threads =
-      static_cast<int>(positive_int_env("LEGW_DIST_COMM_THREADS", 1));
   return config;
 }
 
@@ -276,34 +254,20 @@ class OverlapEngine {
       threads.emplace_back([this, r] { replica_body(r); });
     }
 
-    // Buckets are disjoint and each is claimed exactly once, so the worker
-    // count changes only the wall-clock cost of the wire sleeps, never a
-    // value.
+    // The calling thread would only wait for the replicas, so it is the
+    // first reducer; comm_threads - 1 more join it. Buckets are disjoint and
+    // each is claimed exactly once, so the worker count changes only the
+    // wall-clock cost of the wire sleeps, never a value.
     const int workers = std::max(1, config_.comm_threads);
     // lint-allow: raw-thread — see above.
     std::vector<std::thread> reducers;
-    const auto spawn_reducers = [this, workers, &reducers] {
-      reducers.reserve(static_cast<std::size_t>(workers));
-      for (int w = 0; w < workers; ++w) {
-        reducers.emplace_back([this] { reduce_worker(); });
-      }
-    };
-    if (config_.overlap) {
-      spawn_reducers();
-      for (auto& t : threads) t.join();
-      for (auto& t : reducers) t.join();
-    } else {
-      // Synchronous schedule: identical buckets, identical reduction order,
-      // identical wire bill — but nothing reduces until every replica
-      // joined.
-      for (auto& t : threads) t.join();
-      if (workers == 1) {
-        reduce_worker();
-      } else {
-        spawn_reducers();
-        for (auto& t : reducers) t.join();
-      }
+    reducers.reserve(static_cast<std::size_t>(workers - 1));
+    for (int w = 1; w < workers; ++w) {
+      reducers.emplace_back([this] { reduce_worker(); });
     }
+    reduce_worker();
+    for (auto& t : reducers) t.join();
+    for (auto& t : threads) t.join();
 
     float loss_sum = 0.0f;
     int loss_count = 0;
@@ -518,6 +482,7 @@ class OverlapEngine {
       const DistAlgo resolved =
           choose_algorithm(config_.algo, payload, n_parts);
       i64 wire_bytes = 0;
+      double wire_us = 0.0;
       {
         obs::Span span("bucket_reduce");
         obs::Span algo_span(resolved == DistAlgo::kRing
@@ -532,16 +497,16 @@ class OverlapEngine {
           }
           quantize_contributions(shards, config_.wire_format,
                                  config_.wire_state, &participant_gids, p);
-          allreduce_mean(shards, resolved, config_.hier_group);
+          allreduce_mean(shards, resolved);
           quantize_broadcast(shards, config_.wire_format);
           wire_bytes += shards.empty()
                             ? 0
                             : allreduce_wire_bytes(n_parts, shards[0]->numel(),
                                                    config_.wire_format);
         }
-        sleep_us(config_.wire.allreduce_us(resolved, n_parts, payload,
-                                           config_.wire_format,
-                                           config_.hier_group));
+        wire_us = config_.wire.allreduce_us(resolved, n_parts, payload,
+                                            config_.wire_format);
+        sleep_us(wire_us);
       }
       obs::count("bucket_reduce", 1);
       obs::count("dist.wire_bytes", wire_bytes);
@@ -549,6 +514,7 @@ class OverlapEngine {
         core::MutexLock lock(mu_);
         ++result_.stats.buckets_reduced;
         result_.stats.wire_bytes += wire_bytes;
+        result_.stats.wire_us += wire_us;
         switch (resolved) {
           case DistAlgo::kRing: ++result_.stats.buckets_ring; break;
           case DistAlgo::kHier: ++result_.stats.buckets_hier; break;
@@ -607,7 +573,6 @@ OverlapResult replica_backward_ex(
     const std::function<ag::Variable(int replica)>& loss_fn,
     const ReplicaStepOptions& options) {
   OverlapConfig config = default_overlap_config();
-  config.overlap = core::dist_mode() == core::DistMode::kOverlap;
   config.wire_state = options.wire_state;
   config.faults = options.faults;
   config.replica_ids = options.replica_ids;

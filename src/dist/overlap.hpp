@@ -9,20 +9,18 @@
 // ever shipping weights. Replicas are real threads in one process.
 //
 // Parameters are grouped into size-targeted buckets, fixed before backward
-// starts. With OverlapConfig::overlap on, a bucket's all-reduce fires on a
-// communication thread as soon as every replica has populated all of that
-// bucket's gradients — signalled by ag::BackwardHooks::on_leaf_grad_ready —
-// while the tail of backward is still executing on the replica threads.
-// With it off, every replica joins first and the buckets reduce afterwards:
-// the classic synchronous schedule, same buckets, same values.
+// starts. A bucket's all-reduce fires on a communication thread as soon as
+// every replica has populated all of that bucket's gradients — signalled by
+// ag::BackwardHooks::on_leaf_grad_ready — while the tail of backward is
+// still executing on the replica threads.
 //
 // Determinism argument: bucket membership depends only on parameter order
 // and the configured bucket size, never on arrival time. The algorithm
 // (dist/algorithms.hpp) resolves once per bucket, and within a bucket
 // gradients reduce parameter by parameter in replica-index order. Buckets
 // are disjoint, so the order in which the communication thread happens to
-// service them cannot change any value: both schedules are bitwise identical
-// to reducing each replica's serial backward parameter by parameter
+// service them cannot change any value: the result is bitwise identical to
+// reducing each replica's serial backward parameter by parameter
 // (tests/test_dist_overlap.cpp asserts this at 1/2/4/8 replicas).
 //
 // Fault injection: a seeded FaultPlan makes chosen replicas slow (straggler
@@ -81,9 +79,7 @@ enum class TimeoutPolicy {
 // Simulated wire cost of shipping one bucket through the all-reduce: the
 // communication thread sleeps the modelled critical-path time per bucket.
 // Sleeping releases the core, so overlap genuinely hides this time under
-// backward compute even on a single-core host; bench/dist_scaling.cpp uses
-// it for a fair sync-vs-overlap A/B in which both modes pay the identical
-// wire bill.
+// backward compute even on a single-core host. The default model is free.
 //
 // allreduce_us models the critical path per algorithm (`bytes` is the
 // fp32-payload size; the wire format's element width scales the bandwidth
@@ -102,17 +98,13 @@ struct WireModel {
   double intra_latency_us = 0.0;
   double intra_gbytes_per_sec = 0.0;
   double allreduce_us(DistAlgo resolved, int n_shards, i64 bytes,
-                      WireFormat wire, int group_size) const;
+                      WireFormat wire) const;
 };
 
 struct OverlapConfig {
   // Target bucket payload in bytes; a bucket closes once it reaches this.
   // Parameters larger than the target get a bucket of their own.
   i64 bucket_bytes = 256 * 1024;
-  // false: barrier-join every replica, then reduce the buckets — the
-  // synchronous schedule (LEGW_DIST=sync), same buckets, same wire bill.
-  // Results are bitwise identical either way.
-  bool overlap = true;
   // false: skip the per-replica zero_grad so gradients accumulate onto
   // whatever the caller left in them (micro-batch accumulation composes with
   // train::GradientAccumulator; see tests/test_train_extras.cpp).
@@ -122,15 +114,13 @@ struct OverlapConfig {
   // fault plan contains dead replicas, else the engine would hang).
   double bucket_timeout_ms = 0.0;
   TimeoutPolicy timeout_policy = TimeoutPolicy::kFailFast;
+  // Simulated wire cost; it changes wall-clock time, never a value.
   WireModel wire;
   const FaultPlan* faults = nullptr;  // not owned; nullptr = fault-free
   // Which all-reduce algorithm reduces each bucket; kAuto resolves per
   // bucket from its payload size (dist::choose_algorithm). Env default:
   // LEGW_DIST_ALGO.
   DistAlgo algo = DistAlgo::kAuto;
-  // Group size for the hierarchical algorithm (0 = hier_group_size(n)).
-  // Env default: LEGW_DIST_GROUP.
-  int hier_group = 0;
   // On-the-wire gradient format (env default: LEGW_DIST_WIRE). Non-fp32
   // formats quantize each replica's contribution at the sender edge, sum in
   // fp32, and re-quantize the mean for the broadcast.
@@ -141,8 +131,7 @@ struct OverlapConfig {
   WireState* wire_state = nullptr;
   // Communication threads servicing completed buckets. Buckets are disjoint
   // and each is reduced exactly once, so values are unchanged by the worker
-  // count — only the wall-clock cost of the wire sleeps is. Env default:
-  // LEGW_DIST_COMM_THREADS (1).
+  // count — only the wall-clock cost of the wire sleeps is.
   int comm_threads = 1;
   // Global replica ids aligned with replica_params, for runs over a subset
   // of an elastic membership (dist/membership.hpp): fault-plan lookups and
@@ -158,6 +147,7 @@ struct OverlapStats {
   std::vector<int> excluded_replicas;  // dead + degraded-away stragglers
   i64 idle_ns = 0;  // reducer time spent waiting for a completed bucket
   i64 wire_bytes = 0;      // simulated bytes on the wire (format-scaled)
+  double wire_us = 0.0;    // modelled wire time slept, summed over buckets
   i64 buckets_tree = 0;    // buckets reduced per resolved algorithm
   i64 buckets_ring = 0;
   i64 buckets_hier = 0;
@@ -177,10 +167,8 @@ struct OverlapResult {
 std::vector<std::vector<std::size_t>> plan_buckets(
     const std::vector<ag::Variable>& params, i64 bucket_bytes);
 
-// Config from the environment: bucket_bytes from LEGW_DIST_BUCKET_KB
-// (default 256), algo from LEGW_DIST_ALGO, wire_format from LEGW_DIST_WIRE,
-// hier_group from LEGW_DIST_GROUP, comm_threads from
-// LEGW_DIST_COMM_THREADS.
+// Defaults plus the environment's algo (LEGW_DIST_ALGO) and wire_format
+// (LEGW_DIST_WIRE).
 OverlapConfig default_overlap_config();
 
 // One data-parallel backward pass: replica_params[r] are replica r's
@@ -209,9 +197,7 @@ struct ReplicaStepOptions {
 };
 
 // overlapped_backward with default_overlap_config() and the per-step
-// options; core::dist_mode() (env LEGW_DIST) only sets the overlap flag
-// (kSync = barrier schedule, kOverlap = overlapped). Values are identical
-// either way, and so are fault handling and the quantized wire.
+// options.
 OverlapResult replica_backward_ex(
     const std::vector<std::vector<ag::Variable>>& replica_params,
     const std::function<ag::Variable(int replica)>& loss_fn,

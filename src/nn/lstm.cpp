@@ -2,17 +2,13 @@
 
 #include <algorithm>
 
-#include "core/flags.hpp"
-
 namespace legw::nn {
 
 LstmCellLayer::LstmCellLayer(i64 input_dim, i64 hidden_dim, core::Rng& rng,
                              float forget_bias, bool use_fused)
     : input_dim_(input_dim),
       hidden_dim_(hidden_dim),
-      // LEGW_LSTM=composed forces the op-composed reference path process-wide
-      // (A/B debugging); a caller's explicit use_fused=false always wins.
-      use_fused_(use_fused && core::fused_lstm_enabled()) {
+      use_fused_(use_fused) {
   LEGW_CHECK(input_dim > 0 && hidden_dim > 0, "LstmCellLayer: bad dims");
   weight_ = register_parameter(
       "weight", init::lecun_uniform({input_dim + hidden_dim, 4 * hidden_dim},

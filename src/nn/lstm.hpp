@@ -1,9 +1,8 @@
 // LSTM layers.
 //
 // LstmCellLayer wraps one fused ag::lstm_cell step (or, when use_fused is
-// false or LEGW_LSTM=composed is set, an op-by-op composition of the same
-// math — kept for gradient cross-checking). Lstm stacks layers over a
-// sequence with optional
+// false, an op-by-op composition of the same math — kept for gradient
+// cross-checking). Lstm stacks layers over a sequence with optional
 // inter-layer dropout; BiLstmLayer runs one layer in both directions and
 // concatenates (GNMT's first encoder layer).
 #pragma once

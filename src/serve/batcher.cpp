@@ -1,29 +1,8 @@
 #include "serve/batcher.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace legw::serve {
-
-namespace {
-
-i64 env_i64(const char* name, i64 fallback, i64 lo, i64 hi) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env probe, no setenv
-  const char* env = std::getenv(name);
-  if (env == nullptr || env[0] == '\0') return fallback;
-  const i64 v = std::atoll(env);
-  return std::clamp(v, lo, hi);
-}
-
-}  // namespace
-
-BatchPolicy BatchPolicy::from_env() {
-  BatchPolicy p;
-  p.batch_cap = env_i64("LEGW_SERVE_BATCH_CAP", p.batch_cap, 1, 1 << 14);
-  p.deadline_ms =
-      env_i64("LEGW_SERVE_DEADLINE_MS", p.deadline_ms, 0, 60 * 1000);
-  return p;
-}
 
 i64 bucket_for(const BatchPolicy& policy, i64 len) {
   LEGW_CHECK(len > 0, "bucket_for: non-positive request length");

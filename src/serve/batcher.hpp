@@ -26,16 +26,12 @@
 namespace legw::serve {
 
 struct BatchPolicy {
-  i64 batch_cap = 16;    // max rows per batch (LEGW_SERVE_BATCH_CAP)
+  i64 batch_cap = 16;    // max rows per batch
   i64 deadline_ms = 5;   // max queue wait; 0 = flush on every worker wake
-                         // (LEGW_SERVE_DEADLINE_MS)
   // Padded sequence-length buckets, ascending. A request of length L lands
   // in the smallest bucket >= L; lengths beyond the largest bucket get an
   // exact-length bucket of their own (correct, just unshared).
   std::vector<i64> bucket_lens = {16, 32, 64, 128};
-
-  // batch_cap/deadline_ms from the environment knobs, defaults otherwise.
-  static BatchPolicy from_env();
 };
 
 // The padded length a request of length `len` is batched under.

@@ -18,7 +18,6 @@ struct AtomicCounters {
   std::atomic<i64> responses{0};
   std::atomic<i64> batches{0};
   std::atomic<i64> batch_rows{0};
-  std::atomic<i64> pad_rows{0};
   std::atomic<i64> capacity_batches{0};
   std::atomic<i64> deadline_batches{0};
   std::atomic<i64> drain_batches{0};
@@ -36,7 +35,6 @@ void serve_counter_source(std::map<std::string, i64>& out) {
   out["serve.responses"] = c.responses.load(std::memory_order_relaxed);
   out["serve.batches"] = c.batches.load(std::memory_order_relaxed);
   out["serve.batch_rows"] = c.batch_rows.load(std::memory_order_relaxed);
-  out["serve.pad_rows"] = c.pad_rows.load(std::memory_order_relaxed);
   out["serve.capacity_batches"] =
       c.capacity_batches.load(std::memory_order_relaxed);
   out["serve.deadline_batches"] =
@@ -184,12 +182,10 @@ void RequestBroker::worker_loop() {
 void RequestBroker::execute(Claimed batch) {
   obs::Span span("serve.batch");
   const i64 rows = static_cast<i64>(batch.reqs.size());
-  const i64 pad_rows_to =
-      config_.pad_rows_to_cap ? config_.policy.batch_cap : 0;
 
   std::vector<Response> responses;
   Result res = session_.run_batch(batch.reqs, batch.plan.bucket_len,
-                                  pad_rows_to, &responses);
+                                  /*pad_rows_to=*/0, &responses);
   const i64 done = steady_ns();
   if (!res.ok()) {
     for (std::size_t i = 0; i < batch.promises.size(); ++i) {
@@ -201,7 +197,6 @@ void RequestBroker::execute(Claimed batch) {
 
   bump(counts().batches);
   bump(counts().batch_rows, rows);
-  if (pad_rows_to > rows) bump(counts().pad_rows, pad_rows_to - rows);
   switch (batch.plan.reason) {
     case BatchPlan::Reason::kCapacity: bump(counts().capacity_batches); break;
     case BatchPlan::Reason::kDeadline: bump(counts().deadline_batches); break;
@@ -241,7 +236,6 @@ BrokerCounters RequestBroker::counters() {
   out.responses = c.responses.load(std::memory_order_relaxed);
   out.batches = c.batches.load(std::memory_order_relaxed);
   out.batch_rows = c.batch_rows.load(std::memory_order_relaxed);
-  out.pad_rows = c.pad_rows.load(std::memory_order_relaxed);
   out.capacity_batches = c.capacity_batches.load(std::memory_order_relaxed);
   out.deadline_batches = c.deadline_batches.load(std::memory_order_relaxed);
   out.drain_batches = c.drain_batches.load(std::memory_order_relaxed);

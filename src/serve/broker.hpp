@@ -8,9 +8,9 @@
 // exactly one response (kDrain batches), and submits after it resolve
 // immediately with Status::kUnavailable.
 //
-// Batches are padded to stable shapes (rows up to batch_cap, sequences to
-// the bucket length), so each bucket runs one fixed set of GEMM shapes.
-// Padding is bitwise-invisible to real rows (see serve/session.hpp).
+// Sequences are padded to the bucket length; rows are never padded, so a
+// partial batch costs only its real rows. Padding is bitwise-invisible to
+// real rows (see serve/session.hpp).
 //
 // Observability: spans serve.enqueue / serve.batch / serve.infer, and
 // process-global serve.* counters registered with the obs recorder via
@@ -31,11 +31,8 @@
 namespace legw::serve {
 
 struct BrokerConfig {
-  BatchPolicy policy = BatchPolicy::from_env();
+  BatchPolicy policy;
   int workers = 2;
-  // Pad every batch with zero rows up to policy.batch_cap. Costs flops on
-  // partial batches but gives each bucket a single step shape.
-  bool pad_rows_to_cap = true;
 };
 
 // Snapshot of the process-global serve counters (all brokers, all time).
@@ -45,7 +42,8 @@ struct BrokerCounters {
   i64 responses = 0;          // futures resolved with a computed result
   i64 batches = 0;            // executed batches
   i64 batch_rows = 0;         // real request rows across executed batches
-  i64 pad_rows = 0;           // zero rows added by pad_rows_to_cap
+  i64 pad_rows = 0;           // always 0: the broker never pads rows (kept
+                              // for perfbench's serve.pad_frac)
   i64 capacity_batches = 0;   // popped because a bucket hit batch_cap
   i64 deadline_batches = 0;   // popped because the oldest row aged out
   i64 drain_batches = 0;      // flushed by shutdown

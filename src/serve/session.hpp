@@ -99,8 +99,8 @@ class ServeSession {
   // Runs `reqs` as ONE padded batch. Sequences are padded to `pad_len`
   // positions (ptb; pass the bucket length, or 0 for the batch max) and the
   // batch is padded with all-zero rows up to `pad_rows_to` rows (0 = no row
-  // padding). Padding never changes any real request's logits (row
-  // invariance above).
+  // padding; the broker always passes 0, direct callers may pad). Padding
+  // never changes any real request's logits (row invariance above).
   //
   // Thread-safe: weights are immutable, scratch is per-call.
   //

@@ -945,7 +945,6 @@ obs::RunRecord make_run_record(const std::string& name, const RunConfig& run,
   rec.config.emplace_back("kernel",
                           core::gemm_kernel_name(core::gemm_kernel()));
   rec.config.emplace_back("replicas", std::to_string(run.replicas));
-  rec.config.emplace_back("dist", core::dist_mode_name(core::dist_mode()));
   rec.config.emplace_back(
       "guard", protect_mode(run)
                    ? "protect"

@@ -76,8 +76,7 @@ struct RunConfig {
   // replicas > 1 (train_mnist only, for now) the runner instantiates
   // `replicas` identically-initialised models, shards every batch across
   // them, and averages gradients through dist::replica_backward_ex — the
-  // data-parallel engine, on the barrier or overlapped schedule per
-  // LEGW_DIST. batch_size must be divisible by replicas. Metrics and
+  // data-parallel engine. batch_size must be divisible by replicas. Metrics and
   // captured parameters come from replica 0 (replicas stay
   // bit-synchronised, so the choice is immaterial).
   i64 replicas = 1;

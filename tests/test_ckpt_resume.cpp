@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
@@ -262,16 +263,53 @@ TEST(CkptResume, TornPublishIsDetectedAndSkipped) {
       plan, /*every=*/2, /*resume_step=*/4, "tornpublish");
 }
 
-// ---- data-parallel replicas × dist engines ----------------------------------
+// ---- data-parallel replicas -------------------------------------------------
 
-class CkptResumeReplicas
-    : public ::testing::TestWithParam<std::tuple<int, core::DistMode>> {};
+class CkptResumeReplicas : public ::testing::TestWithParam<int> {};
 
 TEST_P(CkptResumeReplicas, MnistBitwiseAcrossReplicasAndEngines) {
+  const int n_replicas = GetParam();
+
+  data::SyntheticMnist dataset(128, 16, 42);
+  models::MnistLstmConfig mcfg;
+  mcfg.transform_dim = 16;
+  mcfg.hidden_dim = 16;
+  sched::ConstantLr schedule(0.1f);
+  RunConfig run;
+  run.batch_size = 32;
+  run.epochs = 2;  // 4 steps/epoch -> 8 steps
+  run.optimizer = "momentum";
+  run.schedule = &schedule;
+  run.final_eval_only = true;
+  run.replicas = n_replicas;
+  const auto plan = ckpt::CrashPlan::mid_step(5);
+  expect_bitwise_resume(
+      [&](const RunConfig& r) { return train_mnist(dataset, mcfg, r); }, run,
+      plan, /*every=*/2, /*resume_step=*/4,
+      "replicas" + std::to_string(n_replicas));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ReplicaMatrix, CkptResumeReplicas, ::testing::Values(1, 2, 4),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return "r" + std::to_string(info.param);
+    });
+
+// ---- data-parallel replicas over a quantized wire ---------------------------
+//
+// A lossy wire (LEGW_DIST_WIRE) gives the runner error-feedback residuals
+// that carry across steps; they ride in the checkpoint's extra tensors, so a
+// resume must restore them bit for bit or the resumed trajectory drifts.
+
+using WireParam = std::tuple<int, core::WireFormat>;
+
+class CkptResumeWire : public ::testing::TestWithParam<WireParam> {};
+
+TEST_P(CkptResumeWire, MnistBitwiseOverQuantizedWire) {
   const int n_replicas = std::get<0>(GetParam());
-  const core::DistMode mode = std::get<1>(GetParam());
-  const core::DistMode saved = core::dist_mode();
-  core::set_dist_mode(mode);
+  const core::WireFormat format = std::get<1>(GetParam());
+  const core::WireFormat saved = core::dist_wire();
+  core::set_dist_wire(format);
 
   data::SyntheticMnist dataset(128, 16, 42);
   models::MnistLstmConfig mcfg;
@@ -290,19 +328,19 @@ TEST_P(CkptResumeReplicas, MnistBitwiseAcrossReplicasAndEngines) {
       [&](const RunConfig& r) { return train_mnist(dataset, mcfg, r); }, run,
       plan, /*every=*/2, /*resume_step=*/4,
       "replicas" + std::to_string(n_replicas) + "_" +
-          core::dist_mode_name(mode));
+          core::wire_format_name(format));
 
-  core::set_dist_mode(saved);
+  core::set_dist_wire(saved);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ReplicaMatrix, CkptResumeReplicas,
-    ::testing::Combine(::testing::Values(1, 2, 4),
-                       ::testing::Values(core::DistMode::kSync,
-                                         core::DistMode::kOverlap)),
-    [](const ::testing::TestParamInfo<std::tuple<int, core::DistMode>>& info) {
+    WireMatrix, CkptResumeWire,
+    ::testing::Combine(::testing::Values(2, 4),
+                       ::testing::Values(core::WireFormat::kFp16,
+                                         core::WireFormat::kInt8)),
+    [](const ::testing::TestParamInfo<WireParam>& info) {
       return "r" + std::to_string(std::get<0>(info.param)) + "_" +
-             core::dist_mode_name(std::get<1>(info.param));
+             core::wire_format_name(std::get<1>(info.param));
     });
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "ag/ops.hpp"
 #include "core/kernels.hpp"
 #include "core/tensor.hpp"
+#include "core/thread_pool.hpp"
 #include "data/corpus.hpp"
 #include "data/translation.hpp"
 #include "dist/cluster_model.hpp"
@@ -72,6 +73,19 @@ TEST(Kernels, CrossEntropyCountsAndIgnores) {
 }
 
 // ---- contract death tests ------------------------------------------------------
+
+TEST(Contracts, NumThreadsAcceptsOnlyWholeIntegersInRange) {
+  const auto parse = &core::ThreadPool::parse_num_threads;
+  EXPECT_EQ(parse(nullptr), 0);  // unset: hardware default
+  EXPECT_EQ(parse("4"), 4);
+  EXPECT_EQ(parse("1"), 1);
+  EXPECT_EQ(parse("1024"), 1024);
+  EXPECT_DEATH(parse("4x"), "LEGW_NUM_THREADS.*got '4x'");
+  EXPECT_DEATH(parse(""), "LEGW_NUM_THREADS.*got ''");
+  EXPECT_DEATH(parse("0"), "LEGW_NUM_THREADS.*got '0'");
+  EXPECT_DEATH(parse("-2"), "LEGW_NUM_THREADS.*got '-2'");
+  EXPECT_DEATH(parse("100000"), "LEGW_NUM_THREADS.*got '100000'");
+}
 
 TEST(Contracts, TensorShapeMismatchAborts) {
   Tensor a({2, 2});

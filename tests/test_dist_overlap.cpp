@@ -1,7 +1,7 @@
 // The bucketed data-parallel engine: grad-ready hook semantics, bitwise
-// equivalence of both schedules with a serial oracle at 1/2/4/8 replicas,
-// fault injection (stragglers, dead replicas, degrade and fail-fast
-// policies), observability, and end-to-end runner parity under LEGW_DIST.
+// equivalence with a serial oracle at 1/2/4/8 replicas, wire-model
+// invariance, fault injection (stragglers, dead replicas, degrade and
+// fail-fast policies) and observability.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -10,15 +10,12 @@
 
 #include "ag/ops.hpp"
 #include "ag/variable.hpp"
-#include "core/flags.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "dist/algorithms.hpp"
 #include "dist/overlap.hpp"
 #include "models/mnist_lstm.hpp"
 #include "obs/trace.hpp"
 #include "optim/optimizer.hpp"
-#include "sched/schedule.hpp"
-#include "train/runners.hpp"
 
 namespace legw::dist {
 namespace {
@@ -172,58 +169,55 @@ TEST_P(OverlapEquivalenceTest, BitwiseMatchesSerialOracle) {
   }
   momentum_step(oracle.params);
 
-  // Both schedules: overlapped, and the barrier schedule LEGW_DIST=sync runs.
-  for (const bool overlap : {true, false}) {
-    SCOPED_TRACE(overlap ? "overlap" : "barrier");
-    ReplicaSet set = make_replicas(n);
-    OverlapConfig config;
-    config.bucket_bytes = 1024;  // small target => several buckets
-    config.overlap = overlap;
-    const OverlapResult res =
-        overlapped_backward(set.params, loss_fn(set), config);
-    ASSERT_TRUE(res.ok) << res.error;
-    EXPECT_GT(res.stats.n_buckets, 1);
-    EXPECT_EQ(res.stats.buckets_reduced, res.stats.n_buckets);
-    EXPECT_EQ(res.mean_loss, oracle_loss);
+  ReplicaSet set = make_replicas(n);
+  OverlapConfig config;
+  config.bucket_bytes = 1024;  // small target => several buckets
+  const OverlapResult res =
+      overlapped_backward(set.params, loss_fn(set), config);
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_GT(res.stats.n_buckets, 1);
+  EXPECT_EQ(res.stats.buckets_reduced, res.stats.n_buckets);
+  EXPECT_EQ(res.mean_loss, oracle_loss);
 
-    // Averaged gradients bitwise identical on every replica.
-    for (int r = 0; r < n; ++r) {
-      const auto rs = static_cast<std::size_t>(r);
-      for (std::size_t p = 0; p < oracle.params[0].size(); ++p) {
-        const Tensor& want = oracle_grads[rs][p];
-        const Tensor& got = set.params[rs][p].grad();
-        ASSERT_EQ(want.numel(), got.numel());
-        for (i64 i = 0; i < want.numel(); ++i) {
-          ASSERT_EQ(got[i], want[i])
-              << "replica " << r << " param " << p << " elem " << i;
-        }
+  // Averaged gradients bitwise identical on every replica.
+  for (int r = 0; r < n; ++r) {
+    const auto rs = static_cast<std::size_t>(r);
+    for (std::size_t p = 0; p < oracle.params[0].size(); ++p) {
+      const Tensor& want = oracle_grads[rs][p];
+      const Tensor& got = set.params[rs][p].grad();
+      ASSERT_EQ(want.numel(), got.numel());
+      for (i64 i = 0; i < want.numel(); ++i) {
+        ASSERT_EQ(got[i], want[i])
+            << "replica " << r << " param " << p << " elem " << i;
       }
     }
-
-    // Identical momentum steps must then produce bitwise-identical
-    // parameters.
-    momentum_step(set.params);
-    for (int r = 0; r < n; ++r) {
-      const auto rs = static_cast<std::size_t>(r);
-      for (std::size_t p = 0; p < oracle.params[0].size(); ++p) {
-        const Tensor& want = oracle.params[rs][p].value();
-        const Tensor& got = set.params[rs][p].value();
-        for (i64 i = 0; i < want.numel(); ++i) {
-          ASSERT_EQ(got[i], want[i]) << "post-step replica " << r
-                                     << " param " << p << " elem " << i;
-        }
-      }
-    }
-    EXPECT_EQ(first_divergent_param(set.params), -1);
   }
+
+  // Identical momentum steps must then produce bitwise-identical
+  // parameters.
+  momentum_step(set.params);
+  for (int r = 0; r < n; ++r) {
+    const auto rs = static_cast<std::size_t>(r);
+    for (std::size_t p = 0; p < oracle.params[0].size(); ++p) {
+      const Tensor& want = oracle.params[rs][p].value();
+      const Tensor& got = set.params[rs][p].value();
+      for (i64 i = 0; i < want.numel(); ++i) {
+        ASSERT_EQ(got[i], want[i]) << "post-step replica " << r
+                                   << " param " << p << " elem " << i;
+      }
+    }
+  }
+  EXPECT_EQ(first_divergent_param(set.params), -1);
 }
 
 INSTANTIATE_TEST_SUITE_P(ReplicaCounts, OverlapEquivalenceTest,
                          ::testing::Values(1, 2, 4, 8));
 
-TEST(OverlapEngine, NonOverlappedModeAlsoBitwiseMatches) {
-  // The A/B baseline (overlap=false) shares buckets and reduction order, so
-  // it too must be bitwise identical to the overlapped mode.
+TEST(OverlapEngine, WireCostChangesNoValue) {
+  // A modelled wire cost delays each bucket's reduction, which reorders when
+  // buckets complete but not what they hold, so a costed and a free wire
+  // give bitwise-identical results (bench/dist_scaling's parity rests on
+  // this).
   const int n = 4;
   data::SyntheticMnist dataset(64, 16, 42);
   ReplicaSet a_set = make_replicas(n);
@@ -236,14 +230,14 @@ TEST(OverlapEngine, NonOverlappedModeAlsoBitwiseMatches) {
           dataset.gather_images(sh, true), dataset.gather_labels(sh, true));
     };
   };
-  OverlapConfig overlapped;
-  overlapped.bucket_bytes = 1024;
-  OverlapConfig barrier = overlapped;
-  barrier.overlap = false;
+  OverlapConfig free_wire;
+  free_wire.bucket_bytes = 1024;
+  OverlapConfig costed = free_wire;
+  costed.wire.latency_us = 1.0;
   const OverlapResult ra = overlapped_backward(a_set.params, loss_fn(a_set),
-                                               overlapped);
+                                               costed);
   const OverlapResult rb = overlapped_backward(b_set.params, loss_fn(b_set),
-                                               barrier);
+                                               free_wire);
   ASSERT_TRUE(ra.ok) << ra.error;
   ASSERT_TRUE(rb.ok) << rb.error;
   EXPECT_EQ(ra.mean_loss, rb.mean_loss);
@@ -480,57 +474,6 @@ TEST(OverlapObservability, BucketReduceSpansAndCounters) {
 
   obs::TraceRecorder::global().clear();
   obs::set_tracing_enabled(was_tracing);
-}
-
-// ---- LEGW_DIST runner dispatch ---------------------------------------------
-
-TEST(DistDispatch, TrainMnistOverlapMatchesSyncBitwise) {
-  // End-to-end: two data-parallel training runs through train_mnist, one per
-  // engine, must capture bitwise-identical final parameters.
-  data::SyntheticMnist dataset(64, 16, 42);
-  models::MnistLstmConfig mc;
-  mc.transform_dim = 8;
-  mc.hidden_dim = 8;
-  sched::ConstantLr lr(0.05f);
-  train::RunConfig run;
-  run.batch_size = 16;
-  run.epochs = 1;
-  run.replicas = 2;
-  run.schedule = &lr;
-  run.capture_final_params = true;
-  run.final_eval_only = true;
-
-  const core::DistMode saved = core::dist_mode();
-  core::set_dist_mode(core::DistMode::kSync);
-  const train::RunResult sync_run = train::train_mnist(dataset, mc, run);
-  core::set_dist_mode(core::DistMode::kOverlap);
-  const train::RunResult ovl_run = train::train_mnist(dataset, mc, run);
-  core::set_dist_mode(saved);
-
-  ASSERT_FALSE(sync_run.diverged);
-  ASSERT_FALSE(ovl_run.diverged);
-  ASSERT_EQ(sync_run.final_params.size(), ovl_run.final_params.size());
-  ASSERT_GT(sync_run.final_params.size(), 0u);
-  for (std::size_t p = 0; p < sync_run.final_params.size(); ++p) {
-    const Tensor& want = sync_run.final_params[p];
-    const Tensor& got = ovl_run.final_params[p];
-    ASSERT_EQ(want.numel(), got.numel());
-    for (i64 i = 0; i < want.numel(); ++i) {
-      ASSERT_EQ(got[i], want[i]) << "param " << p << " elem " << i;
-    }
-  }
-}
-
-TEST(DistDispatch, ModeParsingMirrorsLegwKernel) {
-  const core::DistMode saved = core::dist_mode();
-  EXPECT_TRUE(core::set_dist_mode("overlap"));
-  EXPECT_EQ(core::dist_mode(), core::DistMode::kOverlap);
-  EXPECT_STREQ(core::dist_mode_name(core::dist_mode()), "overlap");
-  EXPECT_TRUE(core::set_dist_mode("sync"));
-  EXPECT_EQ(core::dist_mode(), core::DistMode::kSync);
-  EXPECT_FALSE(core::set_dist_mode("bogus"));
-  EXPECT_EQ(core::dist_mode(), core::DistMode::kSync);
-  core::set_dist_mode(saved);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
-// Rank-consistent recovery under data parallelism: the anomaly x replicas x
-// dist-engine matrix. Every replica must take the identical rollback
-// decision (verdicts reduce by max severity), the recovery must keep the
-// replicas bit-synchronised, and the recovered run must match the
-// anomaly-free protect run bitwise — under both the sync and the overlapped
-// gradient engine. Compiled into both the guard suite and the concurrency
-// suite (the overlap engine spins up real threads, so tsan covers it).
+// Rank-consistent recovery under data parallelism: the anomaly x replicas
+// matrix, and the same matrix over a quantized wire. Every replica must take
+// the identical rollback decision (verdicts reduce by max severity), the
+// recovery must keep the replicas bit-synchronised, and the recovered run
+// must match the anomaly-free protect run bitwise. Compiled into both the
+// guard suite and the concurrency suite (the engine spins up real threads,
+// so tsan covers it).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -47,20 +47,20 @@ void expect_params_equal(const RunResult& a, const RunResult& b,
   }
 }
 
-using MatrixParam = std::tuple<int, core::DistMode, guard::AnomalyPlan::Kind>;
+const char* kind_name(guard::AnomalyPlan::Kind kind) {
+  switch (kind) {
+    case guard::AnomalyPlan::Kind::kNaN: return "nan";
+    case guard::AnomalyPlan::Kind::kLossSpike: return "spike";
+    case guard::AnomalyPlan::Kind::kGradExplosion: return "grad";
+  }
+  return "nan";
+}
 
-class GuardDistMatrix : public ::testing::TestWithParam<MatrixParam> {};
-
-TEST_P(GuardDistMatrix, RecoveryIsRankConsistentAndBitwise) {
-  const int n_replicas = std::get<0>(GetParam());
-  const core::DistMode mode = std::get<1>(GetParam());
-  const guard::AnomalyPlan::Kind kind = std::get<2>(GetParam());
-  const core::DistMode saved = core::dist_mode();
-  core::set_dist_mode(mode);
-
-  const std::string tag = "r" + std::to_string(n_replicas) + "_" +
-                          core::dist_mode_name(mode) + "_" +
-                          std::to_string(static_cast<int>(kind));
+// One cell of the matrix: an anomaly-free protect run and the same run with
+// one injected anomaly at step 10 must end bitwise equal.
+void expect_rank_consistent_recovery(int n_replicas,
+                                     guard::AnomalyPlan::Kind kind,
+                                     const std::string& tag) {
 
   data::SyntheticMnist dataset(128, 16, 42);
   models::MnistLstmConfig mcfg;
@@ -105,28 +105,64 @@ TEST_P(GuardDistMatrix, RecoveryIsRankConsistentAndBitwise) {
   // Replica 0's parameters (the replicas stay bit-synchronised through the
   // anomaly, the rollback, and the replay) match the anomaly-free run.
   expect_params_equal(ref, got, tag);
+}
 
-  core::set_dist_mode(saved);
+const auto kKinds = ::testing::Values(guard::AnomalyPlan::Kind::kNaN,
+                                      guard::AnomalyPlan::Kind::kLossSpike,
+                                      guard::AnomalyPlan::Kind::kGradExplosion);
+
+using MatrixParam = std::tuple<int, guard::AnomalyPlan::Kind>;
+
+class GuardDistMatrix : public ::testing::TestWithParam<MatrixParam> {};
+
+TEST_P(GuardDistMatrix, RecoveryIsRankConsistentAndBitwise) {
+  const int n_replicas = std::get<0>(GetParam());
+  const guard::AnomalyPlan::Kind kind = std::get<1>(GetParam());
+  expect_rank_consistent_recovery(
+      n_replicas, kind,
+      "r" + std::to_string(n_replicas) + "_" + kind_name(kind));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AnomalyMatrix, GuardDistMatrix,
-    ::testing::Combine(
-        ::testing::Values(1, 2, 4),
-        ::testing::Values(core::DistMode::kSync, core::DistMode::kOverlap),
-        ::testing::Values(guard::AnomalyPlan::Kind::kNaN,
-                          guard::AnomalyPlan::Kind::kLossSpike,
-                          guard::AnomalyPlan::Kind::kGradExplosion)),
+    ::testing::Combine(::testing::Values(1, 2, 4), kKinds),
     [](const ::testing::TestParamInfo<MatrixParam>& info) {
-      const char* kind = "nan";
-      switch (std::get<2>(info.param)) {
-        case guard::AnomalyPlan::Kind::kNaN: kind = "nan"; break;
-        case guard::AnomalyPlan::Kind::kLossSpike: kind = "spike"; break;
-        case guard::AnomalyPlan::Kind::kGradExplosion: kind = "grad"; break;
-      }
       return "r" + std::to_string(std::get<0>(info.param)) + "_" +
-             std::string(core::dist_mode_name(std::get<1>(info.param))) +
-             "_" + kind;
+             kind_name(std::get<1>(info.param));
+    });
+
+// The same matrix over a quantized wire (LEGW_DIST_WIRE): the runner then
+// carries error-feedback residuals across steps, and the rollback must
+// restore them from the checkpoint along with the weights, or the replayed
+// steps would ship different gradients than the anomaly-free run.
+using WireParam =
+    std::tuple<int, core::WireFormat, guard::AnomalyPlan::Kind>;
+
+class GuardDistWire : public ::testing::TestWithParam<WireParam> {};
+
+TEST_P(GuardDistWire, RecoveryIsBitwiseOverQuantizedWire) {
+  const int n_replicas = std::get<0>(GetParam());
+  const core::WireFormat format = std::get<1>(GetParam());
+  const guard::AnomalyPlan::Kind kind = std::get<2>(GetParam());
+  const core::WireFormat saved = core::dist_wire();
+  core::set_dist_wire(format);
+  expect_rank_consistent_recovery(
+      n_replicas, kind,
+      "r" + std::to_string(n_replicas) + "_" +
+          core::wire_format_name(format) + "_" + kind_name(kind));
+  core::set_dist_wire(saved);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WireMatrix, GuardDistWire,
+    ::testing::Combine(::testing::Values(2, 4),
+                       ::testing::Values(core::WireFormat::kFp16,
+                                         core::WireFormat::kInt8),
+                       kKinds),
+    [](const ::testing::TestParamInfo<WireParam>& info) {
+      return "r" + std::to_string(std::get<0>(info.param)) + "_" +
+             core::wire_format_name(std::get<1>(info.param)) + "_" +
+             kind_name(std::get<2>(info.param));
     });
 
 }  // namespace

@@ -9,7 +9,6 @@
 //   * FIFO + determinism — composition is a pure function of the schedule.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <vector>
@@ -197,31 +196,6 @@ TEST(BatcherProperty, DeterministicCompositionUnderSeededSchedule) {
       }
     }
   }
-}
-
-TEST(BatchPolicy, FromEnvClampsAndDefaults) {
-  // Baseline: unset -> defaults.
-  unsetenv("LEGW_SERVE_BATCH_CAP");
-  unsetenv("LEGW_SERVE_DEADLINE_MS");
-  BatchPolicy def;
-  BatchPolicy p = BatchPolicy::from_env();
-  EXPECT_EQ(p.batch_cap, def.batch_cap);
-  EXPECT_EQ(p.deadline_ms, def.deadline_ms);
-
-  setenv("LEGW_SERVE_BATCH_CAP", "64", 1);
-  setenv("LEGW_SERVE_DEADLINE_MS", "12", 1);
-  p = BatchPolicy::from_env();
-  EXPECT_EQ(p.batch_cap, 64);
-  EXPECT_EQ(p.deadline_ms, 12);
-
-  setenv("LEGW_SERVE_BATCH_CAP", "0", 1);        // below the floor
-  setenv("LEGW_SERVE_DEADLINE_MS", "-5", 1);     // negative
-  p = BatchPolicy::from_env();
-  EXPECT_EQ(p.batch_cap, 1);
-  EXPECT_EQ(p.deadline_ms, 0);
-
-  unsetenv("LEGW_SERVE_BATCH_CAP");
-  unsetenv("LEGW_SERVE_DEADLINE_MS");
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "ckpt/checkpoint.hpp"
 #include "core/rng.hpp"
+#include "mem/alloc.hpp"
 #include "models/mnist_lstm.hpp"
 #include "obs/trace.hpp"
 #include "obs/telemetry.hpp"
@@ -158,6 +159,66 @@ TEST(RequestBroker, InvalidRequestsAreRefusedAtSubmit) {
   serve::Response r = broker.submit(bad).get();
   EXPECT_EQ(r.status, serve::Status::kInvalidRequest);
   EXPECT_EQ(r.id, 7u);
+}
+
+// Tensor-heap peak of `fn`, above the live bytes when it starts.
+template <typename Fn>
+i64 heap_peak_delta(Fn&& fn) {
+  mem::reset_mem_peaks();
+  const i64 live = mem::mem_stats().heap_live_bytes;
+  fn();
+  return mem::mem_stats().heap_peak_bytes - live;
+}
+
+TEST(RequestBroker, DeadlineBatchRunsOnlyItsRealRows) {
+  // Fewer requests than batch_cap, all in one bucket: the deadline closes
+  // the batch, and the broker runs exactly those rows, never zero padding.
+  // Padding leaves every real row's logits alone, so it shows only in the
+  // shape the batch runs at: its heap peak.
+  auto session = make_session();
+  ASSERT_NE(session, nullptr);
+  constexpr int kRequests = 5;
+  constexpr i64 kCap = 16;
+  Rng rng(21);
+  std::vector<serve::Request> reqs;
+  std::vector<Tensor> want;
+  for (int i = 0; i < kRequests; ++i) {
+    reqs.push_back(random_request(static_cast<u64>(i), rng));
+    const serve::Response ref = session->run(reqs.back());
+    ASSERT_EQ(ref.status, serve::Status::kOk);
+    want.push_back(ref.logits);
+  }
+  const auto direct_peak = [&](i64 pad_rows_to) {
+    return heap_peak_delta([&] {
+      std::vector<serve::Response> out;
+      ASSERT_TRUE(session->run_batch(reqs, 0, pad_rows_to, &out).ok());
+    });
+  };
+  const i64 padded_peak = direct_peak(kCap);
+  ASSERT_GT(padded_peak, direct_peak(0));
+
+  const serve::BrokerCounters before = serve::RequestBroker::counters();
+  const i64 broker_peak = heap_peak_delta([&] {
+    serve::RequestBroker broker(*session, broker_config(1, kCap, 5));
+    std::vector<std::future<serve::Response>> futures;
+    for (const serve::Request& req : reqs) {
+      futures.push_back(broker.submit(req));
+    }
+    for (int i = 0; i < kRequests; ++i) {
+      serve::Response r = futures[static_cast<std::size_t>(i)].get();
+      ASSERT_EQ(r.status, serve::Status::kOk) << r.message;
+      ASSERT_EQ(r.logits.shape(), want[i].shape());
+      for (i64 k = 0; k < r.logits.numel(); ++k) {
+        ASSERT_EQ(r.logits[k], want[i][k]) << "request " << i << " flat " << k;
+      }
+    }
+  });
+  const serve::BrokerCounters after = serve::RequestBroker::counters();
+  EXPECT_EQ(after.capacity_batches - before.capacity_batches, 0);
+  EXPECT_GE(after.deadline_batches - before.deadline_batches, 1);
+  EXPECT_EQ(after.batch_rows - before.batch_rows, kRequests);
+  EXPECT_EQ(after.pad_rows - before.pad_rows, 0);
+  EXPECT_LT(broker_peak, padded_peak);
 }
 
 TEST(RequestBroker, CountersReachTelemetryWithTracingDisabled) {
