@@ -100,7 +100,7 @@ void BM_LstmCellFused(benchmark::State& state) {
   for (auto _ : state) {
     w.zero_grad();
     b.zero_grad();
-    ag::Variable out = ag::lstm_cell(x, h, c, w, b);
+    ag::Variable out = ag::lstm_layer(x, h, c, w, b);
     // Loss over h only, mirroring the composed benchmark below.
     ag::backward(ag::sum_all(ag::slice_cols(out, 0, hidden)));
     benchmark::DoNotOptimize(w.grad().data());

@@ -1,13 +1,15 @@
 // Kernel performance baseline: times gemm_ref vs gemm_blocked over the GEMM
 // shapes the real models hit (square sweeps, LSTM gate matmuls, GNMT
-// attention, ResNet im2col) plus the fused LSTM cell, and emits
-// BENCH_kernels.json so future PRs can track per-shape GFLOP/s regressions.
+// attention, ResNet im2col) plus the fused LSTM cell and the LSTM layer
+// node over a window, and emits BENCH_kernels.json so future PRs can track
+// per-shape regressions.
 // The output names the micro-kernel compiled into gemm_blocked ("avx512" or
 // "scalar"), since the GFLOP/s mean little without it.
 //
 // Usage: perf_baseline [--out BENCH_kernels.json] [--reps N] [--min-ms M]
 // See docs/KERNELS.md for how to read the output.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -123,6 +125,60 @@ LstmResult lstm_cell_rate(i64 batch, i64 hidden, int reps, double min_ms) {
   return res;
 }
 
+// One LSTM layer over a window of `steps` steps: milliseconds per window for
+// the forward and for the backward of one T-step ag::lstm_layer node, and of
+// the chain of T one-step nodes it replaced (the same bits; only W and W^T
+// are packed once per window instead of once per step).
+struct LayerResult {
+  i64 batch, hidden, steps;
+  double layer_fwd_ms = 0.0, layer_bwd_ms = 0.0;
+  double chain_fwd_ms = 0.0, chain_bwd_ms = 0.0;
+};
+
+LayerResult lstm_layer_rate(i64 batch, i64 hidden, i64 steps, int reps,
+                            double min_ms) {
+  LayerResult res{batch, hidden, steps};
+  Rng rng(7);
+  nn::LstmCellLayer layer(hidden, hidden, rng);
+  std::vector<ag::Variable> xs;
+  for (i64 t = 0; t < steps; ++t)
+    xs.push_back(ag::Variable::constant(Tensor::randn({batch, hidden}, rng)));
+  const ag::Variable x = ag::concat_rows(xs);
+  for (const bool chain : {false, true}) {
+    const auto forward = [&] {
+      const nn::LstmState s0 = layer.zero_state(batch);
+      if (!chain) {
+        return ag::sum_all(ag::slice_cols(
+            ag::lstm_layer(x, s0.h, s0.c, layer.weight(), layer.bias()), 0,
+            hidden));
+      }
+      nn::LstmState s = s0;
+      std::vector<ag::Variable> hs;
+      for (const ag::Variable& x_t : xs) {
+        s = layer.step(x_t, s);
+        hs.push_back(s.h);
+      }
+      return ag::sum_all(ag::concat_rows(hs));
+    };
+    double fwd = 0.0, bwd = 0.0;
+    int done = -1;  // the first window warms up and is not counted
+    while (done < std::max(reps, 1) || (fwd + bwd) * 1e3 < min_ms) {
+      if (done == 0) fwd = bwd = 0.0;
+      layer.zero_grad();
+      const double t0 = now_seconds();
+      const ag::Variable loss = forward();
+      const double t1 = now_seconds();
+      ag::backward(loss);
+      fwd += t1 - t0;
+      bwd += now_seconds() - t1;
+      ++done;
+    }
+    (chain ? res.chain_fwd_ms : res.layer_fwd_ms) = fwd / done * 1e3;
+    (chain ? res.chain_bwd_ms : res.layer_bwd_ms) = bwd / done * 1e3;
+  }
+  return res;
+}
+
 // Re-runs every shape a few times under tracing so the phase summary in the
 // output JSON has per-kernel rows. Kept separate from the timed loops above:
 // those run with tracing in its default (disabled) state so the reported
@@ -232,6 +288,34 @@ int main(int argc, char** argv) {
                  r.composed_steps_per_s,
                  r.fused_steps_per_s / r.composed_steps_per_s,
                  i + 1 < lstm_shapes.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+
+  // LSTM layer windows at the PTB shape (ptb-b8-t1) and the mnist shape.
+  std::fprintf(f, "  \"lstm_layer\": [\n");
+  const std::vector<std::array<i64, 3>> layer_shapes = {{8, 48, 10},
+                                                        {128, 32, 28}};
+  for (std::size_t i = 0; i < layer_shapes.size(); ++i) {
+    const auto [batch, hidden, steps] = layer_shapes[i];
+    const LayerResult r = lstm_layer_rate(batch, hidden, steps, reps, min_ms);
+    std::printf("lstm_layer b=%-4lld h=%-4lld t=%-3lld  layer fwd %.3f bwd "
+                "%.3f ms  chain fwd %.3f bwd %.3f ms  speedup fwd %.2fx bwd "
+                "%.2fx\n",
+                static_cast<long long>(batch), static_cast<long long>(hidden),
+                static_cast<long long>(steps), r.layer_fwd_ms, r.layer_bwd_ms,
+                r.chain_fwd_ms, r.chain_bwd_ms, r.chain_fwd_ms / r.layer_fwd_ms,
+                r.chain_bwd_ms / r.layer_bwd_ms);
+    std::fprintf(f,
+                 "    {\"batch\": %lld, \"hidden\": %lld, \"steps\": %lld, "
+                 "\"layer_fwd_ms\": %.4f, \"layer_bwd_ms\": %.4f, "
+                 "\"chain_fwd_ms\": %.4f, \"chain_bwd_ms\": %.4f, "
+                 "\"fwd_speedup\": %.3f, \"bwd_speedup\": %.3f}%s\n",
+                 static_cast<long long>(batch), static_cast<long long>(hidden),
+                 static_cast<long long>(steps), r.layer_fwd_ms, r.layer_bwd_ms,
+                 r.chain_fwd_ms, r.chain_bwd_ms,
+                 r.chain_fwd_ms / r.layer_fwd_ms,
+                 r.chain_bwd_ms / r.layer_bwd_ms,
+                 i + 1 < layer_shapes.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
 

@@ -70,11 +70,7 @@ Variable add_bias(const Variable& x, const Variable& bias) {
   const i64 m = x.size(0);
   const i64 ncols = x.size(1);
   Tensor out = x.value();
-  float* o = out.data();
-  const float* bv = bias.value().data();
-  for (i64 r = 0; r < m; ++r) {
-    for (i64 c = 0; c < ncols; ++c) o[r * ncols + c] += bv[c];
-  }
+  core::add_bias_rows(out.data(), bias.value().data(), m, ncols);
   return make_op_node("add_bias", std::move(out), {x, bias}, [m, ncols](Node& n) {
     if (n.parents[0]->requires_grad) n.parents[0]->ensure_grad().add_(n.grad);
     if (n.parents[1]->requires_grad) {
@@ -265,25 +261,30 @@ Variable concat_cols(const std::vector<Variable>& parts) {
                       });
 }
 
-Variable slice_cols(const Variable& a, i64 begin, i64 end) {
-  check::expect_dim(a.value(), 2, "slice_cols");
-  const i64 rows = a.size(0);
+Variable slice(const Variable& a, i64 r0, i64 r1, i64 c0, i64 c1) {
+  check::expect_dim(a.value(), 2, "slice");
   const i64 cols = a.size(1);
-  LEGW_CHECK(0 <= begin && begin < end && end <= cols,
-             "slice_cols: bad column range");
-  const i64 w = end - begin;
-  Tensor out(Shape{rows, w});
-  const float* src = a.value().data();
+  LEGW_CHECK(0 <= r0 && r0 < r1 && r1 <= a.size(0), "slice: bad row range");
+  LEGW_CHECK(0 <= c0 && c0 < c1 && c1 <= cols, "slice: bad column range");
+  const i64 rows = r1 - r0;
+  const i64 w = c1 - c0;
+  Tensor out = Tensor::uninit({rows, w});
+  const float* src = a.value().data() + r0 * cols + c0;
   float* o = out.data();
   for (i64 r = 0; r < rows; ++r)
-    for (i64 c = 0; c < w; ++c) o[r * w + c] = src[r * cols + begin + c];
-  return make_op_node("slice_cols", std::move(out), {a}, [rows, cols, begin, w](Node& n) {
+    for (i64 c = 0; c < w; ++c) o[r * w + c] = src[r * cols + c];
+  return make_op_node("slice", std::move(out), {a}, [rows, cols, r0, c0, w](Node& n) {
     if (!n.parents[0]->requires_grad) return;
-    Tensor& gp = n.parents[0]->ensure_grad();
+    float* gp = n.parents[0]->ensure_grad().data() + r0 * cols + c0;
     const float* g = n.grad.data();
     for (i64 r = 0; r < rows; ++r)
-      for (i64 c = 0; c < w; ++c) gp[r * cols + begin + c] += g[r * w + c];
+      for (i64 c = 0; c < w; ++c) gp[r * cols + c] += g[r * w + c];
   });
+}
+
+Variable slice_cols(const Variable& a, i64 begin, i64 end) {
+  check::expect_dim(a.value(), 2, "slice_cols");
+  return slice(a, 0, a.size(0), begin, end);
 }
 
 Variable concat_rows(const std::vector<Variable>& parts) {
@@ -387,15 +388,18 @@ Variable embedding(const Variable& weight, const std::vector<i32>& indices) {
   });
 }
 
+void dropout_mask(float p, core::Rng& rng, float* mask, i64 n) {
+  LEGW_CHECK(p >= 0.0f && p < 1.0f, "dropout rate must be in [0,1)");
+  const float keep = 1.0f - p;
+  const float inv_keep = 1.0f / keep;
+  for (i64 i = 0; i < n; ++i) mask[i] = rng.uniform() < keep ? inv_keep : 0.0f;
+}
+
 Variable dropout(const Variable& a, float p, core::Rng& rng, bool training) {
   LEGW_CHECK(p >= 0.0f && p < 1.0f, "dropout rate must be in [0,1)");
   if (!training || p == 0.0f) return a;
-  const float keep = 1.0f - p;
-  const float inv_keep = 1.0f / keep;
-  Tensor mask(a.value().shape());
-  for (i64 i = 0; i < mask.numel(); ++i) {
-    mask[i] = rng.uniform() < keep ? inv_keep : 0.0f;
-  }
+  Tensor mask = Tensor::uninit(a.value().shape());
+  dropout_mask(p, rng, mask.data(), mask.numel());
   Tensor out = a.value() * mask;
   return make_op_node("dropout", std::move(out), {a}, [mask](Node& n) {
     if (!n.parents[0]->requires_grad) return;

@@ -3,9 +3,9 @@
 // Every function builds one graph node; compound layers (LSTM, attention,
 // residual blocks) are compositions of these. A handful of performance- or
 // correctness-critical ops are "fused" with hand-derived backward passes
-// (lstm_cell, conv2d, batch_norm); their gradients are cross-checked against
-// finite differences and, for the LSTM cell, against an op-composition of the
-// same math (tests/test_ag_rnn.cpp).
+// (lstm_layer, conv2d, batch_norm); their gradients are cross-checked against
+// finite differences and, for the LSTM layer, against an op-composition of
+// the same math (tests/test_ag_rnn.cpp).
 #pragma once
 
 #include <vector>
@@ -50,6 +50,8 @@ Variable clamp(const Variable& a, float lo, float hi);
 Variable reshape(const Variable& a, Shape shape);
 // Concatenate 2-D tensors along columns; all must share the row count.
 Variable concat_cols(const std::vector<Variable>& parts);
+// Rows [r0, r1) and columns [c0, c1) of a 2-D tensor.
+Variable slice(const Variable& a, i64 r0, i64 r1, i64 c0, i64 c1);
 // Columns [begin, end) of a 2-D tensor.
 Variable slice_cols(const Variable& a, i64 begin, i64 end);
 // Concatenate 2-D tensors along rows; all must share the column count.
@@ -67,8 +69,10 @@ Variable embedding(const Variable& weight, const std::vector<i32>& indices);
 
 // ---- regularisation --------------------------------------------------------
 // Inverted dropout: at train time scales kept activations by 1/(1-p);
-// identity at eval time. Mask is drawn from `rng`.
+// identity at eval time. Mask is drawn from `rng` by dropout_mask.
 Variable dropout(const Variable& a, float p, core::Rng& rng, bool training);
+// n mask values drawn in order from `rng`: 1/(1-p) kept, 0 dropped.
+void dropout_mask(float p, core::Rng& rng, float* mask, i64 n);
 
 // ---- loss ------------------------------------------------------------------
 // Mean softmax cross-entropy over rows of `logits` against integer targets.
@@ -83,13 +87,16 @@ Variable softmax_cross_entropy(const Variable& logits,
 // v / ||v||_2 for a 1-D vector (used by normalized Bahdanau attention).
 Variable normalize_vec(const Variable& v, float eps = 1e-8f);
 
-// ---- fused recurrent cell --------------------------------------------------
-// One LSTM step. x: [B, I], h: [B, H], c: [B, H], w: [I+H, 4H] with gate
-// order (i, f, g, o), b: [4H]. Returns [B, 2H]: columns [0,H) are the new h,
-// [H,2H) the new c. Callers split with slice_cols. Forget-gate bias is the
-// caller's responsibility (add 1.0 to b's f-segment at init).
-Variable lstm_cell(const Variable& x, const Variable& h, const Variable& c,
-                   const Variable& w, const Variable& b);
+// ---- fused recurrent layer -------------------------------------------------
+// One LSTM layer over T steps as one node. x: [T*B, I], row t*B + r is step
+// t; h, c: [B, H], the initial state; w: [I+H, 4H], gate order (i, f, g, o);
+// b: [4H] (forget-gate bias is the caller's). Returns [T*B, 2H], row block t
+// holding (h_t | c_t). Given a dropout mask on h ([T*B, H]), `*masked`
+// receives h ⊙ mask as a second node, whose gradient the layer node adds in
+// the order a per-step graph's dropout would.
+Variable lstm_layer(const Variable& x, const Variable& h, const Variable& c,
+                    const Variable& w, const Variable& b, Tensor out_mask = {},
+                    Variable* masked = nullptr);
 
 // ---- convolution / CNN ops -------------------------------------------------
 // x: [B, C, H, W], w: [Cout, C, kh, kw], bias: [Cout] (pass undefined

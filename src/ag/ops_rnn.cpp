@@ -1,12 +1,9 @@
-// Fused LSTM cell with hand-derived backward.
-//
-// The cell is the hot loop of every model in this repo, so it is implemented
-// as a single graph node: one GEMM for all four gates, and a single-pass
-// elementwise block (bias, activations, cell update) provided by
-// core::lstm_cell_forward / core::lstm_cell_backward. The gradient is
-// cross-checked in tests against both finite differences and an op-by-op
-// composition of the identical math.
-#include <cmath>
+// Fused LSTM layer with hand-derived backward: one graph node per layer per
+// window, running core::lstm_sequence_forward / _backward with the weight
+// packed once. Per step the arithmetic is that of a chain of one-step nodes,
+// so the two agree bit for bit; tests also check it against finite
+// differences and an op-by-op composition of the same math.
+#include <memory>
 
 #include "ag/ops.hpp"
 #include "core/kernels.hpp"
@@ -15,97 +12,53 @@ namespace legw::ag {
 
 using legw::i64;
 
-Variable lstm_cell(const Variable& x, const Variable& h, const Variable& c,
-                   const Variable& w, const Variable& b) {
-  LEGW_CHECK(x.value().dim() == 2 && h.value().dim() == 2 && c.value().dim() == 2,
-             "lstm_cell: x, h, c must be 2-D");
-  const i64 batch = x.size(0);
+Variable lstm_layer(const Variable& x, const Variable& h, const Variable& c,
+                    const Variable& w, const Variable& b, Tensor out_mask,
+                    Variable* masked) {
+  const i64 batch = h.size(0), hidden = h.size(1), rows = x.size(0);
+  LEGW_CHECK(x.value().dim() == 2 && h.value().dim() == 2 &&
+                 c.value().shape() == h.value().shape() && batch > 0 &&
+                 rows > 0 && rows % batch == 0,
+             "lstm_layer: x must be [T*B, I], h and c [B, H]");
   const i64 in_dim = x.size(1);
-  const i64 hidden = h.size(1);
-  LEGW_CHECK(h.size(0) == batch && c.size(0) == batch && c.size(1) == hidden,
-             "lstm_cell: batch/hidden mismatch between x, h, c");
-  LEGW_CHECK(w.value().dim() == 2 && w.size(0) == in_dim + hidden &&
-                 w.size(1) == 4 * hidden,
-             "lstm_cell: w must be [in+hidden, 4*hidden]");
-  LEGW_CHECK(b.value().dim() == 1 && b.size(0) == 4 * hidden,
-             "lstm_cell: b must be [4*hidden]");
+  LEGW_CHECK(w.value().shape() == Shape({in_dim + hidden, 4 * hidden}) &&
+                 b.value().shape() == Shape({4 * hidden}),
+             "lstm_layer: w must be [in+hidden, 4*hidden], b [4*hidden]");
 
-  // xh = [x, h] : [B, I+H]
-  Tensor xh(core::Shape{batch, in_dim + hidden});
-  {
-    const float* xp = x.value().data();
-    const float* hp = h.value().data();
-    float* d = xh.data();
-    for (i64 r = 0; r < batch; ++r) {
-      std::copy(xp + r * in_dim, xp + (r + 1) * in_dim, d + r * (in_dim + hidden));
-      std::copy(hp + r * hidden, hp + (r + 1) * hidden,
-                d + r * (in_dim + hidden) + in_dim);
-    }
+  auto tape =
+      std::make_shared<core::LstmTape>(rows / batch, batch, in_dim, hidden);
+  Tensor out = core::lstm_sequence_forward(
+      x.value().data(), h.value().data(), c.value().data(),
+      core::pack_b(false, 4 * hidden, in_dim + hidden, w.value().data(),
+                   4 * hidden),
+      b.value().data(), tape.get());
+  Tensor masked_h;
+  if (!out_mask.empty()) {
+    LEGW_CHECK(out_mask.numel() == rows * hidden, "lstm_layer: mask must be [T*B, H]");
+    masked_h = Tensor::uninit({rows, hidden});
+    for (i64 i = 0; i < masked_h.numel(); ++i)
+      masked_h[i] = out[i / hidden * 2 * hidden + i % hidden] * out_mask[i];
+    tape->mask = std::move(out_mask);
   }
 
-  // Pre-activation gates [B, 4H] = xh * W; the fused kernel folds in the
-  // bias, the activations (gate order i, f, g, o) and the cell update in a
-  // single pass, leaving the post-activation gates in `acts` for backward.
-  Tensor acts = core::matmul(xh, w.value());
-  // out: [B, 2H] — h' in columns [0,H), c' in [H,2H).
-  Tensor out(core::Shape{batch, 2 * hidden});
-  Tensor tanh_c_new(core::Shape{batch, hidden});
-  core::lstm_cell_forward(batch, hidden, b.value().data(), acts.data(),
-                          c.value().data(), out.data(), tanh_c_new.data());
-
-  return make_op_node("lstm_cell", 
-      std::move(out), {x, h, c, w, b},
-      [xh, acts, tanh_c_new, batch, in_dim, hidden](Node& n) {
-        auto& px = *n.parents[0];
-        auto& ph = *n.parents[1];
-        auto& pc = *n.parents[2];
-        auto& pw = *n.parents[3];
-        auto& pb = *n.parents[4];
-
-        const float* g = n.grad.data();          // [B, 2H]
-        const float* a = acts.data();            // [B, 4H]
-        const float* tc = tanh_c_new.data();     // [B, H]
-        const float* cp = pc.value.data();       // previous cell state
-
-        // dz: gradient w.r.t. pre-activation gates, [B, 4H].
-        Tensor dz(core::Shape{batch, 4 * hidden});
-        Tensor dc_prev(core::Shape{batch, hidden});
-        float* dzp = dz.data();
-        core::lstm_cell_backward(batch, hidden, a, tc, cp, g, dzp,
-                                 dc_prev.data());
-
-        if (pc.requires_grad) pc.ensure_grad().add_(dc_prev);
-        if (pb.requires_grad) {
-          Tensor& gb = pb.ensure_grad();
-          for (i64 r = 0; r < batch; ++r)
-            for (i64 col = 0; col < 4 * hidden; ++col)
-              gb[col] += dzp[r * 4 * hidden + col];
-        }
-        if (pw.requires_grad) {
-          // dW += xh^T * dz
-          Tensor& gw = pw.ensure_grad();
-          core::gemm(true, false, in_dim + hidden, 4 * hidden, batch, 1.0f,
-                     xh.data(), in_dim + hidden, dz.data(), 4 * hidden, 1.0f,
-                     gw.data(), 4 * hidden);
-        }
-        if (px.requires_grad || ph.requires_grad) {
-          // dxh = dz * W^T : [B, I+H]
-          Tensor dxh = core::matmul(dz, pw.value, false, true);
-          const float* dxhp = dxh.data();
-          if (px.requires_grad) {
-            Tensor& gx = px.ensure_grad();
-            for (i64 r = 0; r < batch; ++r)
-              for (i64 j = 0; j < in_dim; ++j)
-                gx[r * in_dim + j] += dxhp[r * (in_dim + hidden) + j];
-          }
-          if (ph.requires_grad) {
-            Tensor& gh = ph.ensure_grad();
-            for (i64 r = 0; r < batch; ++r)
-              for (i64 j = 0; j < hidden; ++j)
-                gh[r * hidden + j] += dxhp[r * (in_dim + hidden) + in_dim + j];
-          }
-        }
+  Variable hc = make_op_node(
+      "lstm_layer", std::move(out), {x, h, c, w, b}, [tape](Node& n) {
+        const auto grad = [&n](std::size_t i) {
+          Node& p = *n.parents[i];
+          return p.requires_grad ? p.ensure_grad().data() : nullptr;
+        };
+        core::lstm_sequence_backward(*tape, n.parents[3]->value.data(),
+                                     n.grad.data(), grad(0), grad(1), grad(2),
+                                     grad(3), grad(4));
       });
+  if (masked != nullptr && !masked_h.empty()) {
+    // The layer node's backward applies the mask, after step t+1's term.
+    *masked = make_op_node("dropout", std::move(masked_h), {hc}, [tape](Node& n) {
+      n.parents[0]->ensure_grad();
+      tape->dmasked = n.grad;
+    });
+  }
+  return hc;
 }
 
 }  // namespace legw::ag

@@ -26,7 +26,7 @@ struct Node {
   Tensor value;
   Tensor grad;  // empty until ensure_grad(); same shape as value afterwards
   bool requires_grad = false;
-  // Static-string op name ("matmul", "lstm_cell", ...; "leaf" for leaves).
+  // Static-string op name ("matmul", "lstm_layer", ...; "leaf" for leaves).
   // Diagnostics only: non-finite tripwires and the graph validator use it to
   // blame the producing op.
   const char* op = "leaf";

@@ -17,6 +17,7 @@
 // counts. With AVX-512 the kernel is written in intrinsics: 24 zmm
 // accumulators, three B loads and one A broadcast per depth step. Without it
 // the same loop is plain C that the compiler vectorises as it sees fit.
+// gemm_packed runs the same loop on a B packed once up front (PackedB).
 //
 // Determinism contract (tested in tests/test_gemm_parity.cpp): the k
 // reduction for any C element is performed by exactly one thread, in
@@ -35,6 +36,8 @@
 #include <immintrin.h>
 #endif
 
+#include "core/counters.hpp"
+#include "core/flags.hpp"
 #include "core/tensor.hpp"
 #include "core/thread_pool.hpp"
 
@@ -129,8 +132,8 @@ void micro_kernel(i64 kc, const float* __restrict ap, const float* __restrict bp
 
 // Packs B[kk : kk+kc, jc : jc+nc] (logical indices, after the optional
 // transpose) into NR-wide column micro-panels, zero-padding the last panel.
-void pack_b(bool trans_b, const float* b, i64 ldb, i64 kk, i64 jc, i64 kc,
-            i64 nc, float* dst) {
+void pack_panel(bool trans_b, const float* b, i64 ldb, i64 kk, i64 jc, i64 kc,
+                i64 nc, float* dst) {
   for (i64 jr = 0; jr < nc; jr += kNr) {
     const i64 nr = std::min<i64>(kNr, nc - jr);
     float* panel = dst + jr * kc;
@@ -178,19 +181,18 @@ void pack_a(bool trans_a, const float* a, i64 lda, i64 ic, i64 kk, i64 mc,
   }
 }
 
-}  // namespace
-
-const char* gemm_micro_kernel() {
-#if defined(__AVX512F__)
-  return "avx512";
-#else
-  return "scalar";
-#endif
+// Panels of a PackedB are stored in loop order. Every column block before jc
+// is a full kNc wide (a multiple of kNr), so block jc starts at jc * k.
+inline i64 panel_offset(i64 jc, i64 kk, i64 k, i64 nc) {
+  return jc * k + kk * round_up(nc, kNr);
 }
 
-void gemm_blocked(bool trans_a, bool trans_b, i64 m, i64 n, i64 k, float alpha,
-                  const float* a, i64 lda, const float* b, i64 ldb, float beta,
-                  float* c, i64 ldc) {
+// The one panel loop: B's panels come from `packed` when given, else each
+// is packed into the submitting thread's buffer as the loop reaches it.
+void blocked_product(bool trans_a, bool trans_b, i64 m, i64 n, i64 k,
+                     float alpha, const float* a, i64 lda, const float* b,
+                     i64 ldb, const PackedB* packed, float beta, float* c,
+                     i64 ldc) {
   LEGW_CHECK(m >= 0 && n >= 0 && k >= 0, "gemm: negative dimension");
   if (m == 0 || n == 0) return;
 
@@ -212,7 +214,7 @@ void gemm_blocked(bool trans_a, bool trans_b, i64 m, i64 n, i64 k, float alpha,
   const std::size_t bpack_size =
       static_cast<std::size_t>(round_up(std::min(n, kNc), kNr)) *
       static_cast<std::size_t>(std::min(k, kKc));
-  if (t_bpack.size() < bpack_size) t_bpack.resize(bpack_size);
+  if (packed == nullptr && t_bpack.size() < bpack_size) t_bpack.resize(bpack_size);
   float* const bpack = t_bpack.data();
 
   for (i64 jc = 0; jc < n; jc += kNc) {
@@ -220,7 +222,10 @@ void gemm_blocked(bool trans_a, bool trans_b, i64 m, i64 n, i64 k, float alpha,
     for (i64 kk = 0; kk < k; kk += kKc) {
       const i64 kc = std::min(kKc, k - kk);
       // Packed by the submitting thread, then shared read-only by workers.
-      pack_b(trans_b, b, ldb, kk, jc, kc, nc, bpack);
+      const float* const panel =
+          packed != nullptr ? packed->panels.data() + panel_offset(jc, kk, k, nc)
+                            : bpack;
+      if (packed == nullptr) pack_panel(trans_b, b, ldb, kk, jc, kc, nc, bpack);
 
       parallel_for(0, m, kMc, [&](i64 row_begin, i64 row_end) {
         // Per-worker A pack buffer, reused across calls.
@@ -234,7 +239,7 @@ void gemm_blocked(bool trans_a, bool trans_b, i64 m, i64 n, i64 k, float alpha,
             const i64 nr = std::min<i64>(kNr, nc - jr);
             for (i64 ir = 0; ir < mc; ir += kMr) {
               const i64 mr = std::min<i64>(kMr, mc - ir);
-              micro_kernel(kc, apack.data() + ir * kc, bpack + jr * kc,
+              micro_kernel(kc, apack.data() + ir * kc, panel + jr * kc,
                            c + (ic + ir) * ldc + jc + jr, ldc, mr, nr);
             }
           }
@@ -242,6 +247,47 @@ void gemm_blocked(bool trans_a, bool trans_b, i64 m, i64 n, i64 k, float alpha,
       });
     }
   }
+}
+
+}  // namespace
+
+const char* gemm_micro_kernel() {
+#if defined(__AVX512F__)
+  return "avx512";
+#else
+  return "scalar";
+#endif
+}
+
+void gemm_blocked(bool trans_a, bool trans_b, i64 m, i64 n, i64 k, float alpha,
+                  const float* a, i64 lda, const float* b, i64 ldb, float beta,
+                  float* c, i64 ldc) {
+  blocked_product(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, nullptr,
+                  beta, c, ldc);
+}
+
+PackedB pack_b(bool trans_b, i64 n, i64 k, const float* b, i64 ldb) {
+  LEGW_CHECK(n >= 0 && k >= 0, "pack_b: negative dimension");
+  PackedB p{trans_b, n, k, b, ldb,
+            FloatStorage::uninitialized(round_up(n, kNr) * k)};
+  for (i64 jc = 0; jc < n; jc += kNc) {
+    const i64 nc = std::min(kNc, n - jc);
+    for (i64 kk = 0; kk < k; kk += kKc)
+      pack_panel(trans_b, b, ldb, kk, jc, std::min(kKc, k - kk), nc,
+                 p.panels.data() + panel_offset(jc, kk, k, nc));
+  }
+  return p;
+}
+
+void gemm_packed(bool trans_a, i64 m, float alpha, const float* a, i64 lda,
+                 const PackedB& b, float beta, float* c, i64 ldc) {
+  if (gemm_kernel() == GemmKernel::kRef) {
+    return gemm(trans_a, b.trans_b, m, b.n, b.k, alpha, a, lda, b.src, b.ldb,
+                beta, c, ldc);
+  }
+  bump_dispatch(DispatchCounter::kGemmBlocked);
+  blocked_product(trans_a, b.trans_b, m, b.n, b.k, alpha, a, lda, b.src, b.ldb,
+                  &b, beta, c, ldc);
 }
 
 }  // namespace legw::core

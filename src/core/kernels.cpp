@@ -103,6 +103,11 @@ void softmax_cross_entropy_backward(const float* probs, const i32* targets,
   }
 }
 
+void add_bias_rows(float* y, const float* bias, i64 m, i64 n) {
+  for (i64 r = 0; r < m; ++r)
+    for (i64 c = 0; c < n; ++c) y[r * n + c] += bias[c];
+}
+
 namespace {
 
 inline float sigmoid1(float x) { return 1.0f / (1.0f + std::exp(-x)); }
@@ -127,20 +132,11 @@ void lstm_cell_forward(i64 batch, i64 hidden, const float* bias, float* z,
       float* hr = out + r * 2 * hidden;
       float* cr = hr + hidden;
       float* tc = tanh_c + r * hidden;
-      if (bias != nullptr) {
-        for (i64 j = 0; j < hidden; ++j) {
-          ig[j] = sigmoid1(ig[j] + bias[j]);
-          fg[j] = sigmoid1(fg[j] + bias[hidden + j]);
-          gg[j] = std::tanh(gg[j] + bias[2 * hidden + j]);
-          og[j] = sigmoid1(og[j] + bias[3 * hidden + j]);
-        }
-      } else {
-        for (i64 j = 0; j < hidden; ++j) {
-          ig[j] = sigmoid1(ig[j]);
-          fg[j] = sigmoid1(fg[j]);
-          gg[j] = std::tanh(gg[j]);
-          og[j] = sigmoid1(og[j]);
-        }
+      for (i64 j = 0; j < hidden; ++j) {
+        ig[j] = sigmoid1(ig[j] + bias[j]);
+        fg[j] = sigmoid1(fg[j] + bias[hidden + j]);
+        gg[j] = std::tanh(gg[j] + bias[2 * hidden + j]);
+        og[j] = sigmoid1(og[j] + bias[3 * hidden + j]);
       }
       for (i64 j = 0; j < hidden; ++j) {
         const float c_new = fg[j] * cp[j] + ig[j] * gg[j];
@@ -185,6 +181,81 @@ void lstm_cell_backward(i64 batch, i64 hidden, const float* acts,
       }
     }
   });
+}
+
+Tensor lstm_sequence_forward(const float* x, const float* h0, const float* c0,
+                             const PackedB& w, const float* bias,
+                             LstmTape* tape) {
+  const i64 B = tape->batch, I = tape->in_dim, H = tape->hidden, K = I + H;
+  const i64 rows = tape->steps * B;
+  tape->xh = Tensor::uninit({rows, K});
+  tape->c_prev = Tensor::uninit({rows, H});
+  tape->acts = Tensor::uninit({rows, 4 * H});
+  tape->tanh_c = Tensor::uninit({rows, H});
+  Tensor out = Tensor::uninit({rows, 2 * H});
+  for (i64 t = 0; t < tape->steps; ++t) {
+    // h_{t-1} and c_{t-1}: the initial state, or step t-1's (h | c) rows.
+    const i64 ld = t == 0 ? H : 2 * H;
+    const float* hp = t == 0 ? h0 : out.data() + (t - 1) * B * 2 * H;
+    const float* cp = t == 0 ? c0 : hp + H;
+    float* xh = tape->xh.data() + t * B * K;
+    float* c_prev = tape->c_prev.data() + t * B * H;
+    for (i64 r = 0; r < B; ++r) {
+      std::copy(x + (t * B + r) * I, x + (t * B + r + 1) * I, xh + r * K);
+      std::copy(hp + r * ld, hp + r * ld + H, xh + r * K + I);
+      std::copy(cp + r * ld, cp + r * ld + H, c_prev + r * H);
+    }
+    float* z = tape->acts.data() + t * B * 4 * H;
+    gemm_packed(false, B, 1.0f, xh, K, w, 0.0f, z, 4 * H);
+    lstm_cell_forward(B, H, bias, z, c_prev, out.data() + t * B * 2 * H,
+                      tape->tanh_c.data() + t * B * H);
+  }
+  return out;
+}
+
+void lstm_sequence_backward(const LstmTape& tape, const float* w,
+                            const float* dout, float* dx, float* dh0,
+                            float* dc0, float* dw, float* db) {
+  const i64 T = tape.steps, B = tape.batch, I = tape.in_dim, H = tape.hidden;
+  const i64 K = I + H;
+  Tensor g = Tensor::uninit({B, 2 * H}), dz = Tensor::uninit({B, 4 * H});
+  Tensor dc = Tensor::uninit({B, H}), dxh = Tensor::uninit({B, K});
+  const bool masked = !tape.dmasked.empty();
+  PackedB wt;  // W^T, packed at its first use
+  for (i64 t = T - 1; t >= 0; --t) {
+    const float* dout_t = dout + t * B * 2 * H;
+    for (i64 i = 0; i < B * 2 * H; ++i) g[i] = 0.0f + dout_t[i];
+    for (i64 r = 0; r < B; ++r) {
+      for (i64 j = 0; j < H; ++j) {
+        if (t + 1 < T) {
+          g[r * 2 * H + j] += dxh[r * K + I + j];
+          g[r * 2 * H + H + j] += dc[r * H + j];
+        }
+        const i64 e = (t * B + r) * H + j;
+        if (masked) g[r * 2 * H + j] += tape.dmasked[e] * tape.mask[e];
+      }
+    }
+    const float* dzp = dz.data();
+    lstm_cell_backward(B, H, tape.acts.data() + t * B * 4 * H,
+                       tape.tanh_c.data() + t * B * H,
+                       tape.c_prev.data() + t * B * H, g.data(), dz.data(),
+                       dc.data());
+    if (t == 0 && dc0 != nullptr)
+      for (i64 i = 0; i < B * H; ++i) dc0[i] += dc[i];
+    if (db != nullptr)
+      for (i64 r = 0; r < B; ++r)
+        for (i64 col = 0; col < 4 * H; ++col) db[col] += dzp[r * 4 * H + col];
+    if (dw != nullptr)
+      gemm(true, false, K, 4 * H, B, 1.0f, tape.xh.data() + t * B * K, K, dzp,
+           4 * H, 1.0f, dw, 4 * H);
+    if (t == 0 && dx == nullptr && dh0 == nullptr) break;
+    if (wt.panels.empty()) wt = pack_b(true, K, 4 * H, w, 4 * H);
+    gemm_packed(false, B, 1.0f, dzp, 4 * H, wt, 0.0f, dxh.data(), K);
+    for (i64 r = 0; r < B && dx != nullptr; ++r)
+      for (i64 j = 0; j < I; ++j) dx[(t * B + r) * I + j] += dxh[r * K + j];
+    for (i64 r = 0; r < B && t == 0 && dh0 != nullptr; ++r)
+      for (i64 j = 0; j < H; ++j) dh0[r * H + j] += dxh[r * K + I + j];
+  }
 }
 
 }  // namespace legw::core

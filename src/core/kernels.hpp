@@ -3,7 +3,7 @@
 // buffers; shape logic lives in the callers.
 #pragma once
 
-#include "core/common.hpp"
+#include "core/tensor.hpp"
 
 namespace legw::core {
 
@@ -39,6 +39,9 @@ void softmax_cross_entropy_backward(const float* probs, const i32* targets,
                                     i64 rows, i64 cols, i32 ignore_index,
                                     float scale, float* dlogits);
 
+// y[r, :] += bias for each row of y [m, n]: ag::add_bias and serving share it.
+void add_bias_rows(float* y, const float* bias, i64 m, i64 n);
+
 // ---- fused LSTM cell -------------------------------------------------------
 // The four-gate elementwise block of one LSTM step (bias add, sigmoid/tanh
 // activations, cell update) fused into a single pass per row, parallelised
@@ -46,7 +49,7 @@ void softmax_cross_entropy_backward(const float* probs, const i32* targets,
 //
 // Forward. z: [batch, 4*hidden] holds the pre-activation gate block
 // (the [x|h]·W product, bias NOT yet added) on entry and the post-activation
-// gates on exit. bias: [4*hidden], may be null. c_prev: [batch, hidden].
+// gates on exit. bias: [4*hidden]. c_prev: [batch, hidden].
 // out: [batch, 2*hidden] receives h' in columns [0,hidden) and c' in
 // [hidden, 2*hidden). tanh_c: [batch, hidden] receives tanh(c'), saved for
 // the backward pass.
@@ -61,5 +64,31 @@ void lstm_cell_forward(i64 batch, i64 hidden, const float* bias, float* z,
 void lstm_cell_backward(i64 batch, i64 hidden, const float* acts,
                         const float* tanh_c, const float* c_prev,
                         const float* dout, float* dz, float* dc_prev);
+
+// ---- LSTM layer over a window ----------------------------------------------
+// One layer over T steps as a loop of the fused cell, W packed once. Rows are
+// step-major (row t*batch + r). The tape holds the dims, what the backward
+// reads per step, and optionally a dropout mask on h with the gradient
+// reaching h ⊙ mask (both [T*B, H], set by the caller).
+struct LstmTape {
+  LstmTape(i64 t, i64 b, i64 i, i64 h) : steps(t), batch(b), in_dim(i), hidden(h) {}
+  i64 steps, batch, in_dim, hidden;
+  Tensor xh, c_prev, acts, tanh_c, mask, dmasked;
+};
+
+// Per step: xh_t = [x_t | h_{t-1}], xh_t·W against the packed [I+H, 4H]
+// weight, lstm_cell_forward. Returns [T*B, 2H], (h_t | c_t) per row.
+Tensor lstm_sequence_forward(const float* x, const float* h0, const float* c0,
+                             const PackedB& w, const float* bias,
+                             LstmTape* tape);
+
+// For t = T-1 ... 0: lstm_cell_backward, bias row sums, dW += xh_t^T·dz_t
+// and dxh = dz_t·W^T, W^T packed at first use. The gradient reaching
+// (h_t | c_t) sums, into zeros, dout's rows, step t+1's term and dmasked ⊙
+// mask, in the order a per-step graph adds them. Accumulates into dx, dh0,
+// dc0, dw, db; a null pointer skips that gradient.
+void lstm_sequence_backward(const LstmTape& tape, const float* w,
+                            const float* dout, float* dx, float* dh0,
+                            float* dc0, float* dw, float* db);
 
 }  // namespace legw::core

@@ -178,6 +178,21 @@ void gemm_blocked(bool trans_a, bool trans_b, i64 m, i64 n, i64 k, float alpha,
                   const float* a, i64 lda, const float* b, i64 ldb, float beta,
                   float* c, i64 ldc);
 
+// B packed once into gemm_blocked's panel layout, for a B reused across
+// many products (an LSTM weight over a window). `src`, the unpacked B that
+// the ref kernel reads, must outlive it.
+struct PackedB {
+  bool trans_b = false;
+  i64 n = 0, k = 0;  // B is [k, n] after the optional transpose
+  const float* src = nullptr;
+  i64 ldb = 0;
+  FloatStorage panels;
+};
+PackedB pack_b(bool trans_b, i64 n, i64 k, const float* b, i64 ldb);
+// Bitwise gemm(trans_a, b.trans_b, m, b.n, b.k, ..., b.src, b.ldb, ...).
+void gemm_packed(bool trans_a, i64 m, float alpha, const float* a, i64 lda,
+                 const PackedB& b, float beta, float* c, i64 ldc);
+
 // The micro-kernel gemm_blocked was compiled with: "avx512" (explicit 512-bit
 // intrinsics, when the target has AVX-512F) or "scalar" (the portable loop).
 const char* gemm_micro_kernel();

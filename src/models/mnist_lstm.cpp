@@ -22,7 +22,7 @@ ag::Variable MnistLstm::forward(const core::Tensor& images) const {
                  images.size(1) == config_.n_rows * config_.n_cols,
              "MnistLstm: images must be [B, rows*cols]");
   const i64 batch = images.size(0);
-  nn::LstmState state = cell_->zero_state(batch);
+  std::vector<ag::Variable> steps;
   for (i64 r = 0; r < config_.n_rows; ++r) {
     // Row r of every image: [B, n_cols].
     core::Tensor row(core::Shape{batch, config_.n_cols});
@@ -31,10 +31,15 @@ ag::Variable MnistLstm::forward(const core::Tensor& images) const {
           images.data() + b * config_.n_rows * config_.n_cols + r * config_.n_cols;
       std::copy(src, src + config_.n_cols, row.data() + b * config_.n_cols);
     }
-    ag::Variable x = transform_->forward(ag::Variable::constant(std::move(row)));
-    state = cell_->step(x, state);
+    steps.push_back(transform_->forward(ag::Variable::constant(std::move(row))));
   }
-  return classifier_->forward(state.h);
+  // The whole image as one layer node; classify the last step's h.
+  const i64 rows = batch * config_.n_rows;
+  const nn::LstmState s0 = cell_->zero_state(batch);
+  ag::Variable hc = ag::lstm_layer(ag::concat_rows(steps), s0.h, s0.c,
+                                   cell_->weight(), cell_->bias());
+  return classifier_->forward(
+      ag::slice(hc, rows - batch, rows, 0, config_.hidden_dim));
 }
 
 ag::Variable MnistLstm::loss(const core::Tensor& images,

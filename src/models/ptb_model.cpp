@@ -57,24 +57,15 @@ PtbModel::CarriedState PtbModel::zero_carried(i64 batch) const {
   return s;
 }
 
-PtbModel::ChunkResult PtbModel::chunk_loss(const std::vector<i32>& inputs,
-                                           const std::vector<i32>& targets,
-                                           i64 batch, i64 bptt,
-                                           const CarriedState& carried,
-                                           core::Rng& dropout_rng) const {
-  LEGW_CHECK(static_cast<i64>(inputs.size()) == batch * bptt &&
-                 static_cast<i64>(targets.size()) == batch * bptt,
-             "chunk_loss: token counts must be batch*bptt");
-  LEGW_CHECK(static_cast<i64>(carried.h.size()) == config_.num_layers,
-             "chunk_loss: carried state layer count mismatch");
-
+ag::Variable PtbModel::logits(const std::vector<i32>& inputs, i64 batch,
+                              i64 bptt, const CarriedState& carried,
+                              core::Rng& dropout_rng,
+                              CarriedState* final_state) const {
   // Initial states from the carried tensors (constants: truncated BPTT).
   std::vector<nn::LstmState> init;
-  init.reserve(static_cast<std::size_t>(config_.num_layers));
-  for (i64 l = 0; l < config_.num_layers; ++l) {
-    init.push_back(nn::LstmState{
-        ag::Variable::constant(carried.h[static_cast<std::size_t>(l)]),
-        ag::Variable::constant(carried.c[static_cast<std::size_t>(l)])});
+  for (std::size_t l = 0; l < carried.h.size(); ++l) {
+    init.push_back(nn::LstmState{ag::Variable::constant(carried.h[l]),
+                                 ag::Variable::constant(carried.c[l])});
   }
 
   // Per-step token columns.
@@ -90,10 +81,34 @@ PtbModel::ChunkResult PtbModel::chunk_loss(const std::vector<i32>& inputs,
   }
 
   nn::Lstm::Output out = lstm_->forward(steps, init, dropout_rng);
+  for (const auto& s : out.final_states) {
+    final_state->h.push_back(s.h.value());  // copies detach from the graph
+    final_state->c.push_back(s.c.value());
+  }
+  // Top-layer outputs are [bptt*batch, H], step-major. Tied softmax shares
+  // the embedding matrix: logits = h E^T + b.
+  return config_.tie_embeddings
+             ? ag::add_bias(ag::matmul(out.outputs, embedding_->weight(),
+                                       /*trans_a=*/false, /*trans_b=*/true),
+                            tied_bias_)
+             : decoder_->forward(out.outputs);
+}
 
-  // Stack top-layer outputs into [batch*bptt, H] (step-major) and align the
-  // targets the same way.
-  ag::Variable stacked = ag::concat_rows(out.outputs);
+PtbModel::ChunkResult PtbModel::chunk_loss(const std::vector<i32>& inputs,
+                                           const std::vector<i32>& targets,
+                                           i64 batch, i64 bptt,
+                                           const CarriedState& carried,
+                                           core::Rng& dropout_rng) const {
+  LEGW_CHECK(static_cast<i64>(inputs.size()) == batch * bptt &&
+                 static_cast<i64>(targets.size()) == batch * bptt,
+             "chunk_loss: token counts must be batch*bptt");
+  LEGW_CHECK(static_cast<i64>(carried.h.size()) == config_.num_layers,
+             "chunk_loss: carried state layer count mismatch");
+
+  ChunkResult result;
+  ag::Variable lg =
+      logits(inputs, batch, bptt, carried, dropout_rng, &result.carried);
+  // Targets aligned step-major, as the logits rows.
   std::vector<i32> aligned(static_cast<std::size_t>(batch * bptt));
   for (i64 t = 0; t < bptt; ++t) {
     for (i64 b = 0; b < batch; ++b) {
@@ -101,55 +116,20 @@ PtbModel::ChunkResult PtbModel::chunk_loss(const std::vector<i32>& inputs,
           targets[static_cast<std::size_t>(b * bptt + t)];
     }
   }
-  // Tied softmax shares the embedding matrix: logits = h E^T + b.
-  ag::Variable logits =
-      config_.tie_embeddings
-          ? ag::add_bias(ag::matmul(stacked, embedding_->weight(),
-                                    /*trans_a=*/false, /*trans_b=*/true),
-                         tied_bias_)
-          : decoder_->forward(stacked);
-  ChunkResult result;
-  result.loss = ag::softmax_cross_entropy(logits, aligned);
-
-  for (const auto& s : out.final_states) {
-    result.carried.h.push_back(s.h.value());  // copies detach from the graph
-    result.carried.c.push_back(s.c.value());
-  }
+  result.loss = ag::softmax_cross_entropy(lg, aligned);
   return result;
 }
 
 core::Tensor PtbModel::sequence_logits(const std::vector<i32>& tokens) const {
-  const i64 bptt = static_cast<i64>(tokens.size());
-  LEGW_CHECK(bptt > 0, "sequence_logits: empty token sequence");
-
-  CarriedState carried = zero_carried(1);
-  std::vector<nn::LstmState> init;
-  init.reserve(static_cast<std::size_t>(config_.num_layers));
-  for (i64 l = 0; l < config_.num_layers; ++l) {
-    init.push_back(nn::LstmState{
-        ag::Variable::constant(carried.h[static_cast<std::size_t>(l)]),
-        ag::Variable::constant(carried.c[static_cast<std::size_t>(l)])});
-  }
-
-  std::vector<ag::Variable> steps;
-  steps.reserve(tokens.size());
-  for (i32 token : tokens) {
-    steps.push_back(embedding_->forward({token}));
-  }
-
+  LEGW_CHECK(!tokens.empty(), "sequence_logits: empty token sequence");
   const bool was_training = is_training();
   const_cast<PtbModel*>(this)->set_training(false);
   core::Rng rng(0);  // eval mode: dropout inactive, rng unused
-  nn::Lstm::Output out = lstm_->forward(steps, init, rng);
-  ag::Variable stacked = ag::concat_rows(out.outputs);
-  ag::Variable logits =
-      config_.tie_embeddings
-          ? ag::add_bias(ag::matmul(stacked, embedding_->weight(),
-                                    /*trans_a=*/false, /*trans_b=*/true),
-                         tied_bias_)
-          : decoder_->forward(stacked);
+  CarriedState final_state;
+  ag::Variable lg = logits(tokens, 1, static_cast<i64>(tokens.size()),
+                           zero_carried(1), rng, &final_state);
   const_cast<PtbModel*>(this)->set_training(was_training);
-  return logits.value();  // copies detach from the graph
+  return lg.value();  // copies detach from the graph
 }
 
 double PtbModel::evaluate_nll(const std::vector<i32>& tokens, i64 batch,
@@ -159,6 +139,7 @@ double PtbModel::evaluate_nll(const std::vector<i32>& tokens, i64 batch,
   core::Rng rng(0);  // eval mode: dropout inactive, rng unused
   double total = 0.0;
   i64 chunks = 0;
+  const bool was_training = is_training();
   const_cast<PtbModel*>(this)->set_training(false);
   for (i64 i = 0; i < batcher.chunks_per_epoch(); ++i) {
     auto chunk = batcher.next_chunk();
@@ -168,7 +149,7 @@ double PtbModel::evaluate_nll(const std::vector<i32>& tokens, i64 batch,
     total += static_cast<double>(r.loss.value()[0]);
     ++chunks;
   }
-  const_cast<PtbModel*>(this)->set_training(true);
+  const_cast<PtbModel*>(this)->set_training(was_training);
   return chunks > 0 ? total / chunks : 0.0;
 }
 

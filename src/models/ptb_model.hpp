@@ -66,6 +66,12 @@ class PtbModel : public nn::Module {
   const PtbConfig& config() const { return config_; }
 
  private:
+  // Logits [bptt*batch, vocab], step-major, of inputs ([batch, bptt] ids)
+  // from `carried`; final_state receives the detached final states.
+  ag::Variable logits(const std::vector<i32>& inputs, i64 batch, i64 bptt,
+                      const CarriedState& carried, core::Rng& dropout_rng,
+                      CarriedState* final_state) const;
+
   PtbConfig config_;
   std::unique_ptr<nn::Embedding> embedding_;
   std::unique_ptr<nn::Lstm> lstm_;

@@ -22,7 +22,7 @@ LstmCellLayer::LstmCellLayer(i64 input_dim, i64 hidden_dim, core::Rng& rng,
 LstmState LstmCellLayer::step(const ag::Variable& x,
                               const LstmState& state) const {
   if (!use_fused_) return step_composed(x, state);
-  ag::Variable hc = ag::lstm_cell(x, state.h, state.c, weight_, bias_);
+  ag::Variable hc = ag::lstm_layer(x, state.h, state.c, weight_, bias_);
   return LstmState{ag::slice_cols(hc, 0, hidden_dim_),
                    ag::slice_cols(hc, hidden_dim_, 2 * hidden_dim_)};
 }
@@ -50,13 +50,12 @@ LstmState LstmCellLayer::zero_state(i64 batch) const {
 }
 
 Lstm::Lstm(i64 input_dim, i64 hidden_dim, i64 num_layers, core::Rng& rng,
-           float dropout, bool use_fused)
+           float dropout)
     : hidden_dim_(hidden_dim), dropout_(dropout) {
   LEGW_CHECK(num_layers >= 1, "Lstm: need at least one layer");
   for (i64 l = 0; l < num_layers; ++l) {
     const i64 in = l == 0 ? input_dim : hidden_dim;
-    layers_.push_back(std::make_unique<LstmCellLayer>(in, hidden_dim, rng,
-                                                      1.0f, use_fused));
+    layers_.push_back(std::make_unique<LstmCellLayer>(in, hidden_dim, rng));
     register_child("layer" + std::to_string(l), layers_.back().get());
   }
 }
@@ -66,27 +65,34 @@ Lstm::Output Lstm::forward(const std::vector<ag::Variable>& inputs,
                            core::Rng& rng) const {
   LEGW_CHECK(!inputs.empty(), "Lstm::forward: empty input sequence");
   const i64 batch = inputs[0].size(0);
+  const i64 rows = batch * static_cast<i64>(inputs.size());
+  const i64 H = hidden_dim_;
   std::vector<LstmState> states =
       initial.empty() ? zero_state(batch) : initial;
   LEGW_CHECK(static_cast<i64>(states.size()) == num_layers(),
              "Lstm::forward: one initial state per layer required");
 
-  Output out;
-  out.outputs.reserve(inputs.size());
-  for (const auto& x_t : inputs) {
-    ag::Variable h = x_t;
-    for (std::size_t l = 0; l < layers_.size(); ++l) {
-      states[l] = layers_[l]->step(h, states[l]);
-      h = states[l].h;
-      // Inter-layer dropout (not after the top layer), as in the PTB setup.
-      if (dropout_ > 0.0f && l + 1 < layers_.size()) {
-        h = ag::dropout(h, dropout_, rng, is_training());
-      }
-    }
-    out.outputs.push_back(h);
+  // Inter-layer dropout (not after the top layer), as in the PTB setup. The
+  // masks are drawn in the (step, layer) order of a step-by-step unroll, so
+  // the rng stream does not depend on running the layers one at a time.
+  std::vector<core::Tensor> masks;
+  if (dropout_ > 0.0f && is_training()) {
+    masks.assign(layers_.size() - 1, core::Tensor::uninit({rows, H}));
+    for (i64 r = 0; r < rows; r += batch)
+      for (auto& m : masks) ag::dropout_mask(dropout_, rng, m.data() + r * H, batch * H);
   }
-  out.final_states = std::move(states);
-  return out;
+
+  ag::Variable x = ag::concat_rows(inputs);
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    ag::Variable masked;
+    ag::Variable hc = ag::lstm_layer(
+        x, states[l].h, states[l].c, layers_[l]->weight(), layers_[l]->bias(),
+        l < masks.size() ? std::move(masks[l]) : core::Tensor(), &masked);
+    states[l] = LstmState{ag::slice(hc, rows - batch, rows, 0, H),
+                          ag::slice(hc, rows - batch, rows, H, 2 * H)};
+    x = masked.defined() ? masked : ag::slice_cols(hc, 0, H);
+  }
+  return Output{x, std::move(states)};
 }
 
 std::vector<LstmState> Lstm::zero_state(i64 batch) const {
@@ -96,12 +102,9 @@ std::vector<LstmState> Lstm::zero_state(i64 batch) const {
   return states;
 }
 
-BiLstmLayer::BiLstmLayer(i64 input_dim, i64 hidden_dim, core::Rng& rng,
-                         bool use_fused) {
-  fwd_ = std::make_unique<LstmCellLayer>(input_dim, hidden_dim, rng, 1.0f,
-                                         use_fused);
-  bwd_ = std::make_unique<LstmCellLayer>(input_dim, hidden_dim, rng, 1.0f,
-                                         use_fused);
+BiLstmLayer::BiLstmLayer(i64 input_dim, i64 hidden_dim, core::Rng& rng) {
+  fwd_ = std::make_unique<LstmCellLayer>(input_dim, hidden_dim, rng);
+  bwd_ = std::make_unique<LstmCellLayer>(input_dim, hidden_dim, rng);
   register_child("fwd", fwd_.get());
   register_child("bwd", bwd_.get());
 }

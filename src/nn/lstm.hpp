@@ -1,10 +1,11 @@
 // LSTM layers.
 //
-// LstmCellLayer wraps one fused ag::lstm_cell step (or, when use_fused is
-// false, an op-by-op composition of the same math — kept for gradient
-// cross-checking). Lstm stacks layers over a sequence with optional
-// inter-layer dropout; BiLstmLayer runs one layer in both directions and
-// concatenates (GNMT's first encoder layer).
+// LstmCellLayer holds one layer's weights and runs one step of it: the T = 1
+// ag::lstm_layer (or, when use_fused is false, an op-by-op composition of
+// the same math — kept for gradient cross-checking). Lstm stacks layers over
+// a sequence, one ag::lstm_layer node per layer, with optional inter-layer
+// dropout; BiLstmLayer runs one layer in both directions and concatenates
+// (GNMT's first encoder layer).
 #pragma once
 
 #include <utility>
@@ -52,10 +53,10 @@ class Lstm : public Module {
  public:
   // dims: input_dim for layer 0, hidden_dim for every layer.
   Lstm(i64 input_dim, i64 hidden_dim, i64 num_layers, core::Rng& rng,
-       float dropout = 0.0f, bool use_fused = true);
+       float dropout = 0.0f);
 
   struct Output {
-    std::vector<ag::Variable> outputs;  // top-layer h per step, each [B, H]
+    ag::Variable outputs;  // top-layer h of every step, [T*B, H] step-major
     std::vector<LstmState> final_states;  // one per layer
   };
 
@@ -80,8 +81,7 @@ class Lstm : public Module {
 // step yields [B, 2*hidden_dim].
 class BiLstmLayer : public Module {
  public:
-  BiLstmLayer(i64 input_dim, i64 hidden_dim, core::Rng& rng,
-              bool use_fused = true);
+  BiLstmLayer(i64 input_dim, i64 hidden_dim, core::Rng& rng);
 
   std::vector<ag::Variable> forward(const std::vector<ag::Variable>& inputs) const;
 

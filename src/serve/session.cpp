@@ -32,56 +32,27 @@ Result take_param(const ModelImage& image, const std::string& name,
   return {};
 }
 
-// y[r, :] += bias — the same loop ag::add_bias runs, so the float op order
-// (and therefore the bits) match the training graph.
+// y[r, :] += bias through the kernel ag::add_bias runs.
 void add_bias_rows(core::Tensor& y, const core::Tensor& bias) {
-  const i64 m = y.size(0);
-  const i64 n = y.size(1);
-  float* o = y.data();
-  const float* bv = bias.data();
-  for (i64 r = 0; r < m; ++r) {
-    for (i64 c = 0; c < n; ++c) o[r * n + c] += bv[c];
-  }
+  core::add_bias_rows(y.data(), bias.data(), y.size(0), y.size(1));
 }
 
-// One fused LSTM step, replicating ag::lstm_cell's forward exactly:
-// xh = [x | h] row-wise, acts = xh W (no bias — the fused kernel adds it),
-// then core::lstm_cell_forward, then h/c copied out of the packed [B, 2H]
-// rows the way ag::slice_cols materialises them.
-void lstm_step(const core::Tensor& x, const core::Tensor& w,
-               const core::Tensor& b, core::Tensor& h, core::Tensor& c) {
-  const i64 batch = x.size(0);
-  const i64 in_dim = x.size(1);
-  const i64 hidden = h.size(1);
-
-  core::Tensor xh = core::Tensor::uninit({batch, in_dim + hidden});
-  {
-    const float* xp = x.data();
-    const float* hp = h.data();
-    float* d = xh.data();
-    for (i64 r = 0; r < batch; ++r) {
-      std::copy(xp + r * in_dim, xp + (r + 1) * in_dim,
-                d + r * (in_dim + hidden));
-      std::copy(hp + r * hidden, hp + (r + 1) * hidden,
-                d + r * (in_dim + hidden) + in_dim);
-    }
+// h of steps [first_step, T) of one LSTM layer over the window from a zero
+// state, through the core forward the training graph's ag::lstm_layer runs
+// (so the bits match). x: [T*B, I] step-major; returns [(T-first)*B, H].
+core::Tensor lstm_h(const core::Tensor& x, i64 batch, const core::PackedB& w,
+                    const core::Tensor& b, i64 first_step) {
+  const i64 hidden = b.size(0) / 4;
+  const core::Tensor zero = core::Tensor::zeros({batch, hidden});
+  core::LstmTape tape(x.size(0) / batch, batch, x.size(1), hidden);
+  const core::Tensor hc = core::lstm_sequence_forward(
+      x.data(), zero.data(), zero.data(), w, b.data(), &tape);
+  core::Tensor h = core::Tensor::uninit({x.size(0) - first_step * batch, hidden});
+  for (i64 r = 0; r < h.size(0); ++r) {
+    const float* src = hc.data() + (first_step * batch + r) * 2 * hidden;
+    std::copy(src, src + hidden, h.data() + r * hidden);
   }
-  core::Tensor acts = core::matmul(xh, w);  // [B, 4H]; kernel consumes it
-  core::Tensor hc = core::Tensor::uninit({batch, 2 * hidden});
-  core::Tensor tanh_c = core::Tensor::uninit({batch, hidden});  // scratch
-  core::lstm_cell_forward(batch, hidden, b.data(), acts.data(), c.data(),
-                          hc.data(), tanh_c.data());
-  core::Tensor h_new = core::Tensor::uninit({batch, hidden});
-  core::Tensor c_new = core::Tensor::uninit({batch, hidden});
-  const float* packed = hc.data();
-  for (i64 r = 0; r < batch; ++r) {
-    std::copy(packed + r * 2 * hidden, packed + r * 2 * hidden + hidden,
-              h_new.data() + r * hidden);
-    std::copy(packed + r * 2 * hidden + hidden,
-              packed + (r + 1) * 2 * hidden, c_new.data() + r * hidden);
-  }
-  h = std::move(h_new);
-  c = std::move(c_new);
+  return h;
 }
 
 }  // namespace
@@ -170,6 +141,11 @@ Result ServeSession::compile(const SessionConfig& config,
     }
   }
 
+  // Each LSTM weight packed once, for every request the session serves.
+  for (const core::Tensor& w : session->w_cell_) {
+    session->w_cell_packed_.push_back(
+        core::pack_b(false, w.size(1), w.size(0), w.data(), w.size(1)));
+  }
   *out = std::move(session);
   return {};
 }
@@ -233,13 +209,22 @@ Result ServeSession::run_batch(const std::vector<Request>& reqs, i64 pad_len,
   const i64 rows = static_cast<i64>(reqs.size());
   const i64 batch = std::max(rows, pad_rows_to);
 
+  const bool mnist = config_.kind == ModelKind::kMnistLstm;
+  const core::Tensor logits =
+      mnist ? forward_mnist(reqs, batch) : forward_ptb(reqs, batch, pad_len);
+  // Request b's logits are rows t*batch + b of the step-major block.
+  const i64 cols = output_dim();
   out->assign(reqs.size(), Response{});
-  for (std::size_t i = 0; i < reqs.size(); ++i) (*out)[i].id = reqs[i].id;
-
-  if (config_.kind == ModelKind::kMnistLstm) {
-    forward_mnist(reqs, batch, out);
-  } else {
-    forward_ptb(reqs, batch, pad_len, out);
+  for (std::size_t b = 0; b < reqs.size(); ++b) {
+    const i64 len = request_length(reqs[b]);
+    core::Tensor lg = core::Tensor::uninit(
+        mnist ? core::Shape{cols} : core::Shape{len, cols});
+    for (i64 t = 0; t < len; ++t) {
+      const float* src = logits.data() + (t * batch + static_cast<i64>(b)) * cols;
+      std::copy(src, src + cols, lg.data() + t * cols);
+    }
+    (*out)[b].id = reqs[b].id;
+    (*out)[b].logits = std::move(lg);
   }
   return {};
 }
@@ -257,54 +242,38 @@ Response ServeSession::run(const Request& req) const {
   return std::move(out.front());
 }
 
-void ServeSession::forward_mnist(const std::vector<Request>& reqs, i64 batch,
-                                 std::vector<Response>* out) const {
+core::Tensor ServeSession::forward_mnist(const std::vector<Request>& reqs,
+                                         i64 batch) const {
   const MnistPlanConfig& m = config_.mnist;
-  const i64 rows = static_cast<i64>(reqs.size());
 
-  core::Tensor h = core::Tensor::zeros({batch, m.hidden_dim});
-  core::Tensor c = core::Tensor::zeros({batch, m.hidden_dim});
-  for (i64 r = 0; r < m.n_rows; ++r) {
-    // Row r of every image, [B, n_cols]; padding rows stay all-zero.
-    core::Tensor row = core::Tensor::zeros({batch, m.n_cols});
-    for (i64 b = 0; b < rows; ++b) {
-      const float* src = reqs[static_cast<std::size_t>(b)].features.data() +
-                         r * m.n_cols;
-      std::copy(src, src + m.n_cols, row.data() + b * m.n_cols);
+  // Image row t of every request at rows [t*B, (t+1)*B); padding rows stay
+  // all-zero. One transform product for all steps: each output row is
+  // reduced on its own, so it equals training's per-step products.
+  core::Tensor pixels = core::Tensor::zeros({m.n_rows * batch, m.n_cols});
+  for (i64 t = 0; t < m.n_rows; ++t) {
+    for (std::size_t b = 0; b < reqs.size(); ++b) {
+      const float* src = reqs[b].features.data() + t * m.n_cols;
+      std::copy(src, src + m.n_cols,
+                pixels.data() + (t * batch + static_cast<i64>(b)) * m.n_cols);
     }
-    core::Tensor x = core::matmul(row, w_transform_);
-    add_bias_rows(x, b_transform_);
-    lstm_step(x, w_cell_[0], b_cell_[0], h, c);
   }
-  core::Tensor logits = core::matmul(h, w_cls_);
+  core::Tensor x = core::matmul(pixels, w_transform_);
+  add_bias_rows(x, b_transform_);
+  core::Tensor logits = core::matmul(
+      lstm_h(x, batch, w_cell_packed_[0], b_cell_[0], m.n_rows - 1), w_cls_);
   add_bias_rows(logits, b_cls_);
-
-  for (i64 b = 0; b < rows; ++b) {
-    core::Tensor lg = core::Tensor::uninit({m.n_classes});
-    std::copy(logits.data() + b * m.n_classes,
-              logits.data() + (b + 1) * m.n_classes, lg.data());
-    (*out)[static_cast<std::size_t>(b)].logits = std::move(lg);
-  }
+  return logits;
 }
 
-void ServeSession::forward_ptb(const std::vector<Request>& reqs, i64 batch,
-                               i64 pad_len,
-                               std::vector<Response>* out) const {
+core::Tensor ServeSession::forward_ptb(const std::vector<Request>& reqs,
+                                       i64 batch, i64 pad_len) const {
   const PtbPlanConfig& p = config_.ptb;
   const i64 rows = static_cast<i64>(reqs.size());
-  const i64 L = p.num_layers;
 
-  std::vector<core::Tensor> h, c;
-  for (i64 l = 0; l < L; ++l) {
-    h.push_back(core::Tensor::zeros({batch, p.hidden_dim}));
-    c.push_back(core::Tensor::zeros({batch, p.hidden_dim}));
-  }
-
-  // Top-layer outputs stacked step-major ([t*B + b] rows), exactly like the
-  // training graph's ag::concat_rows over per-step outputs.
-  core::Tensor stacked = core::Tensor::uninit({pad_len * batch, p.hidden_dim});
+  // Embedded tokens stacked step-major ([t*B + b] rows), as the training
+  // graph's ag::concat_rows over per-step embeddings.
+  core::Tensor x = core::Tensor::uninit({pad_len * batch, p.embed_dim});
   for (i64 t = 0; t < pad_len; ++t) {
-    core::Tensor x = core::Tensor::uninit({batch, p.embed_dim});
     for (i64 b = 0; b < batch; ++b) {
       // Positions past a request's length (and whole padding rows) read
       // token 0; their outputs are computed and discarded — a row's valid
@@ -317,35 +286,20 @@ void ServeSession::forward_ptb(const std::vector<Request>& reqs, i64 batch,
         }
       }
       const float* src = w_embed_.data() + static_cast<i64>(tok) * p.embed_dim;
-      std::copy(src, src + p.embed_dim, x.data() + b * p.embed_dim);
+      std::copy(src, src + p.embed_dim, x.data() + (t * batch + b) * p.embed_dim);
     }
-    const core::Tensor* layer_in = &x;
-    for (i64 l = 0; l < L; ++l) {
-      const auto li = static_cast<std::size_t>(l);
-      lstm_step(*layer_in, w_cell_[li], b_cell_[li], h[li], c[li]);
-      layer_in = &h[li];
-    }
-    std::copy(layer_in->data(), layer_in->data() + batch * p.hidden_dim,
-              stacked.data() + t * batch * p.hidden_dim);
+  }
+  for (std::size_t l = 0; l < w_cell_packed_.size(); ++l) {
+    x = lstm_h(x, batch, w_cell_packed_[l], b_cell_[l], 0);
   }
 
   // Tied softmax shares the embedding matrix: logits = h E^T + b.
   core::Tensor logits =
       p.tie_embeddings
-          ? core::matmul(stacked, w_embed_, /*trans_a=*/false,
-                         /*trans_b=*/true)
-          : core::matmul(stacked, w_dec_);
+          ? core::matmul(x, w_embed_, /*trans_a=*/false, /*trans_b=*/true)
+          : core::matmul(x, w_dec_);
   add_bias_rows(logits, b_dec_);
-
-  for (i64 b = 0; b < rows; ++b) {
-    const i64 len = request_length(reqs[static_cast<std::size_t>(b)]);
-    core::Tensor lg = core::Tensor::uninit({len, p.vocab});
-    for (i64 t = 0; t < len; ++t) {
-      const float* src = logits.data() + (t * batch + b) * p.vocab;
-      std::copy(src, src + p.vocab, lg.data() + t * p.vocab);
-    }
-    (*out)[static_cast<std::size_t>(b)].logits = std::move(lg);
-  }
+  return logits;
 }
 
 }  // namespace legw::serve

@@ -1,16 +1,17 @@
 // ServeSession: a checkpoint loaded into an immutable compiled inference
 // plan, in the spirit of ONNX Runtime's ort_session.h (ROADMAP item 2).
 //
-// No tape: the forwards below are raw core::Tensor kernel calls replicating
-// the training graph's op order *exactly* — same xh concatenation, same
-// core::matmul, same fused core::lstm_cell_forward, same per-row bias add —
-// so a served forward is bitwise equal to the training graph's eval forward
-// for the same checkpoint. Combined with the gemm determinism contract
-// (every output row is reduced by one thread in ascending-k order, so a
-// row's value is independent of which other rows share its batch), each
-// request's result is also bitwise-invariant under dynamic batching: padding
-// rows, padding sequence positions, and batch composition cannot perturb it.
-// tests/test_serve_session.cpp proves both properties on mnist and ptb.
+// No tape: the forwards below are raw core::Tensor kernel calls on the
+// training graph's shapes, and the LSTM runs the very core forward the
+// training op runs (core::lstm_sequence_forward), with each weight packed
+// once at load. So a served forward is bitwise equal to the training graph's
+// eval forward for the same checkpoint. Combined with the gemm determinism
+// contract (every output row is reduced by one thread in ascending-k order,
+// so a row's value is independent of which other rows share its batch),
+// each request's result is also bitwise-invariant under dynamic batching:
+// padding rows, padding sequence positions, and batch composition cannot
+// perturb it. tests/test_serve_session.cpp proves both properties on mnist
+// and ptb.
 //
 // Dropout is inference-mode by construction (there is simply no dropout op
 // here), matching nn::Module::set_training(false) on the training side.
@@ -121,10 +122,10 @@ class ServeSession {
   static Result compile(const SessionConfig& config, const ModelImage& img,
                         std::unique_ptr<ServeSession>* out);
 
-  void forward_mnist(const std::vector<Request>& reqs, i64 batch,
-                     std::vector<Response>* out) const;
-  void forward_ptb(const std::vector<Request>& reqs, i64 batch, i64 pad_len,
-                   std::vector<Response>* out) const;
+  // Logits of the padded batch, step-major: row t*batch + b (mnist: T = 1).
+  core::Tensor forward_mnist(const std::vector<Request>& reqs, i64 batch) const;
+  core::Tensor forward_ptb(const std::vector<Request>& reqs, i64 batch,
+                           i64 pad_len) const;
 
   SessionConfig config_;
   i64 step_ = 0;
@@ -140,6 +141,7 @@ class ServeSession {
   // "lstm.layer<l>.weight" per layer. Gate order (i,f,g,o).
   std::vector<core::Tensor> w_cell_;  // [in+hidden, 4*hidden] per layer
   std::vector<core::Tensor> b_cell_;  // [4*hidden] per layer
+  std::vector<core::PackedB> w_cell_packed_;  // w_cell_, packed at load
 
   // kPtbLm weights.
   core::Tensor w_embed_;  // embedding.weight [vocab, embed_dim]

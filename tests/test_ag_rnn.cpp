@@ -45,7 +45,7 @@ Variable composed_cell(const CellSetup& s, i64 hidden) {
 TEST(LstmCell, ForwardMatchesComposition) {
   const i64 B = 3, I = 4, H = 5;
   CellSetup s = make_cell(B, I, H, 101);
-  Variable fused = lstm_cell(s.x, s.h, s.c, s.w, s.b);
+  Variable fused = lstm_layer(s.x, s.h, s.c, s.w, s.b);
   Variable ref = composed_cell(s, H);
   ASSERT_TRUE(fused.value().same_shape(ref.value()));
   for (i64 i = 0; i < fused.numel(); ++i) {
@@ -61,7 +61,7 @@ TEST(LstmCell, BackwardMatchesComposition) {
   Variable wconst = Variable::constant(weights);
 
   // Fused gradients.
-  backward(sum_all(mul(lstm_cell(s.x, s.h, s.c, s.w, s.b), wconst)));
+  backward(sum_all(mul(lstm_layer(s.x, s.h, s.c, s.w, s.b), wconst)));
   std::vector<Tensor> fused_grads = {s.x.grad(), s.h.grad(), s.c.grad(),
                                      s.w.grad(), s.b.grad()};
   for (Variable* v : {&s.x, &s.h, &s.c, &s.w, &s.b}) v->zero_grad();
@@ -84,7 +84,7 @@ TEST(LstmCell, GradCheckAllInputs) {
   CellSetup s = make_cell(B, I, H, 303);
   auto r = grad_check(
       [&] {
-        Variable hc = lstm_cell(s.x, s.h, s.c, s.w, s.b);
+        Variable hc = lstm_layer(s.x, s.h, s.c, s.w, s.b);
         return sum_all(mul(hc, hc));
       },
       {s.x, s.h, s.c, s.w, s.b});
@@ -106,7 +106,7 @@ TEST(LstmCell, MultiStepBpttGradCheck) {
     Variable h = Variable::constant(Tensor::zeros({B, H}));
     Variable c = Variable::constant(Tensor::zeros({B, H}));
     for (int t = 0; t < 3; ++t) {
-      Variable hc = lstm_cell(xs[static_cast<std::size_t>(t)], h, c, w, b);
+      Variable hc = lstm_layer(xs[static_cast<std::size_t>(t)], h, c, w, b);
       h = slice_cols(hc, 0, H);
       c = slice_cols(hc, H, 2 * H);
     }
@@ -150,7 +150,7 @@ TEST(LstmCell, StateSaturationBounded) {
   CellSetup s = make_cell(B, I, H, 505);
   // Feed extreme inputs.
   s.x.mutable_value().fill_(100.0f);
-  Variable hc = lstm_cell(s.x, s.h, s.c, s.w, s.b);
+  Variable hc = lstm_layer(s.x, s.h, s.c, s.w, s.b);
   for (i64 i = 0; i < B; ++i) {
     for (i64 j = 0; j < H; ++j) {
       EXPECT_LT(std::abs(hc.value().at(i, j)), 1.0f + 1e-5f);

@@ -128,6 +128,21 @@ TEST(CheckedModeDeath, InPlaceMutationAfterCaptureAbortsBackward) {
       "stale graph: input .* of op '(mul|sum_all)' .* mutated in place");
 }
 
+TEST(CheckedModeDeath, LstmLayerWeightMutationAbortsBackward) {
+  // The layer node packs W^T from W's value when its backward runs, so an
+  // in-place update of W between forward and backward must still be caught.
+  TripwireScope on(true);
+  core::Rng rng(4);
+  Variable x = Variable::leaf(Tensor::randn({6, 3}, rng), true);
+  Variable h = Variable::constant(Tensor::zeros({2, 4}));
+  Variable w = Variable::leaf(Tensor::randn({7, 16}, rng, 0.3f), true);
+  Variable b = Variable::leaf(Tensor::zeros({16}), true);
+  Variable loss = ag::sum_all(ag::lstm_layer(x, h, h, w, b));
+  w.mutable_value().scale_(0.5f);
+  EXPECT_DEATH(ag::backward(loss),
+               "stale graph: input 3 of op 'lstm_layer' .* mutated in place");
+}
+
 TEST(CheckedModeDeath, OptimizerStepBlamesParamAndStepCount) {
   TripwireScope on(true);
   Variable w = Variable::leaf(Tensor({2}, {1.0f, 2.0f}), true);

@@ -130,7 +130,7 @@ TEST(Contracts, LstmCellValidatesShapes) {
   ag::Variable c = ag::Variable::constant(Tensor::randn({2, 4}, rng));
   ag::Variable w_bad = ag::Variable::constant(Tensor::randn({5, 16}, rng));
   ag::Variable b = ag::Variable::constant(Tensor::zeros({16}));
-  EXPECT_DEATH((void)ag::lstm_cell(x, h, c, w_bad, b),
+  EXPECT_DEATH((void)ag::lstm_layer(x, h, c, w_bad, b),
                "w must be \\[in\\+hidden, 4\\*hidden\\]");
 }
 

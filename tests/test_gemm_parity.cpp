@@ -10,6 +10,7 @@
 #include <limits>
 #include <vector>
 
+#include "core/counters.hpp"
 #include "core/flags.hpp"
 #include "core/rng.hpp"
 #include "core/tensor.hpp"
@@ -290,6 +291,59 @@ TEST(GemmOrder, BlockedMatchesFmaOrderOracleBitwise) {
       ASSERT_EQ(0, std::memcmp(want.data(), serial.data(),
                                want.size() * sizeof(float)))
           << "serial gemm_blocked left the FMA order";
+    }
+  }
+}
+
+TEST(GemmPacked, MatchesGemmBitwise) {
+  // gemm_packed against gemm on the same operands, under whichever kernel
+  // the registration selects: mr < 8 and nr < 48 edge tiles, K past one and
+  // two KC panels, N past NC = 960 (several packed column blocks), both
+  // A transposes, B transposed or not at pack time, beta in {0, 1, 0.5}.
+  // Each call bumps the dispatch counter gemm bumps, once.
+  const GemmCase shapes[] = {
+      {5, 30, 100, false, false, 0, 0, 33, 1.0f, 0.0f, 41},
+      {13, 49, 257, false, false, 0, 0, 50, -0.5f, 0.0f, 42},
+      {9, 1000, 300, false, false, 0, 0, 1001, 1.0f, 0.0f, 43},
+      {130, 97, 600, false, false, 0, 0, 99, 2.0f, 0.0f, 44},
+      {8, 1930, 513, false, false, 0, 0, 1930, 1.0f, 0.0f, 45},
+  };
+  const DispatchCounter counter = gemm_kernel() == GemmKernel::kRef
+                                      ? DispatchCounter::kGemmRef
+                                      : DispatchCounter::kGemmBlocked;
+  for (const GemmCase& base : shapes) {
+    for (int t = 0; t < 4; ++t) {
+      for (const float beta : {0.0f, 1.0f, 0.5f}) {
+        GemmCase cs = base;
+        cs.trans_a = (t & 1) != 0;
+        cs.trans_b = (t & 2) != 0;
+        cs.lda = (cs.trans_a ? cs.m : cs.k) + 1;
+        cs.ldb = (cs.trans_b ? cs.k : cs.n) + 3;
+        cs.beta = beta;
+        SCOPED_TRACE(testing::Message()
+                     << "m=" << cs.m << " n=" << cs.n << " k=" << cs.k
+                     << " ta=" << cs.trans_a << " tb=" << cs.trans_b
+                     << " beta=" << beta);
+        Rng rng(cs.seed);
+        const std::vector<float> a =
+            random_buf(cs.trans_a ? cs.k : cs.m, cs.lda, rng, 0.0);
+        const std::vector<float> b =
+            random_buf(cs.trans_b ? cs.n : cs.k, cs.ldb, rng, 0.0);
+        const std::vector<float> c0 = random_buf(cs.m, cs.ldc, rng, 0.0);
+
+        std::vector<float> want = c0;
+        gemm(cs.trans_a, cs.trans_b, cs.m, cs.n, cs.k, cs.alpha, a.data(),
+             cs.lda, b.data(), cs.ldb, cs.beta, want.data(), cs.ldc);
+        const PackedB packed = pack_b(cs.trans_b, cs.n, cs.k, b.data(), cs.ldb);
+        std::vector<float> got = c0;
+        const i64 calls = dispatch_count(counter);
+        gemm_packed(cs.trans_a, cs.m, cs.alpha, a.data(), cs.lda, packed,
+                    cs.beta, got.data(), cs.ldc);
+        EXPECT_EQ(dispatch_count(counter), calls + 1);
+        ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                 want.size() * sizeof(float)))
+            << "gemm_packed differs from gemm";
+      }
     }
   }
 }

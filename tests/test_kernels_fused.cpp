@@ -1,9 +1,11 @@
-// Fused LSTM-cell kernel coverage: gradcheck through ag::gradcheck,
-// fused-vs-composed equivalence including saturated-gate inputs, and direct
-// scalar cross-checks of the core::lstm_cell_forward/backward kernels.
+// Fused LSTM kernel coverage: gradcheck through ag::gradcheck,
+// fused-vs-composed equivalence including saturated-gate inputs, direct
+// scalar cross-checks of the core::lstm_cell_forward/backward kernels, and
+// the T-step layer node against a chain of one-step nodes, bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "ag/gradcheck.hpp"
@@ -50,7 +52,7 @@ TEST(FusedLstmKernel, GradCheckNormalRegime) {
   CellSetup s = make_cell(B, I, H, 1001, 0.5f);
   auto r = grad_check(
       [&] {
-        Variable hc = lstm_cell(s.x, s.h, s.c, s.w, s.b);
+        Variable hc = lstm_layer(s.x, s.h, s.c, s.w, s.b);
         return sum_all(mul(hc, hc));
       },
       {s.x, s.h, s.c, s.w, s.b});
@@ -68,7 +70,7 @@ TEST(FusedLstmKernel, GradCheckSaturatedGates) {
   }
   auto r = grad_check(
       [&] {
-        Variable hc = lstm_cell(s.x, s.h, s.c, s.w, s.b);
+        Variable hc = lstm_layer(s.x, s.h, s.c, s.w, s.b);
         return sum_all(mul(hc, hc));
       },
       {s.h, s.c, s.w, s.b});
@@ -87,7 +89,7 @@ TEST(FusedLstmKernel, FusedMatchesComposedSaturated) {
       v = v >= 0.0f ? 15.0f : -15.0f;
     }
   }
-  Variable fused = lstm_cell(s.x, s.h, s.c, s.w, s.b);
+  Variable fused = lstm_layer(s.x, s.h, s.c, s.w, s.b);
   Variable ref = composed_cell(s, H);
   ASSERT_TRUE(fused.value().same_shape(ref.value()));
   for (i64 i = 0; i < fused.numel(); ++i) {
@@ -170,6 +172,103 @@ TEST(FusedLstmKernel, LayerEquivalenceSaturated) {
     EXPECT_NEAR(sf.h.value()[i], sc.h.value()[i], 1e-6f);
     EXPECT_NEAR(sf.c.value()[i], sc.c.value()[i], 1e-6f);
   }
+}
+
+// ---- the T-step layer node ---------------------------------------------------
+
+void expect_bitwise(const Tensor& want, const Tensor& got, const char* what) {
+  ASSERT_TRUE(want.same_shape(got)) << what;
+  EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                           static_cast<std::size_t>(want.numel()) * sizeof(float)))
+      << what << " differs bitwise";
+}
+
+TEST(LstmLayer, MatchesCellChainBitwise) {
+  // One T-step lstm_layer node against T one-step nodes chained through
+  // slice_cols, the graph the layer node replaced: every step's h, the final
+  // (h, c), and the gradients of x, h0, c0, W and b must agree bit for bit.
+  // The last shape has I+H > 256 (two KC panels) and 4H > 960 (two NC
+  // column blocks of the packed weight).
+  struct Shape {
+    i64 steps, batch, in, hidden;
+  };
+  for (const Shape sh : {Shape{1, 8, 5, 6}, Shape{2, 1, 5, 6},
+                         Shape{10, 8, 48, 48}, Shape{28, 13, 7, 9},
+                         Shape{10, 1, 16, 32}, Shape{2, 13, 60, 250}}) {
+    const i64 T = sh.steps, B = sh.batch, H = sh.hidden;
+    SCOPED_TRACE(testing::Message() << "T=" << T << " B=" << B
+                                    << " I=" << sh.in << " H=" << H);
+    Rng rng(static_cast<u64>(7 * T + B + H));
+    std::vector<Variable> xs;
+    for (i64 t = 0; t < T; ++t)
+      xs.push_back(Variable::leaf(Tensor::randn({B, sh.in}, rng, 0.5f), true));
+    Variable h0 = Variable::leaf(Tensor::randn({B, H}, rng, 0.5f), true);
+    Variable c0 = Variable::leaf(Tensor::randn({B, H}, rng, 0.5f), true);
+    Variable w =
+        Variable::leaf(Tensor::randn({sh.in + H, 4 * H}, rng, 0.3f), true);
+    Variable b = Variable::leaf(Tensor::randn({4 * H}, rng, 0.3f), true);
+    // Upstream weights on every step's h and on the final c.
+    const Variable up_h = Variable::constant(Tensor::randn({T * B, H}, rng));
+    const Variable up_c = Variable::constant(Tensor::randn({B, H}, rng));
+    std::vector<Variable> leaves = xs;
+    for (const Variable& v : {h0, c0, w, b}) leaves.push_back(v);
+
+    const auto grads = [&](const Variable& loss) {
+      for (Variable& v : leaves) v.zero_grad();
+      backward(loss);
+      std::vector<Tensor> g;
+      for (const Variable& v : leaves) g.push_back(v.grad());
+      return g;
+    };
+
+    Variable hc = lstm_layer(concat_rows(xs), h0, c0, w, b);
+    Variable layer_hs = slice_cols(hc, 0, H);
+    Variable layer_c = slice(hc, (T - 1) * B, T * B, H, 2 * H);
+    const std::vector<Tensor> layer_grads =
+        grads(add(sum_all(mul(layer_hs, up_h)), sum_all(mul(layer_c, up_c))));
+
+    Variable h = h0, c = c0;
+    std::vector<Variable> hs;
+    for (i64 t = 0; t < T; ++t) {
+      Variable step = lstm_layer(xs[static_cast<std::size_t>(t)], h, c, w, b);
+      h = slice_cols(step, 0, H);
+      c = slice_cols(step, H, 2 * H);
+      hs.push_back(h);
+    }
+    Variable chain_hs = concat_rows(hs);
+    const std::vector<Tensor> chain_grads =
+        grads(add(sum_all(mul(chain_hs, up_h)), sum_all(mul(c, up_c))));
+
+    expect_bitwise(chain_hs.value(), layer_hs.value(), "h per step");
+    expect_bitwise(h.value(), slice(hc, (T - 1) * B, T * B, 0, H).value(),
+                   "final h");
+    expect_bitwise(c.value(), layer_c.value(), "final c");
+    for (std::size_t i = 0; i < leaves.size(); ++i) {
+      const std::string what = i < xs.size() ? "dx_" + std::to_string(i)
+                               : i == xs.size()     ? "dh0"
+                               : i == xs.size() + 1 ? "dc0"
+                               : i == xs.size() + 2 ? "dW"
+                                                    : "db";
+      expect_bitwise(chain_grads[i], layer_grads[i], what.c_str());
+    }
+  }
+}
+
+TEST(LstmLayer, GradCheck) {
+  // Finite differences through three steps of one node, every input and
+  // every step's (h, c) weighted into the loss.
+  const i64 T = 3, B = 2, I = 3, H = 3;
+  Rng rng(5005);
+  Variable x = Variable::leaf(Tensor::randn({T * B, I}, rng, 0.5f), true);
+  Variable h = Variable::leaf(Tensor::randn({B, H}, rng, 0.5f), true);
+  Variable c = Variable::leaf(Tensor::randn({B, H}, rng, 0.5f), true);
+  Variable w = Variable::leaf(Tensor::randn({I + H, 4 * H}, rng, 0.3f), true);
+  Variable b = Variable::leaf(Tensor::randn({4 * H}, rng, 0.3f), true);
+  const Variable up = Variable::constant(Tensor::randn({T * B, 2 * H}, rng));
+  auto r = grad_check(
+      [&] { return sum_all(mul(lstm_layer(x, h, c, w, b), up)); },
+      {x, h, c, w, b});
+  EXPECT_TRUE(r.ok) << r.detail;
 }
 
 }  // namespace

@@ -190,8 +190,9 @@ TEST(LstmDropoutSeq, MaskIsIndependentPerStep) {
   // Outputs at different steps differ (state evolves AND masks differ);
   // weak but deterministic sanity that the graph didn't reuse one mask node.
   float diff = 0.0f;
-  for (i64 i = 0; i < out.outputs[6].numel(); ++i) {
-    diff += std::abs(out.outputs[6].value()[i] - out.outputs[7].value()[i]);
+  // Batch 1, H = 8: step t is row t of the [T, H] outputs.
+  for (i64 i = 0; i < 8; ++i) {
+    diff += std::abs(out.outputs.value().at(6, i) - out.outputs.value().at(7, i));
   }
   EXPECT_GT(diff, 1e-6f);
 }

@@ -98,13 +98,14 @@ TEST(Lstm, SequenceShapesAndStateChain) {
   }
   Rng drng(1);
   auto out = lstm.forward(inputs, {}, drng);
-  EXPECT_EQ(out.outputs.size(), 4u);
-  EXPECT_EQ(out.outputs[0].size(0), 2);
-  EXPECT_EQ(out.outputs[0].size(1), 5);
+  // Step-major [T*B, H]: step t at rows [2t, 2t+2).
+  EXPECT_EQ(out.outputs.size(0), 8);
+  EXPECT_EQ(out.outputs.size(1), 5);
   EXPECT_EQ(out.final_states.size(), 2u);
-  // The final top-layer h must equal the last output.
-  for (i64 i = 0; i < out.outputs[3].numel(); ++i) {
-    EXPECT_EQ(out.outputs[3].value()[i], out.final_states[1].h.value()[i]);
+  // The final top-layer h must equal the last step's output rows.
+  for (i64 i = 0; i < 2 * 5; ++i) {
+    EXPECT_EQ(out.outputs.value()[3 * 2 * 5 + i],
+              out.final_states[1].h.value()[i]);
   }
 }
 
@@ -122,8 +123,8 @@ TEST(Lstm, CarriedInitialStateChangesOutput) {
   auto out_carried = lstm.forward(inputs, carried, drng);
   float diff = 0.0f;
   for (i64 i = 0; i < 3; ++i) {
-    diff += std::abs(out_zero.outputs[0].value()[i] -
-                     out_carried.outputs[0].value()[i]);
+    diff += std::abs(out_zero.outputs.value()[i] -
+                     out_carried.outputs.value()[i]);
   }
   EXPECT_GT(diff, 1e-4f);
 }

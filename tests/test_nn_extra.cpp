@@ -65,16 +65,16 @@ TEST(LstmDropout, OnlyActiveBetweenLayersInTraining) {
   auto eval_out = lstm.forward(inputs, {}, d2);
   // Outputs must differ between train (dropout active) and eval.
   float diff = 0.0f;
-  for (i64 i = 0; i < train_out.outputs[0].numel(); ++i) {
-    diff += std::abs(train_out.outputs[0].value()[i] -
-                     eval_out.outputs[0].value()[i]);
+  for (i64 i = 0; i < train_out.outputs.numel(); ++i) {
+    diff += std::abs(train_out.outputs.value()[i] -
+                     eval_out.outputs.value()[i]);
   }
   EXPECT_GT(diff, 1e-4f);
   // Eval runs must be deterministic regardless of the rng passed.
   Rng d3(999);
   auto eval_out2 = lstm.forward(inputs, {}, d3);
-  for (i64 i = 0; i < eval_out.outputs[0].numel(); ++i) {
-    EXPECT_EQ(eval_out.outputs[0].value()[i], eval_out2.outputs[0].value()[i]);
+  for (i64 i = 0; i < eval_out.outputs.numel(); ++i) {
+    EXPECT_EQ(eval_out.outputs.value()[i], eval_out2.outputs.value()[i]);
   }
 }
 
