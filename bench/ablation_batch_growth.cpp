@@ -25,15 +25,15 @@ double train_with_batch_schedule(const bench::MnistWorkload& w,
   auto opt = optim::make_optimizer("momentum", model.parameters());
   i64 samples_seen = 0;
   const i64 budget = w.dataset.n_train() * w.epochs;
+  // Owned by this call, so every arm starts its own shuffle stream; rebuilt
+  // on each batch-size change (epoch-level shuffling granularity is fine).
+  std::unique_ptr<data::IndexBatcher> batcher;
+  i64 batcher_size = -1;
   while (samples_seen < budget) {
     const double epoch =
         static_cast<double>(samples_seen) / w.dataset.n_train();
     const i64 batch = batches.batch(epoch);
     opt->set_lr(lr.lr(epoch));
-    // Draw a batch (fresh batcher per size change is fine: epoch-level
-    // shuffling granularity).
-    static thread_local std::unique_ptr<data::IndexBatcher> batcher;
-    static thread_local i64 batcher_size = -1;
     if (!batcher || batcher_size != batch) {
       batcher = std::make_unique<data::IndexBatcher>(w.dataset.n_train(),
                                                      batch, 99);

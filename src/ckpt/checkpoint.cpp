@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "core/counters.hpp"
 #include "core/io.hpp"
 #include "obs/trace.hpp"
 
@@ -173,8 +174,8 @@ Result save(const TrainState& state, const std::string& path) {
   if (!st.ok()) {
     return fail(Status::kWriteFailed, "ckpt::save: " + st.message());
   }
-  obs::count("ckpt_writes", 1);
-  obs::count("ckpt_bytes", static_cast<i64>(image.size()));
+  core::count("ckpt_writes", 1);
+  core::count("ckpt_bytes", static_cast<i64>(image.size()));
   return {};
 }
 
@@ -445,7 +446,7 @@ Result load_image(TrainState& state, const std::string& image,
   state.step = meta.step;
   state.epoch = meta.epoch;
   state.micro_step = meta.micro_step;
-  obs::count("ckpt_restores", 1);
+  core::count("ckpt_restores", 1);
   return {};
 }
 
@@ -617,7 +618,7 @@ CheckpointManager::RestoreOutcome restore_walk(
     }
     out.skipped.push_back(
         CheckpointManager::SkippedCheckpoint{*it, r.status, r.message});
-    obs::count("ckpt_corrupt_skipped", 1);
+    core::count("ckpt_corrupt_skipped", 1);
     obs::TraceRecorder::global().add_event(
         "ckpt_corrupt_skipped",
         {{"path", *it},

@@ -1,6 +1,7 @@
 #include "core/flags.hpp"
 
 #include <atomic>
+#include <cerrno>
 #include <cstdlib>
 
 namespace legw::core {
@@ -213,8 +214,11 @@ i64 Flags::get_int(const std::string& name, i64 def) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  LEGW_CHECK(end != nullptr && *end == '\0',
+  // Empty and out-of-range values are malformed too: strtoll reads "" as 0
+  // and saturates an overflow to INT64_MAX/MIN.
+  LEGW_CHECK(!it->second.empty() && *end == '\0' && errno != ERANGE,
              "flag --" + name + " expects an integer, got '" + it->second + "'");
   return static_cast<i64>(v);
 }
@@ -223,8 +227,9 @@ double Flags::get_double(const std::string& name, double def) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
   char* end = nullptr;
+  errno = 0;
   const double v = std::strtod(it->second.c_str(), &end);
-  LEGW_CHECK(end != nullptr && *end == '\0',
+  LEGW_CHECK(!it->second.empty() && *end == '\0' && errno != ERANGE,
              "flag --" + name + " expects a number, got '" + it->second + "'");
   return v;
 }

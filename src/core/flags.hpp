@@ -88,8 +88,11 @@ const char* guard_mode_name(GuardMode m);
 
 class Flags {
  public:
-  // Parses argv; aborts with usage on malformed input (a flag without a
-  // value, or an unknown positional argument).
+  // Parses argv and never rejects it: `--name value` and `--name=value`
+  // set a flag, a bare `--name` (last, or followed by another flag) sets it
+  // to "true", and every other argument is kept as a positional. The typed
+  // getters abort naming the flag when its value does not parse: a number
+  // must be non-empty, fully consumed and in range.
   Flags(int argc, char** argv);
 
   bool has(const std::string& name) const;

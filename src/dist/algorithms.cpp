@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/counters.hpp"
 #include "obs/trace.hpp"
 
 namespace legw::dist {
@@ -42,7 +43,7 @@ void tree_allreduce_mean(std::vector<core::Tensor*>& shards) {
   check_shards(shards, "tree_allreduce_mean");
   const std::size_t n = shards.size();
   obs::Span span("allreduce");
-  obs::count("dist.algo.tree", 1);
+  core::count("dist.algo.tree", 1);
   for (std::size_t stride = 1; stride < n; stride *= 2) {
     for (std::size_t i = 0; i + stride < n; i += 2 * stride) {
       shards[i]->add_(*shards[i + stride]);
@@ -59,7 +60,7 @@ void ring_allreduce_mean(std::vector<core::Tensor*>& shards) {
   const std::size_t n = shards.size();
   const i64 numel = shards[0]->numel();
   obs::Span span("allreduce");
-  obs::count("dist.algo.ring", 1);
+  core::count("dist.algo.ring", 1);
   if (n == 1 || numel == 0) return;
   // Chunk boundaries: n chunks whose sizes differ by at most one element,
   // so payloads not divisible by n (including numel < n) ring correctly.
@@ -101,7 +102,7 @@ void hier_allreduce_mean(std::vector<core::Tensor*>& shards, int group_size) {
   check_shards(shards, "hier_allreduce_mean");
   const std::size_t n = shards.size();
   obs::Span span("allreduce");
-  obs::count("dist.algo.hier", 1);
+  core::count("dist.algo.hier", 1);
   if (n == 1 || shards[0]->numel() == 0) return;
   const std::size_t g = static_cast<std::size_t>(
       group_size > 0 ? std::min(group_size, static_cast<int>(n))

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <cstring>
 
-#include "obs/trace.hpp"
+#include "core/counters.hpp"
 
 namespace legw::dist {
 
@@ -114,7 +114,7 @@ void wire_roundtrip(WireFormat format, core::Tensor& t) {
       break;
     }
   }
-  obs::count("dist.requantize", 1);
+  core::count("dist.requantize", 1);
 }
 
 WireState::WireState(

@@ -8,6 +8,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include "core/counters.hpp"
 #include "core/flags.hpp"
 #include "core/mutex.hpp"
 #include "core/rng.hpp"
@@ -393,7 +394,7 @@ class OverlapEngine {
     for (std::size_t i = 0; i < blockers.size(); ++i) {
       excluded_[static_cast<std::size_t>(blockers[i])] = 1;
       result_.stats.excluded_replicas.push_back(blocker_gids[i]);
-      obs::count("replica_timeout", 1);
+      core::count("replica_timeout", 1);
     }
     int live = 0;
     for (int r = 0; r < n_replicas_; ++r) {
@@ -508,8 +509,8 @@ class OverlapEngine {
                                             config_.wire_format);
         sleep_us(wire_us);
       }
-      obs::count("bucket_reduce", 1);
-      obs::count("dist.wire_bytes", wire_bytes);
+      core::count("bucket_reduce", 1);
+      core::count("dist.wire_bytes", wire_bytes);
       {
         core::MutexLock lock(mu_);
         ++result_.stats.buckets_reduced;

@@ -48,29 +48,7 @@ int thread_id() {
   return t_tid;
 }
 
-// Registered CounterSource hooks (serve.* and future above-obs layers).
-// Guarded by its own mutex — sources are read while the recorder lock is NOT
-// held, so a source may itself call into obs without deadlocking.
-struct SourceRegistry {
-  core::Mutex mu;
-  std::vector<CounterSource> sources LEGW_GUARDED_BY(mu);
-};
-SourceRegistry& source_registry() {
-  static SourceRegistry registry;
-  return registry;
-}
-
 }  // namespace
-
-void register_counter_source(CounterSource source) {
-  LEGW_CHECK(source != nullptr, "register_counter_source: null source");
-  SourceRegistry& registry = source_registry();
-  core::MutexLock lock(registry.mu);
-  for (CounterSource s : registry.sources) {
-    if (s == source) return;  // idempotent: one merge per source
-  }
-  registry.sources.push_back(source);
-}
 
 bool tracing_enabled() {
   return enabled_state().load(std::memory_order_relaxed);
@@ -92,7 +70,6 @@ const std::string& trace_env_path() {
 struct TraceRecorder::Impl {
   mutable core::Mutex mu;
   std::vector<SpanRecord> spans LEGW_GUARDED_BY(mu);
-  std::map<std::string, i64> counters LEGW_GUARDED_BY(mu);
   std::vector<Event> events LEGW_GUARDED_BY(mu);
   i64 epoch_ns LEGW_GUARDED_BY(mu) = now_ns();
 };
@@ -125,18 +102,12 @@ void TraceRecorder::end() {
       SpanRecord{open.name, tid, depth, open.begin_ns - im.epoch_ns, dur});
 }
 
-void TraceRecorder::counter_add(const std::string& name, i64 delta) {
-  Impl& im = impl();
-  core::MutexLock lock(im.mu);
-  im.counters[name] += delta;
-}
-
 void TraceRecorder::add_event(
     std::string kind, std::vector<std::pair<std::string, std::string>> fields) {
   Impl& im = impl();
   core::MutexLock lock(im.mu);
   if (static_cast<i64>(im.events.size()) >= kMaxEvents) {
-    im.counters["events_dropped"] += 1;
+    core::count("events_dropped", 1);
     return;
   }
   im.events.push_back(Event{std::move(kind), std::move(fields)});
@@ -155,28 +126,11 @@ std::vector<TraceRecorder::SpanRecord> TraceRecorder::spans() const {
 }
 
 std::map<std::string, i64> TraceRecorder::counters() const {
-  std::map<std::string, i64> out;
-  {
-    Impl& im = impl();
-    core::MutexLock lock(im.mu);
-    out = im.counters;
-  }
-  for (int i = 0; i < static_cast<int>(core::DispatchCounter::kCount); ++i) {
-    const auto c = static_cast<core::DispatchCounter>(i);
-    out[core::dispatch_counter_name(c)] = core::dispatch_count(c);
-  }
+  std::map<std::string, i64> out = core::counter_snapshot();
   // Heap counters (mem/alloc.hpp): live and peak tensor bytes.
   const mem::MemStats ms = mem::mem_stats();
   out["mem.heap_live_bytes"] = ms.heap_live_bytes;
   out["mem.heap_peak_bytes"] = ms.heap_peak_bytes;
-  // Above-obs layers (serve.*): merge every registered source's snapshot.
-  std::vector<CounterSource> sources;
-  {
-    SourceRegistry& registry = source_registry();
-    core::MutexLock lock(registry.mu);
-    sources = registry.sources;
-  }
-  for (CounterSource s : sources) s(out);
   return out;
 }
 
@@ -308,10 +262,9 @@ void TraceRecorder::clear() {
   Impl& im = impl();
   core::MutexLock lock(im.mu);
   im.spans.clear();
-  im.counters.clear();
   im.events.clear();
   im.epoch_ns = now_ns();
-  core::reset_dispatch_counters();
+  core::reset_counters();
 }
 
 }  // namespace legw::obs

@@ -7,16 +7,16 @@
 //  * a process-global enable flag (`tracing_enabled`) — when off, a Span is
 //    one relaxed atomic load and a branch, no allocation, no clock read;
 //  * `TraceRecorder` — a thread-safe collector of named spans (begin/end
-//    timestamps, per-thread nesting depth, stable small thread ids) plus
-//    named aggregate counters (bytes all-reduced, steps, ...);
+//    timestamps, per-thread nesting depth, stable small thread ids) and
+//    structured events, whose views also export the always-on counters;
 //  * exporters — a Chrome `chrome://tracing`-compatible JSON trace, a
 //    per-phase summary table (count/total/mean/p50/p95 per span name, thread
 //    pool utilisation), and the span *structure* (name -> count), which is
 //    deterministic across identically-seeded runs and therefore testable.
 //
-// Kernel dispatch counters live in core (core/counters.hpp) because core
-// cannot link against obs; the exporters fold a snapshot of them into every
-// counter view. See docs/OBSERVABILITY.md for the file formats.
+// Counters live in the one registry in core/counters.hpp
+// (`core::count(name, delta)`); the exporters fold a snapshot of it into
+// every counter view. See docs/OBSERVABILITY.md for the file formats.
 #pragma once
 
 #include <map>
@@ -30,23 +30,13 @@ namespace legw::obs {
 
 // Process-global tracing switch. Initialised once from the environment: set
 // LEGW_TRACE (to any non-empty value, conventionally the trace output path)
-// to start enabled. `Span` branches on this; counters (`count`) do not.
+// to start enabled. `Span` branches on this; counters (`core::count`) do
+// not.
 bool tracing_enabled();
 void set_tracing_enabled(bool enabled);
 // The value of LEGW_TRACE at startup ("" if unset) — benches use it as the
 // default trace output path.
 const std::string& trace_env_path();
-
-// Extension point for always-on counters owned by layers obs cannot link
-// against. Core's dispatch counters and mem's allocator stats are folded
-// into TraceRecorder::counters() directly (obs links both); a subsystem
-// *above* obs (src/serve's broker counters) instead registers a source once
-// and every counters() snapshot — and therefore every telemetry JSONL record
-// and chrome trace — invokes it to merge its values in. Sources must be
-// thread-safe snapshots of atomics (they run concurrently with recording)
-// and registration is permanent for the process.
-using CounterSource = void (*)(std::map<std::string, i64>& out);
-void register_counter_source(CounterSource source);
 
 class TraceRecorder {
  public:
@@ -87,9 +77,6 @@ class TraceRecorder {
   void begin(const char* name);
   void end();
 
-  // Adds `delta` to the named aggregate counter (creates it at zero first).
-  void counter_add(const std::string& name, i64 delta);
-
   // Appends a structured event (see Event). Beyond kMaxEvents per window the
   // event is dropped and the `events_dropped` counter incremented instead —
   // an incident log must never balloon a long run's memory.
@@ -106,7 +93,8 @@ class TraceRecorder {
   // else).
   std::vector<Event> events() const;
 
-  // Recorder counters merged with the core dispatch-counter snapshot.
+  // Every non-zero counter of the core registry (core/counters.hpp), plus
+  // the tensor heap's mem.heap_live_bytes and mem.heap_peak_bytes.
   std::map<std::string, i64> counters() const;
 
   // Span structure: name -> completed-span count. Deterministic across
@@ -127,9 +115,10 @@ class TraceRecorder {
   [[nodiscard]] bool write_chrome_trace(const std::string& path,
                                         std::string* error = nullptr) const;
 
-  // Drops all spans and counters and re-arms the epoch. Also zeroes the core
-  // dispatch counters so consecutive measurement windows are independent.
-  // Must not race with in-flight begin()/end() pairs.
+  // Drops all spans and events, zeroes every counter in the core registry
+  // (serve.* and the kernel dispatch counts included) and re-arms the
+  // epoch, so consecutive measurement windows are independent. Must not
+  // race with in-flight begin()/end() pairs.
   void clear();
 
  private:
@@ -155,11 +144,5 @@ class Span {
  private:
   bool active_;
 };
-
-// Counter convenience. Always records, tracing enabled or not: counters are
-// cheap per-step tallies that every telemetry record carries.
-inline void count(const char* name, i64 delta) {
-  TraceRecorder::global().counter_add(name, delta);
-}
 
 }  // namespace legw::obs

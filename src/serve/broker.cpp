@@ -1,51 +1,13 @@
 #include "serve/broker.hpp"
 
-#include <atomic>
 #include <utility>
 
+#include "core/counters.hpp"
 #include "obs/trace.hpp"
 
 namespace legw::serve {
 
 namespace {
-
-// Process-global serve.* counters: relaxed atomics bumped on the hot path,
-// snapshotted by the obs counter source. Global (not per-broker) so the
-// telemetry stream has one namespace regardless of broker lifetimes.
-struct AtomicCounters {
-  std::atomic<i64> requests{0};
-  std::atomic<i64> rejected{0};
-  std::atomic<i64> responses{0};
-  std::atomic<i64> batches{0};
-  std::atomic<i64> batch_rows{0};
-  std::atomic<i64> capacity_batches{0};
-  std::atomic<i64> deadline_batches{0};
-  std::atomic<i64> drain_batches{0};
-};
-
-AtomicCounters& counts() {
-  static AtomicCounters c;
-  return c;
-}
-
-void serve_counter_source(std::map<std::string, i64>& out) {
-  const AtomicCounters& c = counts();
-  out["serve.requests"] = c.requests.load(std::memory_order_relaxed);
-  out["serve.rejected"] = c.rejected.load(std::memory_order_relaxed);
-  out["serve.responses"] = c.responses.load(std::memory_order_relaxed);
-  out["serve.batches"] = c.batches.load(std::memory_order_relaxed);
-  out["serve.batch_rows"] = c.batch_rows.load(std::memory_order_relaxed);
-  out["serve.capacity_batches"] =
-      c.capacity_batches.load(std::memory_order_relaxed);
-  out["serve.deadline_batches"] =
-      c.deadline_batches.load(std::memory_order_relaxed);
-  out["serve.drain_batches"] =
-      c.drain_batches.load(std::memory_order_relaxed);
-}
-
-void bump(std::atomic<i64>& c, i64 by = 1) {
-  c.fetch_add(by, std::memory_order_relaxed);
-}
 
 i64 steady_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -72,12 +34,6 @@ RequestBroker::RequestBroker(const ServeSession& session, BrokerConfig config)
       epoch_(std::chrono::steady_clock::now()),
       batcher_(config_.policy) {
   LEGW_CHECK(config_.workers > 0, "RequestBroker: needs at least one worker");
-  // Magic-static init is the C++11 call_once: the first broker registers the
-  // counter source, later ones skip (registration is idempotent anyway).
-  [[maybe_unused]] static const bool kSourceRegistered = [] {
-    obs::register_counter_source(&serve_counter_source);
-    return true;
-  }();
   workers_.reserve(static_cast<std::size_t>(config_.workers));
   for (int w = 0; w < config_.workers; ++w) {
     // lint-allow: raw-thread — dedicated long-lived workers, joined by
@@ -99,7 +55,7 @@ std::future<Response> RequestBroker::submit(Request req) {
   const i64 enqueue_ns = steady_ns();
   Result valid = session_.validate(req);
   if (!valid.ok()) {
-    bump(counts().rejected);
+    core::count("serve.rejected", 1);
     std::promise<Response> p;
     p.set_value(
         immediate_failure(req.id, valid.status, std::move(valid.message)));
@@ -109,7 +65,7 @@ std::future<Response> RequestBroker::submit(Request req) {
   {
     core::MutexLock lk(mu_);
     if (stop_) {
-      bump(counts().rejected);
+      core::count("serve.rejected", 1);
       std::promise<Response> p;
       p.set_value(immediate_failure(req.id, Status::kUnavailable,
                                     "broker is shut down"));
@@ -122,7 +78,7 @@ std::future<Response> RequestBroker::submit(Request req) {
     const i64 length = session_.request_length(req);
     w.req = std::move(req);
     batcher_.add(Pending{ticket, length, now_ms()});
-    bump(counts().requests);
+    core::count("serve.requests", 1);
   }
   cv_.notify_all();
   return fut;
@@ -195,14 +151,20 @@ void RequestBroker::execute(Claimed batch) {
     return;
   }
 
-  bump(counts().batches);
-  bump(counts().batch_rows, rows);
+  core::count("serve.batches", 1);
+  core::count("serve.batch_rows", rows);
   switch (batch.plan.reason) {
-    case BatchPlan::Reason::kCapacity: bump(counts().capacity_batches); break;
-    case BatchPlan::Reason::kDeadline: bump(counts().deadline_batches); break;
-    case BatchPlan::Reason::kDrain: bump(counts().drain_batches); break;
+    case BatchPlan::Reason::kCapacity:
+      core::count("serve.capacity_batches", 1);
+      break;
+    case BatchPlan::Reason::kDeadline:
+      core::count("serve.deadline_batches", 1);
+      break;
+    case BatchPlan::Reason::kDrain:
+      core::count("serve.drain_batches", 1);
+      break;
   }
-  bump(counts().responses, rows);
+  core::count("serve.responses", rows);
 
   for (std::size_t i = 0; i < batch.promises.size(); ++i) {
     responses[i].enqueue_ns = batch.enqueue_ns[i];
@@ -229,16 +191,18 @@ void RequestBroker::shutdown() {
 }
 
 BrokerCounters RequestBroker::counters() {
-  const AtomicCounters& c = counts();
+  const auto read = [](std::string_view name) {
+    return core::counter(name).load(std::memory_order_relaxed);
+  };
   BrokerCounters out;
-  out.requests = c.requests.load(std::memory_order_relaxed);
-  out.rejected = c.rejected.load(std::memory_order_relaxed);
-  out.responses = c.responses.load(std::memory_order_relaxed);
-  out.batches = c.batches.load(std::memory_order_relaxed);
-  out.batch_rows = c.batch_rows.load(std::memory_order_relaxed);
-  out.capacity_batches = c.capacity_batches.load(std::memory_order_relaxed);
-  out.deadline_batches = c.deadline_batches.load(std::memory_order_relaxed);
-  out.drain_batches = c.drain_batches.load(std::memory_order_relaxed);
+  out.requests = read("serve.requests");
+  out.rejected = read("serve.rejected");
+  out.responses = read("serve.responses");
+  out.batches = read("serve.batches");
+  out.batch_rows = read("serve.batch_rows");
+  out.capacity_batches = read("serve.capacity_batches");
+  out.deadline_batches = read("serve.deadline_batches");
+  out.drain_batches = read("serve.drain_batches");
   return out;
 }
 

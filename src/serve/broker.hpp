@@ -13,9 +13,10 @@
 // real rows (see serve/session.hpp).
 //
 // Observability: spans serve.enqueue / serve.batch / serve.infer, and
-// process-global serve.* counters registered with the obs recorder via
-// obs::register_counter_source — they ride along in every counters()
-// snapshot and telemetry JSONL line, tracing enabled or not.
+// process-global serve.* counters in the core counter registry
+// (core/counters.hpp) — they ride along in every TraceRecorder::counters()
+// snapshot and telemetry JSONL line, tracing enabled or not, and are zeroed
+// by TraceRecorder::clear() like every other counter.
 #pragma once
 
 #include <chrono>
@@ -35,7 +36,8 @@ struct BrokerConfig {
   int workers = 2;
 };
 
-// Snapshot of the process-global serve counters (all brokers, all time).
+// Snapshot of the process-global serve counters: all brokers, since the
+// last TraceRecorder::clear() (or process start).
 struct BrokerCounters {
   i64 requests = 0;           // accepted submits
   i64 rejected = 0;           // invalid or post-shutdown submits
@@ -52,7 +54,7 @@ struct BrokerCounters {
 class RequestBroker {
  public:
   // `session` must outlive the broker and is shared read-only by all
-  // workers. Registers the serve.* counter source on first construction.
+  // workers.
   explicit RequestBroker(const ServeSession& session, BrokerConfig config = {});
   ~RequestBroker();  // shutdown()
   RequestBroker(const RequestBroker&) = delete;

@@ -12,6 +12,7 @@
 #include "ag/ops.hpp"
 #include "check/check.hpp"
 #include "ckpt/checkpoint.hpp"
+#include "core/counters.hpp"
 #include "core/flags.hpp"
 #include "dist/compression.hpp"
 #include "dist/overlap.hpp"
@@ -63,7 +64,7 @@ bool finish_step(const RunConfig& run,
     obs::Span span("optimizer");
     for (optim::Optimizer* opt : opts) opt->step();
   }
-  obs::count("steps", 1);
+  core::count("steps", 1);
   ++result->steps;
   return true;
 }
@@ -286,11 +287,11 @@ struct GuardHook {
       verdicts.push_back(sentinel->assess(s));
     }
     const guard::Verdict verdict = guard::reduce_verdicts(verdicts);
-    obs::count("guard.steps", 1);
+    core::count("guard.steps", 1);
     const guard::Decision d = sentinel->observe(step, verdict, signals);
     if (verdict == guard::Verdict::kHealthy) return Action::kProceed;
     ++result->guard_anomalies;
-    obs::count("guard.anomalies", 1);
+    core::count("guard.anomalies", 1);
     obs::TraceRecorder::global().add_event(
         "guard_anomaly", {{"step", std::to_string(step)},
                           {"verdict", guard::verdict_name(verdict)},
@@ -300,7 +301,7 @@ struct GuardHook {
       result->guard_failed = true;
       result->diverged = true;
       result->guard_report = sentinel->report();
-      obs::count("guard.failures", 1);
+      core::count("guard.failures", 1);
       std::fprintf(stderr, "guard: mitigation ladder exhausted: %s\n%s",
                    d.reason.c_str(), result->guard_report.c_str());
       return Action::kStop;
@@ -316,7 +317,7 @@ struct GuardHook {
       const ckpt::Result b = ck.mgr->bless(bstep);
       // Retention may have reaped the file before it earned its blessing;
       // losing a would-be target is fine, losing the run is not.
-      if (b.ok()) obs::count("guard.blessed", 1);
+      if (b.ok()) core::count("guard.blessed", 1);
     }
   }
 
@@ -343,7 +344,7 @@ struct GuardHook {
     ++result->guard_rollbacks;
     result->guard_escalation_max =
         std::max(result->guard_escalation_max, d.level);
-    obs::count("guard.rollbacks", 1);
+    core::count("guard.rollbacks", 1);
     obs::TraceRecorder::global().add_event(
         "guard_rollback", {{"to_step", std::to_string(restored)},
                            {"level", std::to_string(d.level)},
@@ -666,14 +667,14 @@ RunResult train_mnist(const data::SyntheticMnist& dataset,
               wire_state->residual(j, p).zero_();
             }
           }
-          obs::count("dist.member_join", 1);
+          core::count("dist.member_join", 1);
         }
       }
       if (!tr.left.empty()) {
-        obs::count("dist.member_leave", static_cast<i64>(tr.left.size()));
+        core::count("dist.member_leave", static_cast<i64>(tr.left.size()));
       }
       if (!tr.died.empty()) {
-        obs::count("dist.member_dead", static_cast<i64>(tr.died.size()));
+        core::count("dist.member_dead", static_cast<i64>(tr.died.size()));
       }
       // Only the active replicas clip and step this round; absentees
       // rejoin through the hand-off above, never by optimizer drift.

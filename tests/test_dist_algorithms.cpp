@@ -174,7 +174,7 @@ TEST(AllreduceEdge, SingleShardIsIdentity) {
 TEST(AlgoCounters, DirectCallCountsItsOwnAlgorithmOnce) {
   // The counter is bumped inside each algorithm, so a direct call (not just
   // one through the allreduce_mean dispatcher) is counted, exactly once,
-  // under its own name. obs::count is gated on tracing.
+  // under its own name.
   const bool was_tracing = obs::tracing_enabled();
   obs::set_tracing_enabled(true);
   for (DistAlgo algo : {DistAlgo::kTree, DistAlgo::kRing, DistAlgo::kHier}) {

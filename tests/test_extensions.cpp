@@ -182,6 +182,23 @@ TEST(Flags, RejectsMalformedNumbers) {
   const char* argv[] = {"prog", "--n", "abc"};
   core::Flags flags(3, const_cast<char**>(argv));
   EXPECT_DEATH(flags.get_int("n", 0), "expects an integer");
+  // An empty value must not silently parse as 0 over the default, and an
+  // out-of-range one must not saturate.
+  const char* edge_argv[] = {"prog",
+                             "--epochs=",
+                             "--lr=",
+                             "--steps",
+                             "99999999999999999999999",
+                             "--low",
+                             "-99999999999999999999999",
+                             "--big",
+                             "1e999"};
+  core::Flags edge(9, const_cast<char**>(edge_argv));
+  EXPECT_DEATH(edge.get_int("epochs", 5), "expects an integer");
+  EXPECT_DEATH(edge.get_double("lr", 0.1), "expects a number");
+  EXPECT_DEATH(edge.get_int("steps", 1), "expects an integer");
+  EXPECT_DEATH(edge.get_int("low", 1), "expects an integer");
+  EXPECT_DEATH(edge.get_double("big", 1.0), "expects a number");
 }
 
 }  // namespace

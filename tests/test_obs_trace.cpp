@@ -105,7 +105,7 @@ TEST_F(ObsTraceTest, DisabledTracingRecordsNothing) {
   obs::set_tracing_enabled(false);
   {
     obs::Span span("step");
-    obs::count("steps", 1);
+    core::count("steps", 1);
   }
   EXPECT_TRUE(obs::TraceRecorder::global().spans().empty());
   EXPECT_EQ(obs::TraceRecorder::global().span_counts().size(), 0u);
@@ -114,8 +114,8 @@ TEST_F(ObsTraceTest, DisabledTracingRecordsNothing) {
 TEST_F(ObsTraceTest, CountersRecordWithTracingDisabled) {
   // Counters are always on; only spans are gated by the tracing flag.
   obs::set_tracing_enabled(false);
-  obs::count("steps", 2);
-  obs::count("steps", 3);
+  core::count("steps", 2);
+  core::count("steps", 3);
   const auto counters = obs::TraceRecorder::global().counters();
   ASSERT_NE(counters.find("steps"), counters.end());
   EXPECT_EQ(counters.at("steps"), 5);
@@ -124,11 +124,11 @@ TEST_F(ObsTraceTest, CountersRecordWithTracingDisabled) {
 TEST_F(ObsTraceTest, CountersSurviveTracingToggles) {
   // Flipping the tracing flag between counts neither drops nor resets them.
   obs::set_tracing_enabled(false);
-  obs::count("ckpt_writes", 1);
+  core::count("ckpt_writes", 1);
   obs::set_tracing_enabled(true);
-  obs::count("ckpt_writes", 1);
+  core::count("ckpt_writes", 1);
   obs::set_tracing_enabled(false);
-  obs::count("ckpt_writes", 1);
+  core::count("ckpt_writes", 1);
   const auto counters = obs::TraceRecorder::global().counters();
   ASSERT_NE(counters.find("ckpt_writes"), counters.end());
   EXPECT_EQ(counters.at("ckpt_writes"), 3);
@@ -136,7 +136,7 @@ TEST_F(ObsTraceTest, CountersSurviveTracingToggles) {
 
 TEST_F(ObsTraceTest, ClearDropsCountersRecordedWithTracingDisabled) {
   obs::set_tracing_enabled(false);
-  obs::count("guard.steps", 4);
+  core::count("guard.steps", 4);
   ASSERT_EQ(obs::TraceRecorder::global().counters().count("guard.steps"), 1u);
   obs::TraceRecorder::global().clear();
   EXPECT_EQ(obs::TraceRecorder::global().counters().count("guard.steps"), 0u);
@@ -149,7 +149,7 @@ TEST_F(ObsTraceTest, ConcurrentCountsWithTracingDisabledSumExactly) {
   core::ThreadPool pool(kThreads);
   pool.parallel_for(0, kThreads, 1, [](i64 begin, i64 end) {
     for (i64 t = begin; t < end; ++t) {
-      for (int i = 0; i < kCounts; ++i) obs::count("dist.algo.tree", 1);
+      for (int i = 0; i < kCounts; ++i) core::count("dist.algo.tree", 1);
     }
   });
   const auto counters = obs::TraceRecorder::global().counters();
@@ -203,8 +203,8 @@ TEST_F(ObsTraceTest, SpanCountsAreThreadTimingIndependent) {
 }
 
 TEST_F(ObsTraceTest, CountersMergeRecorderAndDispatchSnapshots) {
-  obs::count("allreduce.bytes", 128);
-  obs::count("allreduce.bytes", 64);
+  core::count("allreduce.bytes", 128);
+  core::count("allreduce.bytes", 64);
   core::bump_dispatch(core::DispatchCounter::kGemmBlocked);
   const auto counters = obs::TraceRecorder::global().counters();
   EXPECT_EQ(counters.at("allreduce.bytes"), 192);
@@ -229,7 +229,7 @@ TEST_F(ObsTraceTest, ChromeTraceExportIsStructurallyValidJson) {
     obs::Span outer("step");
     obs::Span inner("forward \"quoted\"\x01");
   }
-  obs::count("steps", 1);
+  core::count("steps", 1);
   const std::string path = ::testing::TempDir() + "legw_trace_test.json";
   std::string err;
   ASSERT_TRUE(obs::TraceRecorder::global().write_chrome_trace(path, &err))
@@ -270,7 +270,7 @@ TEST_F(ObsTraceTest, ClearDropsSpansCountersAndDispatchCounts) {
   {
     obs::Span span("x");
   }
-  obs::count("c", 3);
+  core::count("c", 3);
   core::bump_dispatch(core::DispatchCounter::kGemmRef);
   obs::TraceRecorder::global().clear();
   EXPECT_TRUE(obs::TraceRecorder::global().spans().empty());
@@ -289,7 +289,7 @@ TEST_F(ObsTraceTest, RunTelemetryRendersSingleLineJson) {
   {
     obs::Span span("forward");
   }
-  obs::count("steps", 2);
+  core::count("steps", 2);
   obs::RunRecord rec;
   rec.run = "test.run";
   rec.config.emplace_back("batch_size", "64");

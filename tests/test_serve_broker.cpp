@@ -240,8 +240,8 @@ TEST(RequestBroker, CountersReachTelemetryWithTracingDisabled) {
   EXPECT_GE(after.batches - before.batches, 1);
   EXPECT_GE(after.batch_rows - before.batch_rows, 10);
 
-  // The registered counter source folds serve.* into every recorder
-  // snapshot — and therefore into the telemetry JSONL — even with tracing
+  // serve.* live in the core counter registry, so every recorder snapshot
+  // — and therefore the telemetry JSONL — carries them even with tracing
   // disabled (the counters are always-on atomics, not spans).
   const auto counters = obs::TraceRecorder::global().counters();
   ASSERT_EQ(counters.count("serve.requests"), 1u);
@@ -254,6 +254,37 @@ TEST(RequestBroker, CountersReachTelemetryWithTracingDisabled) {
       obs::render_run_telemetry(record, obs::TraceRecorder::global());
   EXPECT_NE(line.find("\"serve.requests\""), std::string::npos) << line;
   EXPECT_NE(line.find("\"serve.batch_rows\""), std::string::npos) << line;
+}
+
+TEST(RequestBroker, RecorderClearZeroesServeCounters) {
+  // serve.* reset with every other counter, so a telemetry record written
+  // after clear() carries no serve counts from before it.
+  obs::set_tracing_enabled(false);
+  auto session = make_session();
+  {
+    serve::RequestBroker broker(*session, broker_config(1, 4, 1));
+    Rng rng(6);
+    std::vector<std::future<serve::Response>> futures;
+    for (u64 i = 0; i < 6; ++i) {
+      futures.push_back(broker.submit(random_request(i, rng)));
+    }
+    for (auto& f : futures) EXPECT_EQ(f.get().status, serve::Status::kOk);
+  }
+  ASSERT_GE(serve::RequestBroker::counters().requests, 6);
+  obs::TraceRecorder::global().clear();
+
+  const serve::BrokerCounters after = serve::RequestBroker::counters();
+  EXPECT_EQ(after.requests, 0);
+  EXPECT_EQ(after.responses, 0);
+  EXPECT_EQ(after.batches, 0);
+  EXPECT_EQ(after.batch_rows, 0);
+  EXPECT_EQ(after.capacity_batches + after.deadline_batches +
+                after.drain_batches,
+            0);
+  for (const auto& [name, value] : obs::TraceRecorder::global().counters()) {
+    EXPECT_NE(name.rfind("serve.", 0), 0u)
+        << name << " = " << value << " survived clear()";
+  }
 }
 
 }  // namespace

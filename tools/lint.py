@@ -54,6 +54,11 @@ Rules:
                   with `(void)` plus a comment. Backs up the
                   [[nodiscard]] attributes for builds that don't promote
                   the warning to an error.
+  counter-doc     every counter name passed as a string literal at a count
+                  site in src/ (`core::count("name", ...)` or a
+                  `core::counter("name")` slot lookup) must appear, in
+                  backticks, in docs/OBSERVABILITY.md, so the documented
+                  counter list cannot drift from the registry.
 
 A finding can be waived where the rule's intent is genuinely inapplicable by
 putting `lint-allow: <rule>` in a comment on the offending line or one of
@@ -116,6 +121,11 @@ DISCARDED_STATUS_RE = re.compile(
     r"(?:commit|atomic_write_file|save|load_image|maybe_save|save_now|"
     r"bless)\s*\(")
 DISCARDED_LOAD_RE = re.compile(r"^\s*(?:[A-Za-z_]\w*::\s*)*load\s*\(")
+# counter-doc: a literal counter name at a count site. The lookbehind keeps
+# member calls such as `map.count("key")` out.
+COUNT_SITE_RE = re.compile(
+    r'(?<![\w.>])(?:core::)?count(?:er)?\s*\(\s*"([^"]+)"')
+COUNTER_DOC = Path("docs") / "OBSERVABILITY.md"
 
 
 def allowed(lines: list[str], idx: int, rule: str) -> bool:
@@ -160,6 +170,10 @@ def lint(root: Path = REPO) -> list[str]:
     def report(path: Path, lineno: int, rule: str, msg: str) -> None:
         rel = path.relative_to(root)
         findings.append(f"{rel}:{lineno}: [{rule}] {msg}")
+
+    doc_path = root / COUNTER_DOC
+    counter_doc = (doc_path.read_text(encoding="utf-8", errors="replace")
+                   if doc_path.is_file() else "")
 
     for path in iter_sources(root):
         rel = path.relative_to(root).as_posix()
@@ -208,6 +222,13 @@ def lint(root: Path = REPO) -> list[str]:
                            "status-returning I/O call discarded; assign or "
                            "branch on the result, or discard explicitly "
                            "with (void) and a justification")
+            if rel.startswith("src/"):
+                for m in COUNT_SITE_RE.finditer(code):
+                    if (f"`{m.group(1)}`" not in counter_doc
+                            and not allowed(lines, i, "counter-doc")):
+                        report(path, lineno, "counter-doc",
+                               f"counter '{m.group(1)}' is not listed in "
+                               f"{COUNTER_DOC.as_posix()}")
             if in_serve:
                 if SERVE_INCLUDE_RE.search(line):
                     if not allowed(lines, i, "serve-no-tape"):
@@ -322,6 +343,20 @@ def self_test() -> int:
             '}\n',
             encoding="utf-8")
 
+        # counter-doc ---------------------------------------------------------
+        (bad / "docs").mkdir()
+        (bad / "docs" / "OBSERVABILITY.md").write_text(
+            "Counters: `documented.count`.\n", encoding="utf-8")
+        (bad / "src" / "train" / "bad_counter.cpp").write_text(
+            'void f(std::map<std::string, int>& m) {\n'
+            '  core::count("documented.count", 1);\n'             # quiet
+            '  core::count("undocumented.count", 1);\n'           # fires
+            '  auto& slot = counter("undocumented.slot");\n'      # fires
+            '  (void)m.count("undocumented.key");\n'              # quiet
+            '  // core::count("commented.out", 1);\n'             # quiet
+            '}\n',
+            encoding="utf-8")
+
         found = lint(bad)
 
         def fired(rule: str, at: str) -> bool:
@@ -381,6 +416,16 @@ def self_test() -> int:
                "multi-line assignment continuation wrongly flagged")
         expect(fired("discarded-status", "bad_status.cpp:13:"),
                "discarded free ckpt load not caught")
+        expect(not fired("counter-doc", "bad_counter.cpp:2:"),
+               "documented counter wrongly flagged")
+        expect(fired("counter-doc", "bad_counter.cpp:3:"),
+               "undocumented core::count name not caught")
+        expect(fired("counter-doc", "bad_counter.cpp:4:"),
+               "undocumented core::counter slot name not caught")
+        expect(not fired("counter-doc", "bad_counter.cpp:5:"),
+               "map.count member call wrongly flagged")
+        expect(not fired("counter-doc", "bad_counter.cpp:6:"),
+               "commented-out count site wrongly flagged")
 
         # Clean tree: waivers and sanctioned homes must stay quiet -----------
         clean = Path(tmp) / "clean"
