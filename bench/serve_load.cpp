@@ -1,21 +1,23 @@
 // Closed-loop serving load generator (docs/SERVING.md).
 //
 // Saves the canonical mnist-lstm bench model as a checkpoint, loads it into
-// a ServeSession, then sweeps RequestBroker settings (batch_cap x
-// deadline_ms) under N closed-loop clients: each client submits one request,
-// waits for its future, and immediately submits the next. Per-request
-// latency is the broker's own enqueue->done span; throughput is resolved
-// requests over the sweep's wall time. Emits BENCH_serve.json, one row per
-// setting, with p50/p95/p99 latency, throughput, and batch-formation stats
-// from the serve.* counters.
+// a ServeSession, then sweeps the RequestBroker's batch_cap under N
+// closed-loop clients: each client submits one request, waits for its
+// future, and immediately submits the next. Per-request latency is the
+// broker's own enqueue->done span; throughput is resolved requests over the
+// sweep's wall time. Emits BENCH_serve.json, one row per cap, with
+// p50/p95/p99 latency, throughput, and batch-formation stats from the
+// serve.* counters.
 //
 // Usage: serve_load [--out BENCH_serve.json] [--clients 8] [--workers 2]
 //                   [--requests 200] [--trace t.json]
+// --clients, --workers and --requests (per client) must each be >= 1.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,13 +36,8 @@ using legw::u64;
 namespace bench = legw::bench;
 namespace serve = legw::serve;
 
-struct Setting {
-  i64 batch_cap;
-  i64 deadline_ms;
-};
-
 struct Row {
-  Setting setting;
+  i64 batch_cap = 0;
   double p50_ms = 0.0;
   double p95_ms = 0.0;
   double p99_ms = 0.0;
@@ -67,12 +64,11 @@ serve::Request make_request(u64 id, legw::core::Rng& rng) {
   return req;
 }
 
-Row run_setting(const serve::ServeSession& session, const Setting& setting,
+Row run_setting(const serve::ServeSession& session, i64 batch_cap,
                 int clients, int workers, int requests_per_client) {
   serve::BrokerConfig cfg;
   cfg.workers = workers;
-  cfg.policy.batch_cap = setting.batch_cap;
-  cfg.policy.deadline_ms = setting.deadline_ms;
+  cfg.policy.batch_cap = batch_cap;
 
   const serve::BrokerCounters before = serve::RequestBroker::counters();
   serve::RequestBroker broker(session, cfg);
@@ -113,7 +109,7 @@ Row run_setting(const serve::ServeSession& session, const Setting& setting,
   std::sort(all.begin(), all.end());
 
   Row row;
-  row.setting = setting;
+  row.batch_cap = batch_cap;
   row.requests = static_cast<i64>(all.size());
   row.p50_ms = percentile(all, 50.0);
   row.p95_ms = percentile(all, 95.0);
@@ -134,10 +130,17 @@ int main(int argc, char** argv) {
   bench::ScopedTrace scoped_trace(argc, argv);
   legw::core::Flags flags(argc, argv);
   const std::string out_path = flags.get_string("out", "BENCH_serve.json");
-  const int clients = static_cast<int>(flags.get_int("clients", 8));
-  const int workers = static_cast<int>(flags.get_int("workers", 2));
-  const int requests_per_client =
-      static_cast<int>(flags.get_int("requests", 200));
+  // A count below 1 would reach vector::reserve as a huge size_t.
+  const auto count_flag = [&](const std::string& name, i64 def) {
+    const i64 v = flags.get_int(name, def);
+    LEGW_CHECK(v >= 1 && v <= std::numeric_limits<int>::max(),
+               "serve_load: --" + name + " must be >= 1, got " +
+                   std::to_string(v));
+    return static_cast<int>(v);
+  };
+  const int clients = count_flag("clients", 8);
+  const int workers = count_flag("workers", 2);
+  const int requests_per_client = count_flag("requests", 200);
 
   // The canonical bench model, published through the real checkpoint path so
   // the bench covers save -> serve load end to end.
@@ -161,37 +164,33 @@ int main(int argc, char** argv) {
   const auto loaded = serve::ServeSession::load(sc, ckpt_path, &session);
   LEGW_CHECK(loaded.ok(), "serve_load: load failed: " + loaded.message);
 
-  // cap=1/deadline=0 is the no-batching baseline; the rest trade queueing
-  // delay for batch formation.
-  const std::vector<Setting> grid = {
-      {1, 0}, {8, 0}, {8, 2}, {32, 2}, {32, 10},
-  };
+  // cap=1 is the no-batching baseline; larger caps let a batch grow with
+  // the backlog that builds while both workers are busy.
+  const std::vector<i64> grid = {1, 8, 32};
 
   std::printf("serve_load: %d clients x %d requests, %d workers\n", clients,
               requests_per_client, workers);
-  std::printf("%6s %11s %9s %9s %9s %11s %8s %9s\n", "cap", "deadline_ms",
-              "p50_ms", "p95_ms", "p99_ms", "rps", "batches", "rows/bat");
+  std::printf("%6s %9s %9s %9s %11s %8s %9s\n", "cap", "p50_ms", "p95_ms",
+              "p99_ms", "rps", "batches", "rows/bat");
 
   std::string body = "[\n";
   char buf[512];
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const Row row =
         run_setting(*session, grid[i], clients, workers, requests_per_client);
-    std::printf("%6lld %11lld %9.3f %9.3f %9.3f %11.1f %8lld %9.2f\n",
-                static_cast<long long>(row.setting.batch_cap),
-                static_cast<long long>(row.setting.deadline_ms), row.p50_ms,
+    std::printf("%6lld %9.3f %9.3f %9.3f %11.1f %8lld %9.2f\n",
+                static_cast<long long>(row.batch_cap), row.p50_ms,
                 row.p95_ms, row.p99_ms, row.throughput_rps,
                 static_cast<long long>(row.batches), row.avg_batch_rows);
     std::snprintf(buf, sizeof buf,
-                  "  {\"batch_cap\": %lld, \"deadline_ms\": %lld, "
-                  "\"clients\": %d, \"workers\": %d, \"requests\": %lld, "
+                  "  {\"batch_cap\": %lld, \"clients\": %d, \"workers\": %d, "
+                  "\"requests\": %lld, "
                   "\"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f, "
                   "\"throughput_rps\": %.2f, \"batches\": %lld, "
                   "\"avg_batch_rows\": %.3f}%s\n",
-                  static_cast<long long>(row.setting.batch_cap),
-                  static_cast<long long>(row.setting.deadline_ms), clients,
-                  workers, static_cast<long long>(row.requests), row.p50_ms,
-                  row.p95_ms, row.p99_ms, row.throughput_rps,
+                  static_cast<long long>(row.batch_cap), clients, workers,
+                  static_cast<long long>(row.requests), row.p50_ms, row.p95_ms,
+                  row.p99_ms, row.throughput_rps,
                   static_cast<long long>(row.batches), row.avg_batch_rows,
                   i + 1 < grid.size() ? "," : "");
     body += buf;

@@ -1,7 +1,9 @@
 #include "core/flags.hpp"
 
 #include <atomic>
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 namespace legw::core {
@@ -68,6 +70,11 @@ std::atomic<GuardMode>& guard_mode_state() {
     return GuardMode::kOff;
   }()};
   return state;
+}
+
+// Non-empty and not led by whitespace, which strtoll/strtod would skip.
+bool starts_like_number(const std::string& v) {
+  return !v.empty() && std::isspace(static_cast<unsigned char>(v[0])) == 0;
 }
 
 }  // namespace
@@ -216,9 +223,11 @@ i64 Flags::get_int(const std::string& name, i64 def) const {
   char* end = nullptr;
   errno = 0;
   const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  // Empty and out-of-range values are malformed too: strtoll reads "" as 0
-  // and saturates an overflow to INT64_MAX/MIN.
-  LEGW_CHECK(!it->second.empty() && *end == '\0' && errno != ERANGE,
+  // Empty, space-padded and out-of-range values are malformed too: strtoll
+  // reads "" as 0, skips leading whitespace, and saturates an overflow to
+  // INT64_MAX/MIN.
+  LEGW_CHECK(starts_like_number(it->second) && *end == '\0' &&
+                 errno != ERANGE,
              "flag --" + name + " expects an integer, got '" + it->second + "'");
   return static_cast<i64>(v);
 }
@@ -229,7 +238,9 @@ double Flags::get_double(const std::string& name, double def) const {
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(it->second.c_str(), &end);
-  LEGW_CHECK(!it->second.empty() && *end == '\0' && errno != ERANGE,
+  // strtod also spells nan and inf; no flag means either.
+  LEGW_CHECK(starts_like_number(it->second) && *end == '\0' &&
+                 errno != ERANGE && std::isfinite(v),
              "flag --" + name + " expects a number, got '" + it->second + "'");
   return v;
 }

@@ -92,7 +92,8 @@ class Flags {
   // set a flag, a bare `--name` (last, or followed by another flag) sets it
   // to "true", and every other argument is kept as a positional. The typed
   // getters abort naming the flag when its value does not parse: a number
-  // must be non-empty, fully consumed and in range.
+  // must be non-empty, not led by whitespace, fully consumed, in range and
+  // (for get_double) finite.
   Flags(int argc, char** argv);
 
   bool has(const std::string& name) const;

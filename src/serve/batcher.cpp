@@ -14,7 +14,6 @@ i64 bucket_for(const BatchPolicy& policy, i64 len) {
 
 Batcher::Batcher(BatchPolicy policy) : policy_(std::move(policy)) {
   LEGW_CHECK(policy_.batch_cap > 0, "Batcher: batch_cap must be positive");
-  LEGW_CHECK(policy_.deadline_ms >= 0, "Batcher: negative deadline");
   LEGW_CHECK(std::is_sorted(policy_.bucket_lens.begin(),
                             policy_.bucket_lens.end()),
              "Batcher: bucket_lens must be ascending");
@@ -30,56 +29,29 @@ i64 Batcher::pending() const {
   return n;
 }
 
-i64 Batcher::next_deadline_ms() const {
-  i64 earliest = -1;
-  for (const auto& [bucket, q] : queues_) {
-    if (q.empty()) continue;
-    // FIFO queues: the front is the oldest, so it owns the bucket deadline.
-    const i64 due = q.front().enqueue_ms + policy_.deadline_ms;
-    if (earliest < 0 || due < earliest) earliest = due;
-  }
-  return earliest;
-}
-
-std::vector<BatchPlan> Batcher::pop_ready(i64 now_ms) {
-  std::vector<BatchPlan> out;
-  for (auto it = queues_.begin(); it != queues_.end();) {
-    auto& q = it->second;
-    while (!q.empty()) {
-      const bool full = static_cast<i64>(q.size()) >= policy_.batch_cap;
-      const bool due = q.front().enqueue_ms + policy_.deadline_ms <= now_ms;
-      if (!full && !due) break;
-      BatchPlan plan;
-      plan.bucket_len = it->first;
-      plan.reason =
-          full ? BatchPlan::Reason::kCapacity : BatchPlan::Reason::kDeadline;
-      const i64 take =
-          std::min<i64>(policy_.batch_cap, static_cast<i64>(q.size()));
-      plan.rows.assign(q.begin(), q.begin() + take);
-      q.erase(q.begin(), q.begin() + take);
-      out.push_back(std::move(plan));
-    }
-    it = q.empty() ? queues_.erase(it) : std::next(it);
-  }
-  return out;
-}
-
-std::vector<BatchPlan> Batcher::drain() {
-  std::vector<BatchPlan> out;
-  for (auto& [bucket, q] : queues_) {
-    while (!q.empty()) {
-      BatchPlan plan;
-      plan.bucket_len = bucket;
-      plan.reason = BatchPlan::Reason::kDrain;
-      const i64 take =
-          std::min<i64>(policy_.batch_cap, static_cast<i64>(q.size()));
-      plan.rows.assign(q.begin(), q.begin() + take);
-      q.erase(q.begin(), q.begin() + take);
-      out.push_back(std::move(plan));
+BatchPlan Batcher::pop_next() {
+  // Empty queues are erased below, so every queue here has a front, and the
+  // front is its bucket's oldest ticket.
+  auto pick = queues_.end();
+  bool pick_full = false;
+  for (auto it = queues_.begin(); it != queues_.end(); ++it) {
+    const bool full = static_cast<i64>(it->second.size()) >= policy_.batch_cap;
+    if (pick == queues_.end() || (full && !pick_full) ||
+        (full == pick_full &&
+         it->second.front().ticket < pick->second.front().ticket)) {
+      pick = it;
+      pick_full = full;
     }
   }
-  queues_.clear();
-  return out;
+  BatchPlan plan;
+  if (pick == queues_.end()) return plan;
+  auto& q = pick->second;
+  plan.bucket_len = pick->first;
+  const i64 take = std::min<i64>(policy_.batch_cap, static_cast<i64>(q.size()));
+  plan.rows.assign(q.begin(), q.begin() + take);
+  q.erase(q.begin(), q.begin() + take);
+  if (q.empty()) queues_.erase(pick);
+  return plan;
 }
 
 }  // namespace legw::serve

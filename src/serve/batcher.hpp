@@ -1,4 +1,4 @@
-// Deadline-aware padded-bucket dynamic batching policy.
+// Work-conserving padded-bucket dynamic batching policy.
 //
 // The broker's worker threads coalesce concurrent requests into batches the
 // same way large-batch training amortises step cost over rows: throughput
@@ -7,14 +7,18 @@
 // of a batch independent of its neighbours, so padding and coalescing are
 // bitwise-invisible — tests/test_serve_session.cpp holds that line).
 //
-// The policy itself is a pure, single-threaded state machine over an
-// explicit millisecond clock — no threads, no wall time — so its invariants
-// are property-testable under a seeded arrival schedule:
+// There is no batching deadline: a free worker takes the next batch at
+// once, so requests queue only while every worker is busy, and a batch
+// grows with the backlog instead of with a timer. The policy is a pure,
+// single-threaded state machine with no clock — tickets are issued in
+// arrival order, so ticket order is age order — and its invariants are
+// property-testable under a seeded add/pop schedule:
 //   * every accepted request appears in exactly one emitted batch,
 //   * a request is padded to the smallest bucket >= its length,
 //   * batches within a bucket are FIFO and never exceed batch_cap,
-//   * after pop_ready(now), no pending request is past its deadline.
-// The broker (serve/broker.hpp) drives it under a mutex with a steady clock.
+//   * pop_next() is non-empty whenever anything is pending,
+//   * a full bucket goes before any partial one, else the oldest ticket.
+// The broker (serve/broker.hpp) drives it under a mutex.
 #pragma once
 
 #include <deque>
@@ -26,8 +30,7 @@
 namespace legw::serve {
 
 struct BatchPolicy {
-  i64 batch_cap = 16;    // max rows per batch
-  i64 deadline_ms = 5;   // max queue wait; 0 = flush on every worker wake
+  i64 batch_cap = 16;  // max rows per batch
   // Padded sequence-length buckets, ascending. A request of length L lands
   // in the smallest bucket >= L; lengths beyond the largest bucket get an
   // exact-length bucket of their own (correct, just unshared).
@@ -37,21 +40,15 @@ struct BatchPolicy {
 // The padded length a request of length `len` is batched under.
 i64 bucket_for(const BatchPolicy& policy, i64 len);
 
-// One queued request, identified by the broker's internal ticket.
+// One queued request, identified by the broker's internal ticket. Tickets
+// must be added in increasing order: the batcher reads them as arrival order.
 struct Pending {
   u64 ticket = 0;
-  i64 length = 0;      // sequence length (1 for fixed-shape models)
-  i64 enqueue_ms = 0;  // on the caller's clock
+  i64 length = 0;  // sequence length (1 for fixed-shape models)
 };
 
 struct BatchPlan {
-  enum class Reason {
-    kCapacity,  // a bucket reached batch_cap
-    kDeadline,  // the bucket's oldest request aged past deadline_ms
-    kDrain,     // shutdown flush
-  };
-  i64 bucket_len = 0;  // pad every row's sequence to this length
-  Reason reason = Reason::kCapacity;
+  i64 bucket_len = 0;         // pad every row's sequence to this length
   std::vector<Pending> rows;  // FIFO within the bucket, <= batch_cap
 };
 
@@ -67,19 +64,12 @@ class Batcher {
   i64 pending() const;
   bool empty() const { return pending() == 0; }
 
-  // Earliest enqueue_ms + deadline_ms over all pending requests, or -1 when
-  // none are queued — the broker's cv wait_until horizon.
-  i64 next_deadline_ms() const;
-
-  // Every batch due at `now_ms`: full buckets first (kCapacity), then any
-  // bucket whose oldest request has waited >= deadline_ms (kDeadline, up to
-  // batch_cap rows). Buckets are visited in ascending bucket_len and rows
-  // leave FIFO, so the composition is a deterministic function of the
-  // add/pop event sequence.
-  std::vector<BatchPlan> pop_ready(i64 now_ms);
-
-  // Everything still queued, as <= batch_cap FIFO batches (kDrain).
-  std::vector<BatchPlan> drain();
+  // The next batch: up to batch_cap FIFO rows of one bucket — the full
+  // bucket whose oldest ticket is smallest if any bucket is full, else the
+  // bucket holding the oldest ticket. Empty rows only when nothing is
+  // pending. The composition is a deterministic function of the add/pop
+  // event sequence.
+  BatchPlan pop_next();
 
  private:
   BatchPolicy policy_;

@@ -1,5 +1,6 @@
 #include "serve/broker.hpp"
 
+#include <chrono>
 #include <utility>
 
 #include "core/counters.hpp"
@@ -31,7 +32,6 @@ Response immediate_failure(u64 id, Status status, std::string message) {
 RequestBroker::RequestBroker(const ServeSession& session, BrokerConfig config)
     : session_(session),
       config_(std::move(config)),
-      epoch_(std::chrono::steady_clock::now()),
       batcher_(config_.policy) {
   LEGW_CHECK(config_.workers > 0, "RequestBroker: needs at least one worker");
   workers_.reserve(static_cast<std::size_t>(config_.workers));
@@ -43,12 +43,6 @@ RequestBroker::RequestBroker(const ServeSession& session, BrokerConfig config)
 }
 
 RequestBroker::~RequestBroker() { shutdown(); }
-
-i64 RequestBroker::now_ms() const {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
-}
 
 std::future<Response> RequestBroker::submit(Request req) {
   obs::Span span("serve.enqueue");
@@ -77,61 +71,45 @@ std::future<Response> RequestBroker::submit(Request req) {
     fut = w.promise.get_future();
     const i64 length = session_.request_length(req);
     w.req = std::move(req);
-    batcher_.add(Pending{ticket, length, now_ms()});
+    batcher_.add(Pending{ticket, length});
     core::count("serve.requests", 1);
   }
-  cv_.notify_all();
+  cv_.notify_one();
   return fut;
 }
 
 void RequestBroker::worker_loop() {
   for (;;) {
-    std::vector<BatchPlan> plans;
-    bool draining = false;
+    Claimed batch;
+    bool more = false;
     {
       core::MutexLock lk(mu_);
-      for (;;) {
-        if (stop_) {
-          plans = batcher_.drain();
-          draining = true;
-          break;
-        }
-        plans = batcher_.pop_ready(now_ms());
-        if (!plans.empty()) break;
-        const i64 due = batcher_.next_deadline_ms();
-        if (due < 0) {
-          cv_.wait(mu_);
-        } else {
-          cv_.wait_until(mu_, epoch_ + std::chrono::milliseconds(due));
-        }
+      while (batcher_.empty() && !stop_) cv_.wait(mu_);
+      // After stop_, keep popping until the batcher is empty: that is the
+      // shutdown drain.
+      if (batcher_.empty()) return;
+      batch.plan = batcher_.pop_next();
+      // Claim the rows while still holding the lock, so no two workers ever
+      // own the same ticket.
+      const std::size_t n = batch.plan.rows.size();
+      batch.reqs.reserve(n);
+      batch.promises.reserve(n);
+      batch.enqueue_ns.reserve(n);
+      for (const Pending& row : batch.plan.rows) {
+        auto it = waiting_.find(row.ticket);
+        LEGW_CHECK(it != waiting_.end(),
+                   "broker: batched ticket has no waiting entry");
+        batch.reqs.push_back(std::move(it->second.req));
+        batch.promises.push_back(std::move(it->second.promise));
+        batch.enqueue_ns.push_back(it->second.enqueue_ns);
+        waiting_.erase(it);
       }
-      if (draining && plans.empty()) return;
-      // Claim the plans' requests while still holding the lock, so no two
-      // workers ever own the same ticket.
-      std::vector<Claimed> claimed;
-      claimed.reserve(plans.size());
-      for (BatchPlan& plan : plans) {
-        Claimed c;
-        c.reqs.reserve(plan.rows.size());
-        c.promises.reserve(plan.rows.size());
-        c.enqueue_ns.reserve(plan.rows.size());
-        for (const Pending& row : plan.rows) {
-          auto it = waiting_.find(row.ticket);
-          LEGW_CHECK(it != waiting_.end(),
-                     "broker: batched ticket has no waiting entry");
-          c.reqs.push_back(std::move(it->second.req));
-          c.promises.push_back(std::move(it->second.promise));
-          c.enqueue_ns.push_back(it->second.enqueue_ns);
-          waiting_.erase(it);
-        }
-        c.plan = std::move(plan);
-        claimed.push_back(std::move(c));
-      }
-      lk.unlock();
-      for (Claimed& c : claimed) execute(std::move(c));
+      more = !batcher_.empty();
     }
-    // Drain batches were executed above; the next iteration observes stop_
-    // with an empty batcher and returns.
+    // One batch per claim: hand what is left to an idle worker rather than
+    // holding the backlog on this one.
+    if (more) cv_.notify_one();
+    execute(std::move(batch));
   }
 }
 
@@ -153,17 +131,6 @@ void RequestBroker::execute(Claimed batch) {
 
   core::count("serve.batches", 1);
   core::count("serve.batch_rows", rows);
-  switch (batch.plan.reason) {
-    case BatchPlan::Reason::kCapacity:
-      core::count("serve.capacity_batches", 1);
-      break;
-    case BatchPlan::Reason::kDeadline:
-      core::count("serve.deadline_batches", 1);
-      break;
-    case BatchPlan::Reason::kDrain:
-      core::count("serve.drain_batches", 1);
-      break;
-  }
   core::count("serve.responses", rows);
 
   for (std::size_t i = 0; i < batch.promises.size(); ++i) {
@@ -200,9 +167,6 @@ BrokerCounters RequestBroker::counters() {
   out.responses = read("serve.responses");
   out.batches = read("serve.batches");
   out.batch_rows = read("serve.batch_rows");
-  out.capacity_batches = read("serve.capacity_batches");
-  out.deadline_batches = read("serve.deadline_batches");
-  out.drain_batches = read("serve.drain_batches");
   return out;
 }
 

@@ -1,12 +1,15 @@
 // RequestBroker: multi-threaded front door of the serving runtime.
 //
-// submit() validates a request, stamps it into the Batcher, and returns a
-// future; worker threads wake on capacity or deadline (Batcher::pop_ready
-// under the broker mutex), claim the batch's requests, and execute them
-// OUTSIDE the lock via ServeSession::run_batch, so inference never blocks
-// enqueue. Shutdown drains: every request accepted before shutdown() gets
-// exactly one response (kDrain batches), and submits after it resolve
-// immediately with Status::kUnavailable.
+// submit() validates a request, queues it in the Batcher, wakes one worker,
+// and returns a future. The broker is work-conserving: a worker waits only
+// while nothing is queued, and a free worker claims one batch
+// (Batcher::pop_next under the broker mutex) at once, so requests queue
+// only while every worker is busy and batches grow with the backlog. The
+// batch runs OUTSIDE the lock via ServeSession::run_batch, so inference
+// never blocks enqueue. Shutdown drains: workers keep popping until the
+// batcher is empty, so every request accepted before shutdown() gets
+// exactly one response, and submits after it resolve immediately with
+// Status::kUnavailable.
 //
 // Sequences are padded to the bucket length; rows are never padded, so a
 // partial batch costs only its real rows. Padding is bitwise-invisible to
@@ -19,7 +22,6 @@
 // by TraceRecorder::clear() like every other counter.
 #pragma once
 
-#include <chrono>
 #include <future>
 #include <map>
 #include <thread>
@@ -46,9 +48,9 @@ struct BrokerCounters {
   i64 batch_rows = 0;         // real request rows across executed batches
   i64 pad_rows = 0;           // always 0: the broker never pads rows (kept
                               // for perfbench's serve.pad_frac)
-  i64 capacity_batches = 0;   // popped because a bucket hit batch_cap
-  i64 deadline_batches = 0;   // popped because the oldest row aged out
-  i64 drain_batches = 0;      // flushed by shutdown
+  i64 deadline_batches = 0;   // always 0: there is no batching deadline
+                              // (kept for perfbench's
+                              // serve.deadline_batch_frac)
 };
 
 class RequestBroker {
@@ -89,14 +91,12 @@ class RequestBroker {
 
   void worker_loop() LEGW_EXCLUDES(mu_);
   void execute(Claimed batch);
-  i64 now_ms() const;
 
   const ServeSession& session_;
   const BrokerConfig config_;
-  const std::chrono::steady_clock::time_point epoch_;
 
   core::Mutex mu_;
-  core::CondVar cv_;  // wakes workers on new requests, deadlines, shutdown
+  core::CondVar cv_;  // wakes workers on new requests and shutdown
   Batcher batcher_ LEGW_GUARDED_BY(mu_);
   std::map<u64, Waiting> waiting_ LEGW_GUARDED_BY(mu_);  // ticket -> promise
   u64 next_ticket_ LEGW_GUARDED_BY(mu_) = 1;

@@ -199,6 +199,16 @@ TEST(Flags, RejectsMalformedNumbers) {
   EXPECT_DEATH(edge.get_int("steps", 1), "expects an integer");
   EXPECT_DEATH(edge.get_int("low", 1), "expects an integer");
   EXPECT_DEATH(edge.get_double("big", 1.0), "expects a number");
+  // strtod's non-finite spellings and strtoll/strtod's skipped leading
+  // whitespace are not numbers a flag accepts.
+  const char* odd_argv[] = {"prog",  "--lr", "nan", "--neg", "-nan", "--m",
+                            "inf",   "--n",  " 7",  "--x",   " 0.5"};
+  core::Flags odd(11, const_cast<char**>(odd_argv));
+  EXPECT_DEATH(odd.get_double("lr", 0.1), "expects a number");
+  EXPECT_DEATH(odd.get_double("neg", 0.1), "expects a number");
+  EXPECT_DEATH(odd.get_double("m", 1.0), "expects a number");
+  EXPECT_DEATH(odd.get_int("n", 1), "expects an integer");
+  EXPECT_DEATH(odd.get_double("x", 1.0), "expects a number");
 }
 
 }  // namespace

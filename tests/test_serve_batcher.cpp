@@ -1,16 +1,21 @@
 // Property tests for the dynamic-batching policy (serve/batcher.hpp). The
-// Batcher is a pure state machine over an explicit millisecond clock, so a
-// seeded arrival schedule can drive it through thousands of add/pop events
-// and check the contract exhaustively:
+// Batcher is a pure state machine with no clock, so a seeded add/pop
+// schedule can drive it through thousands of events and check the contract
+// exhaustively:
 //   * conservation — every accepted request leaves in exactly one batch,
 //   * bucket padding — a request is only ever padded to bucket_for(length),
-//   * capacity/deadline — batches never exceed batch_cap and pop_ready(now)
-//     leaves nothing overdue behind,
-//   * FIFO + determinism — composition is a pure function of the schedule.
+//   * cap — batches never exceed batch_cap,
+//   * work conservation — pop_next() is non-empty whenever anything is
+//     pending,
+//   * order — a full bucket goes before any partial one, else the oldest
+//     ticket; FIFO within a bucket,
+//   * determinism — composition is a pure function of the schedule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -24,16 +29,15 @@ using serve::Batcher;
 using serve::BatchPolicy;
 using serve::Pending;
 
-BatchPolicy test_policy(i64 cap, i64 deadline_ms) {
+BatchPolicy test_policy(i64 cap) {
   BatchPolicy p;
   p.batch_cap = cap;
-  p.deadline_ms = deadline_ms;
   p.bucket_lens = {4, 8, 16};
   return p;
 }
 
 TEST(BucketFor, SmallestBucketAtLeastLength) {
-  const BatchPolicy p = test_policy(8, 5);
+  const BatchPolicy p = test_policy(8);
   EXPECT_EQ(serve::bucket_for(p, 1), 4);
   EXPECT_EQ(serve::bucket_for(p, 4), 4);
   EXPECT_EQ(serve::bucket_for(p, 5), 8);
@@ -43,74 +47,156 @@ TEST(BucketFor, SmallestBucketAtLeastLength) {
   EXPECT_EQ(serve::bucket_for(p, 400), 400);
 }
 
-TEST(Batcher, CapacityPopsAFullBucketImmediately) {
-  Batcher b(test_policy(3, 1000));
-  for (u64 t = 1; t <= 3; ++t) {
-    b.add(Pending{t, 2, /*enqueue_ms=*/0});
-  }
-  const auto plans = b.pop_ready(/*now_ms=*/0);  // nothing is overdue yet
-  ASSERT_EQ(plans.size(), 1u);
-  EXPECT_EQ(plans[0].reason, BatchPlan::Reason::kCapacity);
-  EXPECT_EQ(plans[0].bucket_len, 4);
-  EXPECT_EQ(plans[0].rows.size(), 3u);
+TEST(Batcher, PopNextOnEmptyYieldsNoRows) {
+  Batcher b(test_policy(4));
+  const BatchPlan plan = b.pop_next();
+  EXPECT_TRUE(plan.rows.empty());
   EXPECT_TRUE(b.empty());
 }
 
-TEST(Batcher, DeadlineFlushesAPartialBucket) {
-  Batcher b(test_policy(8, 5));
-  b.add(Pending{1, 2, /*enqueue_ms=*/10});
-  EXPECT_TRUE(b.pop_ready(/*now_ms=*/14).empty());  // not yet due
-  EXPECT_EQ(b.next_deadline_ms(), 15);
-  const auto plans = b.pop_ready(/*now_ms=*/15);
-  ASSERT_EQ(plans.size(), 1u);
-  EXPECT_EQ(plans[0].reason, BatchPlan::Reason::kDeadline);
-  ASSERT_EQ(plans[0].rows.size(), 1u);
-  EXPECT_EQ(plans[0].rows[0].ticket, 1u);
+TEST(Batcher, LoneRequestLeavesAtOnce) {
+  // No deadline to wait out: a single queued request is the next batch.
+  Batcher b(test_policy(8));
+  b.add(Pending{1, 2});
+  const BatchPlan plan = b.pop_next();
+  EXPECT_EQ(plan.bucket_len, 4);
+  ASSERT_EQ(plan.rows.size(), 1u);
+  EXPECT_EQ(plan.rows[0].ticket, 1u);
+  EXPECT_TRUE(b.empty());
 }
 
-TEST(Batcher, DrainEmitsEverythingInCapSizedFifoBatches) {
-  Batcher b(test_policy(2, 1000));
-  for (u64 t = 1; t <= 5; ++t) b.add(Pending{t, 3, 0});
-  const auto plans = b.drain();
-  ASSERT_EQ(plans.size(), 3u);
+TEST(Batcher, CapacityPopsAFullBucketImmediately) {
+  Batcher b(test_policy(3));
+  for (u64 t = 1; t <= 3; ++t) b.add(Pending{t, 2});
+  const BatchPlan plan = b.pop_next();
+  EXPECT_EQ(plan.bucket_len, 4);
+  EXPECT_EQ(plan.rows.size(), 3u);
+  EXPECT_TRUE(b.empty());
+}
+
+TEST(Batcher, FullBucketGoesBeforeAnOlderPartialOne) {
+  Batcher b(test_policy(3));
+  b.add(Pending{1, 10});  // bucket 16, partial
+  for (u64 t = 2; t <= 4; ++t) b.add(Pending{t, 2});  // bucket 4, full
+  BatchPlan plan = b.pop_next();
+  EXPECT_EQ(plan.bucket_len, 4);
+  ASSERT_EQ(plan.rows.size(), 3u);
+  EXPECT_EQ(plan.rows[0].ticket, 2u);
+  plan = b.pop_next();
+  EXPECT_EQ(plan.bucket_len, 16);
+  ASSERT_EQ(plan.rows.size(), 1u);
+  EXPECT_EQ(plan.rows[0].ticket, 1u);
+  EXPECT_TRUE(b.empty());
+}
+
+TEST(Batcher, EmptiesInCapSizedFifoBatches) {
+  Batcher b(test_policy(2));
+  for (u64 t = 1; t <= 5; ++t) b.add(Pending{t, 3});
   u64 expect = 1;
-  for (const auto& plan : plans) {
-    EXPECT_EQ(plan.reason, BatchPlan::Reason::kDrain);
+  int batches = 0;
+  while (!b.empty()) {
+    const BatchPlan plan = b.pop_next();
+    ++batches;
+    ASSERT_FALSE(plan.rows.empty()) << "nothing popped, yet requests wait";
     EXPECT_LE(plan.rows.size(), 2u);
     for (const auto& row : plan.rows) EXPECT_EQ(row.ticket, expect++);
   }
+  EXPECT_EQ(batches, 3);
   EXPECT_EQ(expect, 6u);
-  EXPECT_TRUE(b.empty());
 }
 
-// One seeded run of a random schedule: interleaved adds and pops on an
-// advancing clock, final drain. Returns every emitted plan in order.
+// Checks one pop against the queue it came from: `queued` mirrors the
+// batcher (bucket_len -> tickets in arrival order). A partial bucket is
+// never taken while a full one waits; among the candidates the taken bucket
+// holds the oldest front; its oldest rows leave first, up to batch_cap.
+void expect_policy_pick(const std::map<i64, std::vector<u64>>& queued,
+                        const BatchPolicy& policy, const BatchPlan& plan,
+                        int event) {
+  const auto is_full = [&](const std::vector<u64>& tickets) {
+    return static_cast<i64>(tickets.size()) >= policy.batch_cap;
+  };
+  const auto taken = queued.find(plan.bucket_len);
+  ASSERT_TRUE(taken != queued.end() && !taken->second.empty())
+      << "event " << event;
+  const std::vector<u64>& picked = taken->second;
+  for (const auto& [bucket, tickets] : queued) {
+    if (bucket == plan.bucket_len || tickets.empty()) continue;
+    if (is_full(tickets)) {
+      EXPECT_TRUE(is_full(picked))
+          << "event " << event << ": partial bucket " << plan.bucket_len
+          << " taken while bucket " << bucket << " is full";
+    }
+    if (is_full(tickets) == is_full(picked)) {
+      EXPECT_LT(picked.front(), tickets.front())
+          << "event " << event << ": bucket " << bucket
+          << " holds an older ticket";
+    }
+  }
+  const std::size_t want_rows = std::min<std::size_t>(
+      static_cast<std::size_t>(policy.batch_cap), picked.size());
+  ASSERT_EQ(plan.rows.size(), want_rows) << "event " << event;
+  for (std::size_t r = 0; r < want_rows; ++r) {
+    EXPECT_EQ(plan.rows[r].ticket, picked[r]) << "event " << event;
+  }
+}
+
+// One seeded run of a random schedule: interleaved adds and pops, then pops
+// until empty. Returns every emitted plan in order. With `check` set, every
+// pop is checked for work conservation and the order rule.
 std::vector<BatchPlan> run_schedule(u64 seed, const BatchPolicy& policy,
-                                    int events, std::set<u64>* accepted) {
+                                    int events, std::set<u64>* accepted,
+                                    bool check = false) {
   core::Rng rng(seed);
   Batcher b(policy);
+  std::map<i64, std::vector<u64>> queued;
   std::vector<BatchPlan> plans;
-  i64 now = 0;
   u64 ticket = 1;
-  for (int e = 0; e < events; ++e) {
-    now += static_cast<i64>(rng.uniform(0.0, 4.0));
+  // Returns whether the pop emitted a batch.
+  const auto pop = [&](int event) {
+    const i64 before = b.pending();
+    BatchPlan plan = b.pop_next();
+    if (check) {
+      // Work conservation: a free worker never comes away empty-handed
+      // while anything is queued.
+      EXPECT_EQ(plan.rows.empty(), before == 0) << "event " << event;
+      EXPECT_EQ(b.pending(), before - static_cast<i64>(plan.rows.size()));
+      if (before > 0) expect_policy_pick(queued, policy, plan, event);
+    }
+    if (plan.rows.empty()) return false;
+    auto& tickets = queued[plan.bucket_len];
+    tickets.erase(tickets.begin(),
+                  tickets.begin() + static_cast<std::ptrdiff_t>(
+                                        std::min(plan.rows.size(),
+                                                 tickets.size())));
+    plans.push_back(std::move(plan));
+    return true;
+  };
+  int e = 0;
+  for (; e < events; ++e) {
     if (rng.uniform(0.0, 1.0) < 0.7) {
       const i64 len = 1 + static_cast<i64>(rng.uniform(0.0, 20.0));
-      b.add(Pending{ticket, len, now});
+      b.add(Pending{ticket, len});
+      queued[serve::bucket_for(policy, len)].push_back(ticket);
       if (accepted != nullptr) accepted->insert(ticket);
       ++ticket;
     } else {
-      for (auto& plan : b.pop_ready(now)) plans.push_back(std::move(plan));
+      pop(e);
     }
   }
-  for (auto& plan : b.drain()) plans.push_back(std::move(plan));
+  while (!b.empty()) {
+    if (!pop(e++)) {
+      ADD_FAILURE() << "seed " << seed << ": pop_next emitted nothing with "
+                    << b.pending() << " requests pending";
+      break;
+    }
+  }
   return plans;
 }
 
 TEST(BatcherProperty, EveryAcceptedRequestInExactlyOneBatch) {
   for (u64 seed : {1u, 7u, 23u, 99u}) {
     std::set<u64> accepted;
-    const auto plans = run_schedule(seed, test_policy(4, 6), 400, &accepted);
+    const auto plans = run_schedule(seed, test_policy(4), 400, &accepted);
     std::map<u64, int> seen;
     for (const auto& plan : plans) {
       for (const auto& row : plan.rows) seen[row.ticket]++;
@@ -123,7 +209,7 @@ TEST(BatcherProperty, EveryAcceptedRequestInExactlyOneBatch) {
 }
 
 TEST(BatcherProperty, BucketPaddingAndCapInvariants) {
-  const BatchPolicy policy = test_policy(4, 6);
+  const BatchPolicy policy = test_policy(4);
   for (u64 seed : {3u, 11u, 42u}) {
     const auto plans = run_schedule(seed, policy, 400, nullptr);
     ASSERT_FALSE(plans.empty());
@@ -140,34 +226,21 @@ TEST(BatcherProperty, BucketPaddingAndCapInvariants) {
   }
 }
 
-TEST(BatcherProperty, PopLeavesNothingOverdue) {
-  const BatchPolicy policy = test_policy(4, 6);
-  core::Rng rng(17);
-  Batcher b(policy);
-  i64 now = 0;
-  u64 ticket = 1;
-  for (int e = 0; e < 500; ++e) {
-    now += static_cast<i64>(rng.uniform(0.0, 3.0));
-    if (rng.uniform(0.0, 1.0) < 0.6) {
-      b.add(Pending{ticket++, 1 + static_cast<i64>(rng.uniform(0.0, 20.0)),
-                    now});
-    } else {
-      b.pop_ready(now);
-      // Deadline monotonicity: whatever is still queued is not yet due, so
-      // an immediate re-pop yields nothing and the next horizon is ahead of
-      // the clock.
-      EXPECT_TRUE(b.pop_ready(now).empty()) << "event " << e;
-      const i64 next = b.next_deadline_ms();
-      if (next >= 0) {
-        EXPECT_GT(next, now) << "event " << e;
-      }
+TEST(BatcherProperty, WorkConservingAndOldestFirst) {
+  // Caps 1 and 3 make full buckets common; cap 8 makes them rare, so both
+  // arms of the order rule are exercised.
+  for (i64 cap : {1, 3, 8}) {
+    for (u64 seed : {17u, 29u, 61u}) {
+      SCOPED_TRACE("cap " + std::to_string(cap) + " seed " +
+                   std::to_string(seed));
+      run_schedule(seed, test_policy(cap), 500, nullptr, /*check=*/true);
     }
   }
 }
 
 TEST(BatcherProperty, FifoWithinBucket) {
   for (u64 seed : {5u, 31u}) {
-    const auto plans = run_schedule(seed, test_policy(4, 6), 400, nullptr);
+    const auto plans = run_schedule(seed, test_policy(4), 400, nullptr);
     std::map<i64, u64> last_ticket;  // bucket -> last emitted ticket
     for (const auto& plan : plans) {
       for (const auto& row : plan.rows) {
@@ -184,12 +257,11 @@ TEST(BatcherProperty, FifoWithinBucket) {
 
 TEST(BatcherProperty, DeterministicCompositionUnderSeededSchedule) {
   for (u64 seed : {2u, 13u, 77u}) {
-    const auto a = run_schedule(seed, test_policy(4, 6), 400, nullptr);
-    const auto b = run_schedule(seed, test_policy(4, 6), 400, nullptr);
+    const auto a = run_schedule(seed, test_policy(4), 400, nullptr);
+    const auto b = run_schedule(seed, test_policy(4), 400, nullptr);
     ASSERT_EQ(a.size(), b.size()) << "seed " << seed;
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].bucket_len, b[i].bucket_len);
-      EXPECT_EQ(a[i].reason, b[i].reason);
       ASSERT_EQ(a[i].rows.size(), b[i].rows.size());
       for (std::size_t r = 0; r < a[i].rows.size(); ++r) {
         EXPECT_EQ(a[i].rows[r].ticket, b[i].rows[r].ticket);

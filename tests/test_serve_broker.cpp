@@ -2,7 +2,8 @@
 // legw_concurrency_tests under the tsan preset: N producer threads hammer a
 // broker with M workers and every future must resolve exactly once with the
 // bitwise-correct result; shutdown with requests still in flight drains them
-// (zero dropped, zero duplicated); submits after shutdown are refused with a
+// (zero dropped, zero duplicated); a lone request on an idle broker leaves at
+// once as a one-row batch; submits after shutdown are refused with a
 // structured status.
 #include <gtest/gtest.h>
 
@@ -60,11 +61,10 @@ serve::Request random_request(u64 id, Rng& rng) {
   return req;
 }
 
-serve::BrokerConfig broker_config(int workers, i64 cap, i64 deadline_ms) {
+serve::BrokerConfig broker_config(int workers, i64 cap) {
   serve::BrokerConfig cfg;
   cfg.workers = workers;
   cfg.policy.batch_cap = cap;
-  cfg.policy.deadline_ms = deadline_ms;
   return cfg;
 }
 
@@ -89,7 +89,7 @@ TEST(RequestBroker, ProducersTimesWorkersBitwiseCorrect) {
     }
   }
 
-  serve::RequestBroker broker(*session, broker_config(3, 4, 1));
+  serve::RequestBroker broker(*session, broker_config(3, 4));
   std::vector<std::vector<std::future<serve::Response>>> futures(kProducers);
   {
     // lint-allow: raw-thread — the test IS the threading scenario
@@ -125,14 +125,16 @@ TEST(RequestBroker, ShutdownDrainsInflightWithoutDropsOrDuplicates) {
   auto session = make_session();
   ASSERT_NE(session, nullptr);
 
-  // A long deadline keeps requests parked in the batcher until shutdown's
-  // drain flushes them, so the drain path itself is what resolves most
-  // futures here.
-  serve::RequestBroker broker(*session, broker_config(2, 64, 10'000));
+  // One worker and a small cap: the requests queue behind the worker's
+  // batches, so shutdown() lands with most of them still in the batcher and
+  // the drain is what resolves them.
+  serve::RequestBroker broker(*session, broker_config(1, 4));
   Rng rng(3);
+  std::vector<serve::Request> reqs;
+  for (u64 i = 0; i < 40; ++i) reqs.push_back(random_request(i, rng));
   std::vector<std::future<serve::Response>> futures;
-  for (u64 i = 0; i < 40; ++i) {
-    futures.push_back(broker.submit(random_request(i, rng)));
+  for (serve::Request& req : reqs) {
+    futures.push_back(broker.submit(std::move(req)));
   }
   broker.shutdown();
   std::atomic<int> resolved{0};
@@ -152,7 +154,7 @@ TEST(RequestBroker, ShutdownDrainsInflightWithoutDropsOrDuplicates) {
 
 TEST(RequestBroker, InvalidRequestsAreRefusedAtSubmit) {
   auto session = make_session();
-  serve::RequestBroker broker(*session, broker_config(2, 4, 1));
+  serve::RequestBroker broker(*session, broker_config(2, 4));
   serve::Request bad;
   bad.id = 7;
   bad.features.resize(3);  // needs 784
@@ -170,9 +172,9 @@ i64 heap_peak_delta(Fn&& fn) {
   return mem::mem_stats().heap_peak_bytes - live;
 }
 
-TEST(RequestBroker, DeadlineBatchRunsOnlyItsRealRows) {
-  // Fewer requests than batch_cap, all in one bucket: the deadline closes
-  // the batch, and the broker runs exactly those rows, never zero padding.
+TEST(RequestBroker, PartialBatchRunsOnlyItsRealRows) {
+  // Fewer requests than batch_cap, all in one bucket: every batch is
+  // partial, and the broker runs exactly its rows, never zero padding.
   // Padding leaves every real row's logits alone, so it shows only in the
   // shape the batch runs at: its heap peak.
   auto session = make_session();
@@ -199,7 +201,7 @@ TEST(RequestBroker, DeadlineBatchRunsOnlyItsRealRows) {
 
   const serve::BrokerCounters before = serve::RequestBroker::counters();
   const i64 broker_peak = heap_peak_delta([&] {
-    serve::RequestBroker broker(*session, broker_config(1, kCap, 5));
+    serve::RequestBroker broker(*session, broker_config(1, kCap));
     std::vector<std::future<serve::Response>> futures;
     for (const serve::Request& req : reqs) {
       futures.push_back(broker.submit(req));
@@ -214,11 +216,35 @@ TEST(RequestBroker, DeadlineBatchRunsOnlyItsRealRows) {
     }
   });
   const serve::BrokerCounters after = serve::RequestBroker::counters();
-  EXPECT_EQ(after.capacity_batches - before.capacity_batches, 0);
-  EXPECT_GE(after.deadline_batches - before.deadline_batches, 1);
+  EXPECT_GE(after.batches - before.batches, 1);
   EXPECT_EQ(after.batch_rows - before.batch_rows, kRequests);
   EXPECT_EQ(after.pad_rows - before.pad_rows, 0);
   EXPECT_LT(broker_peak, padded_peak);
+}
+
+TEST(RequestBroker, LoneRequestOnIdleBrokerIsAOneRowBatch) {
+  // No batching deadline: an idle worker takes the request at once instead
+  // of holding it back for company.
+  auto session = make_session();
+  ASSERT_NE(session, nullptr);
+  Rng rng(8);
+  const serve::Request req = random_request(42, rng);
+  const serve::Response want = session->run(req);
+  ASSERT_EQ(want.status, serve::Status::kOk);
+
+  const serve::BrokerCounters before = serve::RequestBroker::counters();
+  serve::RequestBroker broker(*session, broker_config(2, 16));
+  serve::Response r = broker.submit(req).get();
+  const serve::BrokerCounters after = serve::RequestBroker::counters();
+  ASSERT_EQ(r.status, serve::Status::kOk) << r.message;
+  EXPECT_EQ(r.id, 42u);
+  ASSERT_EQ(r.logits.shape(), want.logits.shape());
+  for (i64 k = 0; k < r.logits.numel(); ++k) {
+    ASSERT_EQ(r.logits[k], want.logits[k]) << "flat " << k;
+  }
+  EXPECT_EQ(after.batches - before.batches, 1);
+  EXPECT_EQ(after.batch_rows - before.batch_rows, 1);
+  EXPECT_EQ(after.deadline_batches, 0);
 }
 
 TEST(RequestBroker, CountersReachTelemetryWithTracingDisabled) {
@@ -226,7 +252,7 @@ TEST(RequestBroker, CountersReachTelemetryWithTracingDisabled) {
   const serve::BrokerCounters before = serve::RequestBroker::counters();
   auto session = make_session();
   {
-    serve::RequestBroker broker(*session, broker_config(2, 4, 1));
+    serve::RequestBroker broker(*session, broker_config(2, 4));
     Rng rng(5);
     std::vector<std::future<serve::Response>> futures;
     for (u64 i = 0; i < 10; ++i) {
@@ -262,7 +288,7 @@ TEST(RequestBroker, RecorderClearZeroesServeCounters) {
   obs::set_tracing_enabled(false);
   auto session = make_session();
   {
-    serve::RequestBroker broker(*session, broker_config(1, 4, 1));
+    serve::RequestBroker broker(*session, broker_config(1, 4));
     Rng rng(6);
     std::vector<std::future<serve::Response>> futures;
     for (u64 i = 0; i < 6; ++i) {
@@ -278,9 +304,6 @@ TEST(RequestBroker, RecorderClearZeroesServeCounters) {
   EXPECT_EQ(after.responses, 0);
   EXPECT_EQ(after.batches, 0);
   EXPECT_EQ(after.batch_rows, 0);
-  EXPECT_EQ(after.capacity_batches + after.deadline_batches +
-                after.drain_batches,
-            0);
   for (const auto& [name, value] : obs::TraceRecorder::global().counters()) {
     EXPECT_NE(name.rfind("serve.", 0), 0u)
         << name << " = " << value << " survived clear()";
