@@ -9,10 +9,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/flags.hpp"
 #include "core/thread_pool.hpp"
 #include "data/corpus.hpp"
 #include "data/images.hpp"
@@ -34,6 +36,18 @@ inline int bench_scale() {
     if (s >= 1) return s;
   }
   return 1;
+}
+
+// A count flag (reps, clients, replicas, layer sizes): an integer in
+// [1, max], else a LEGW_CHECK abort naming the flag. A count below 1 would
+// otherwise reach an empty timing vector, a NaN average or a huge size_t.
+inline int count_flag(const core::Flags& flags, const std::string& name,
+                      i64 def, i64 max = std::numeric_limits<int>::max()) {
+  const i64 v = flags.get_int(name, def);
+  LEGW_CHECK(v >= 1 && v <= max, "--" + name + " must be in [1, " +
+                                     std::to_string(max) + "], got " +
+                                     std::to_string(v));
+  return static_cast<int>(v);
 }
 
 // ---- tracing ------------------------------------------------------------------

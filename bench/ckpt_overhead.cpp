@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   bench::ScopedTrace scoped_trace(argc, argv);
   legw::core::Flags flags(argc, argv);
   const std::string out_path = flags.get_string("out", "BENCH_ckpt.json");
-  const int reps = static_cast<int>(flags.get_int("reps", 5));
+  const int reps = bench::count_flag(flags, "reps", 5);
 
   const std::string dir = "bench_ckpt_tmp";
   std::filesystem::remove_all(dir);

@@ -25,7 +25,8 @@
 //   --reps N: timed steps per config (default 30); rows report the fastest.
 //   --smoke: tiny shapes, 2/4/8 replicas, one rep — the ctest smoke target.
 //   --lat-us/--gbps: fabric wire-model overrides (intra-group link derives
-//   from them); --only N restricts the sweep to one replica count.
+//   from them); --only N (1..32) restricts the sweep to one replica count.
+//   Every count flag must be >= 1.
 // See docs/DIST.md for how to read the output.
 #include <algorithm>
 #include <chrono>
@@ -215,8 +216,7 @@ int main(int argc, char** argv) {
   core::Flags flags(argc, argv);
   const std::string out_path = flags.get_string("out", "BENCH_dist.json");
   const bool smoke = flags.get_bool("smoke", false);
-  const int reps =
-      static_cast<int>(flags.get_int("reps", smoke ? 1 : 30));
+  const int reps = bench::count_flag(flags, "reps", smoke ? 1 : 30);
   WireParams wp;
   wp.latency_us = flags.get_double("lat-us", wp.latency_us);
   wp.gbytes_per_sec = flags.get_double("gbps", wp.gbytes_per_sec);
@@ -229,11 +229,13 @@ int main(int argc, char** argv) {
     shape.batch = 8;
     replica_counts = {2, 4, 8};
   }
-  const int only = static_cast<int>(flags.get_int("only", 0));
-  if (only > 0) replica_counts = {only};
-  shape.layers = flags.get_int("layers", shape.layers);
-  shape.dim = flags.get_int("dim", shape.dim);
-  shape.batch = flags.get_int("batch", shape.batch);
+  // Each replica is a thread: --only is capped at the sweep's largest count.
+  if (flags.has("only")) {
+    replica_counts = {bench::count_flag(flags, "only", 1, 32)};
+  }
+  shape.layers = bench::count_flag(flags, "layers", shape.layers);
+  shape.dim = bench::count_flag(flags, "dim", shape.dim);
+  shape.batch = bench::count_flag(flags, "batch", shape.batch);
   const std::vector<core::DistAlgo> algos = {
       core::DistAlgo::kAuto, core::DistAlgo::kTree, core::DistAlgo::kRing,
       core::DistAlgo::kHier};

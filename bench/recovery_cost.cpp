@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   bench::ScopedTrace scoped_trace(argc, argv);
   core::Flags flags(argc, argv);
   const std::string out_path = flags.get_string("out", "BENCH_guard.json");
-  const int reps = static_cast<int>(flags.get_int("reps", 3));
+  const int reps = bench::count_flag(flags, "reps", 3);
   const bool smoke = flags.get_bool("smoke", false);
 
   // Smoke keeps the binary viable as a ctest target; the full shape gives

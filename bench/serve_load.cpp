@@ -17,7 +17,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -130,17 +129,9 @@ int main(int argc, char** argv) {
   bench::ScopedTrace scoped_trace(argc, argv);
   legw::core::Flags flags(argc, argv);
   const std::string out_path = flags.get_string("out", "BENCH_serve.json");
-  // A count below 1 would reach vector::reserve as a huge size_t.
-  const auto count_flag = [&](const std::string& name, i64 def) {
-    const i64 v = flags.get_int(name, def);
-    LEGW_CHECK(v >= 1 && v <= std::numeric_limits<int>::max(),
-               "serve_load: --" + name + " must be >= 1, got " +
-                   std::to_string(v));
-    return static_cast<int>(v);
-  };
-  const int clients = count_flag("clients", 8);
-  const int workers = count_flag("workers", 2);
-  const int requests_per_client = count_flag("requests", 200);
+  const int clients = bench::count_flag(flags, "clients", 8);
+  const int workers = bench::count_flag(flags, "workers", 2);
+  const int requests_per_client = bench::count_flag(flags, "requests", 200);
 
   // The canonical bench model, published through the real checkpoint path so
   // the bench covers save -> serve load end to end.

@@ -90,10 +90,9 @@ std::string encode(const TrainState& state);
 // and the result message says so).
 [[nodiscard]] Result load(TrainState& state, const std::string& path);
 
-// load() over an in-memory container image — no file IO. This is the
-// elastic-join hand-off path (dist/membership.hpp): the anchor replica
-// encode()s its state and the joining replica restores straight from the
-// bytes. `origin` only labels error messages.
+// load() over an in-memory container image — no file IO: restores straight
+// from encode()'s bytes (load() reads the file, then calls this). `origin`
+// only labels error messages.
 [[nodiscard]] Result load_image(TrainState& state, const std::string& image,
                                 const std::string& origin);
 

@@ -73,7 +73,7 @@ class WireState {
 };
 
 // Sender-edge compression for one parameter's shard set: for each shard i
-// (belonging to global replica ids[i]),
+// (belonging to engine replica index replicas[i]; nullptr = identity),
 //     grad := Q(grad [+ residual]);  residual := pre - Q(...)
 // with residuals looked up in `state` (nullptr = plain quantization, no
 // feedback). kFp32 is a no-op. The quantized contributions are then summed
@@ -81,7 +81,7 @@ class WireState {
 // modern collectives.
 void quantize_contributions(std::vector<core::Tensor*>& shards,
                             WireFormat format, WireState* state,
-                            const std::vector<int>* global_ids,
+                            const std::vector<int>* replicas,
                             std::size_t param);
 
 // Broadcast-edge compression: the reduced mean (already identical in every

@@ -173,10 +173,6 @@ class OverlapEngine {
       : replica_params_(replica_params), loss_fn_(loss_fn), config_(config) {
     n_replicas_ = static_cast<int>(replica_params_.size());
     LEGW_CHECK(n_replicas_ >= 1, "overlapped_backward: need >= 1 replica");
-    LEGW_CHECK(config_.replica_ids == nullptr ||
-                   config_.replica_ids->size() ==
-                       static_cast<std::size_t>(n_replicas_),
-               "overlapped_backward: replica_ids must align with replicas");
     n_params_ = replica_params_[0].size();
     for (const auto& params : replica_params_) {
       LEGW_CHECK(params.size() == n_params_,
@@ -214,8 +210,8 @@ class OverlapEngine {
     excluded_.assign(static_cast<std::size_t>(n_replicas_), 0);
     if (config_.faults != nullptr) {
       for (int r = 0; r < n_replicas_; ++r) {
-        if (config_.faults->is_dead(global_id(r))) {
-          result_.stats.dead_replicas.push_back(global_id(r));
+        if (config_.faults->is_dead(r)) {
+          result_.stats.dead_replicas.push_back(r);
         }
       }
     }
@@ -249,9 +245,7 @@ class OverlapEngine {
     std::vector<std::thread> threads;
     threads.reserve(static_cast<std::size_t>(n_replicas_));
     for (int r = 0; r < n_replicas_; ++r) {
-      if (config_.faults != nullptr && config_.faults->is_dead(global_id(r))) {
-        continue;
-      }
+      if (config_.faults != nullptr && config_.faults->is_dead(r)) continue;
       threads.emplace_back([this, r] { replica_body(r); });
     }
 
@@ -289,15 +283,6 @@ class OverlapEngine {
   }
 
  private:
-  // Engine index -> global replica id (identity without replica_ids). Fault
-  // plans and error-feedback residuals are keyed by global ids so an elastic
-  // run over a participant subset composes with both.
-  int global_id(int r) const {
-    return config_.replica_ids != nullptr
-               ? (*config_.replica_ids)[static_cast<std::size_t>(r)]
-               : r;
-  }
-
   std::atomic<int>& bucket_pending(std::size_t b, int r) {
     // pending_[b * n_replicas + r]: gradients replica r still owes bucket b.
     return pending_[b * static_cast<std::size_t>(n_replicas_) +
@@ -330,7 +315,7 @@ class OverlapEngine {
 
   void replica_body(int r) LEGW_EXCLUDES(mu_) {
     if (config_.faults != nullptr) {
-      const double delay = config_.faults->delay_ms_for(global_id(r));
+      const double delay = config_.faults->delay_ms_for(r);
       if (delay > 0.0) {
         obs::Span span("fault_straggler");
         sleep_us(delay * 1000.0);
@@ -378,22 +363,19 @@ class OverlapEngine {
         }
       }
     }
-    std::vector<int> blocker_gids;
-    blocker_gids.reserve(blockers.size());
-    for (int r : blockers) blocker_gids.push_back(global_id(r));
     if (config_.timeout_policy == TimeoutPolicy::kFailFast) {
       failed_ = true;
       error_ = "overlapped_backward: bucket all-reduce timed out after " +
                std::to_string(config_.bucket_timeout_ms) +
-               " ms waiting on replica(s) [" + join_ints(blocker_gids) + "]";
+               " ms waiting on replica(s) [" + join_ints(blockers) + "]";
       cv_.notify_all();
       return false;
     }
     // Degrade: drop the blockers, then re-scan — buckets that are now
     // complete over the survivors become reducible.
-    for (std::size_t i = 0; i < blockers.size(); ++i) {
-      excluded_[static_cast<std::size_t>(blockers[i])] = 1;
-      result_.stats.excluded_replicas.push_back(blocker_gids[i]);
+    for (int r : blockers) {
+      excluded_[static_cast<std::size_t>(r)] = 1;
+      result_.stats.excluded_replicas.push_back(r);
       core::count("replica_timeout", 1);
     }
     int live = 0;
@@ -416,7 +398,6 @@ class OverlapEngine {
   // parameter by parameter in replica-index order.
   void reduce_worker() LEGW_EXCLUDES(mu_) {
     std::vector<int> participants;
-    std::vector<int> participant_gids;
     std::vector<core::Tensor*> shards;
     while (true) {
       std::size_t b = 0;
@@ -461,12 +442,10 @@ class OverlapEngine {
         // this bucket in full (guaranteed by try_enqueue; exclusion only
         // shrinks the set and excluded replicas never rejoin).
         participants.clear();
-        participant_gids.clear();
         for (int r = 0; r < n_replicas_; ++r) {
           if (excluded_[static_cast<std::size_t>(r)]) continue;
           if (bucket_pending(b, r).load(std::memory_order_acquire) == 0) {
             participants.push_back(r);
-            participant_gids.push_back(global_id(r));
           }
         }
       }
@@ -496,8 +475,11 @@ class OverlapEngine {
           for (std::size_t i = 0; i < participants.size(); ++i) {
             shards[i] = grads_[static_cast<std::size_t>(participants[i])][p];
           }
+          // Residuals are keyed by engine index, not shard position: a
+          // replica excluded after a timeout must not shift the residual of
+          // every later replica.
           quantize_contributions(shards, config_.wire_format,
-                                 config_.wire_state, &participant_gids, p);
+                                 config_.wire_state, &participants, p);
           allreduce_mean(shards, resolved);
           quantize_broadcast(shards, config_.wire_format);
           wire_bytes += shards.empty()
@@ -575,10 +557,6 @@ OverlapResult replica_backward_ex(
     const ReplicaStepOptions& options) {
   OverlapConfig config = default_overlap_config();
   config.wire_state = options.wire_state;
-  config.faults = options.faults;
-  config.replica_ids = options.replica_ids;
-  config.bucket_timeout_ms = options.bucket_timeout_ms;
-  config.timeout_policy = options.timeout_policy;
   return overlapped_backward(replica_params, loss_fn, config);
 }
 

@@ -133,10 +133,6 @@ struct OverlapConfig {
   // and each is reduced exactly once, so values are unchanged by the worker
   // count — only the wall-clock cost of the wire sleeps is.
   int comm_threads = 1;
-  // Global replica ids aligned with replica_params, for runs over a subset
-  // of an elastic membership (dist/membership.hpp): fault-plan lookups and
-  // error-feedback residuals are indexed by these ids. nullptr = identity.
-  const std::vector<int>* replica_ids = nullptr;
 };
 
 struct OverlapStats {
@@ -184,16 +180,10 @@ OverlapResult overlapped_backward(
     const std::function<ag::Variable(int replica)>& loss_fn,
     const OverlapConfig& config = {});
 
-// Per-step options the training loop threads through the dispatcher when it
-// runs an elastic membership: injected faults for replicas dying this step,
-// global replica ids for a participant subset, and the persistent
-// error-feedback state for the quantized wire.
+// Per-step options the training loop threads through the dispatcher: the
+// persistent error-feedback state for the quantized wire.
 struct ReplicaStepOptions {
   WireState* wire_state = nullptr;
-  const FaultPlan* faults = nullptr;
-  const std::vector<int>* replica_ids = nullptr;
-  double bucket_timeout_ms = 0.0;
-  TimeoutPolicy timeout_policy = TimeoutPolicy::kFailFast;
 };
 
 // overlapped_backward with default_overlap_config() and the per-step

@@ -38,11 +38,11 @@ bool protect_mode(const RunConfig& run) {
 }
 
 // Post-forward tail of one training step: divergence check, clip, optimizer
-// update, bookkeeping. Returns false when the run diverged. `opts` are the
-// step's participating optimizers; with multiple replicas every one clips
-// and steps on the identical replica-mean gradients, so the updates are
-// identical too. `clip_norm` is the effective clip (the sentinel may tighten
-// it mid-episode; equals run.clip_norm whenever the guard is inactive).
+// update, bookkeeping. Returns false when the run diverged. `opts` holds one
+// optimizer per replica; every one clips and steps on the identical
+// replica-mean gradients, so the updates are identical too. `clip_norm` is
+// the effective clip (the sentinel may tighten it mid-episode; equals
+// run.clip_norm whenever the guard is inactive).
 bool finish_step(const RunConfig& run,
                  const std::vector<optim::Optimizer*>& opts, i64 step,
                  double loss_value, RunResult* result, float clip_norm) {
@@ -224,8 +224,8 @@ struct GuardHook {
     return true;
   }
 
-  // One-shot seeded anomaly injection, applied identically on every active
-  // replica so the synchrony invariant holds through the anomaly itself.
+  // One-shot seeded anomaly injection, applied identically on every replica
+  // so the synchrony invariant holds through the anomaly itself.
   // Runs post-backward: the poisoned values are exactly what the sentinel
   // inspects, and a detected anomaly never reaches the optimizer.
   void maybe_inject(i64 step, double* loss_value,
@@ -276,8 +276,8 @@ struct GuardHook {
     signals.loss = loss_value;
     signals.non_finite = rep.fired;
     signals.detail = rep.message;
-    // Rank-consistent decision: one verdict per active replica, reduced by
-    // max severity — every rank then takes the identical action.
+    // Rank-consistent decision: one verdict per replica, reduced by max
+    // severity — every rank then takes the identical action.
     std::vector<guard::Verdict> verdicts;
     verdicts.reserve(opts.size());
     for (std::size_t i = 0; i < opts.size(); ++i) {
@@ -417,19 +417,18 @@ struct Task {
   // Rebuilds the seeded data stream and replays it up to a step, so a
   // resume or rollback continues the uninterrupted run's batch sequence.
   std::function<void(i64)> seek;
-  // Optional: runs before the step's LR is set and returns the optimizers
-  // taking part in the step (all of `opts` when unset).
-  std::function<const std::vector<optim::Optimizer*>&(i64)> before_lr;
-  // Data, zero_grad, forward and backward of one step: the loss, or nothing
-  // when the run must stop here (RunResult::interrupted).
-  std::function<std::optional<double>()> step;
+  // Data, zero_grad, forward and backward of one step: the loss.
+  std::function<double()> step;
   // The eval metric, under the loop's "eval" span.
   std::function<double()> evaluate;
 };
 
 // The training loop shared by the four runners: per-step LR from the
 // schedule, sentinel inspection before the optimizer, clipping, periodic
-// checkpoints, rollback/resume replay, and the per-epoch eval tail.
+// checkpoints, rollback/resume replay, and the per-epoch eval tail. A resume
+// from a checkpoint at or past the last step runs no step but still runs the
+// last epoch's eval tail, so a run killed during its final eval reports the
+// metric of the straight run.
 RunResult run(Task& task, const RunConfig& cfg, const char* name) {
   const std::string runner = std::string("train_") + name;
   LEGW_CHECK(cfg.schedule != nullptr, runner + ": schedule required");
@@ -454,42 +453,36 @@ RunResult run(Task& task, const RunConfig& cfg, const char* name) {
     restart = false;
     task.seek(start_step);
     i64 step = start_step;
-    const i64 start_epoch = start_step / spe;
+    const i64 start_epoch =
+        std::min(start_step / spe, std::max<i64>(cfg.epochs - 1, 0));
     for (i64 epoch = start_epoch; epoch < cfg.epochs && !result.diverged;
          ++epoch) {
-      for (i64 s = epoch == start_epoch ? start_step % spe : 0; s < spe;
-           ++s, ++step) {
+      for (i64 s = epoch == start_epoch ? start_step - epoch * spe : 0;
+           s < spe; ++s, ++step) {
         obs::Span step_span("step");
-        // Every participating replica sees the identical schedule, so
-        // data-parallel replicas stay bit-synchronised. `lr_scale` is the
-        // sentinel's post-rollback mitigation factor; exactly 1.0f skips
-        // the multiply so a guard-less step stays bitwise identical.
-        const std::vector<optim::Optimizer*>& opts =
-            task.before_lr ? task.before_lr(step) : task.opts;
+        // Every replica sees the identical schedule, so data-parallel
+        // replicas stay bit-synchronised. `lr_scale` is the sentinel's
+        // post-rollback mitigation factor; exactly 1.0f skips the multiply
+        // so a guard-less step stays bitwise identical.
         const float lr_scale = gd.lr_scale(step);
         float lr = cfg.schedule->lr(static_cast<double>(step) /
                                     static_cast<double>(spe));
         if (lr_scale != 1.0f) lr *= lr_scale;
-        for (optim::Optimizer* opt : opts) opt->set_lr(lr);
+        for (optim::Optimizer* opt : task.opts) opt->set_lr(lr);
         // Publish the step so a non-finite tripwire firing anywhere in this
         // step's forward/backward/update blames *when*, not just where.
         check::set_step_index(step);
-        const std::optional<double> loss = task.step();
-        if (!loss.has_value()) {
-          result.interrupted = true;
-          break;
-        }
-        double loss_value = *loss;
-        gd.maybe_inject(step, &loss_value, opts);
+        double loss_value = task.step();
+        gd.maybe_inject(step, &loss_value, task.opts);
         const GuardHook::Action act =
-            gd.inspect(ck, step, loss_value, opts, &result);
+            gd.inspect(ck, step, loss_value, task.opts, &result);
         if (act == GuardHook::Action::kRestart) {
           start_step = gd.restart_step;
           restart = true;
           break;
         }
         if (act == GuardHook::Action::kStop) break;
-        if (!finish_step(cfg, opts, step, loss_value, &result,
+        if (!finish_step(cfg, task.opts, step, loss_value, &result,
                          gd.effective_clip())) {
           break;
         }
@@ -591,8 +584,6 @@ RunResult train_mnist(const data::SyntheticMnist& dataset,
   LEGW_CHECK(n_replicas >= 1, "train_mnist: replicas must be >= 1");
   LEGW_CHECK(run.batch_size % n_replicas == 0,
              "train_mnist: batch_size must be divisible by replicas");
-  LEGW_CHECK(run.membership == nullptr || n_replicas > 1,
-             "train_mnist: membership plans need replicas > 1");
   Task task{"test_acc", 0.0, 4};
   models::MnistLstmConfig mc = model_config;
   mc.seed = model_config.seed + run.seed;
@@ -612,9 +603,6 @@ RunResult train_mnist(const data::SyntheticMnist& dataset,
   const u64 data_seed = run.seed * 1000003ull + 5;
   data::IndexBatcher batcher(dataset.n_train(), run.batch_size, data_seed);
   task.steps_per_epoch = batcher.batches_per_epoch();
-  std::optional<dist::MembershipManager> membership;
-  dist::MembershipManager::Transition tr;  // this step's membership change
-  std::vector<optim::Optimizer*> active;   // this step's participants
   // Error-feedback residuals for a quantized wire (LEGW_DIST_WIRE), shared
   // across steps and checkpointed so resume stays bit-identical.
   std::unique_ptr<dist::WireState> wire_state;
@@ -631,67 +619,13 @@ RunResult train_mnist(const data::SyntheticMnist& dataset,
   }
   task.seek = [&](i64 step) {
     batcher = index_stream(dataset.n_train(), run.batch_size, data_seed, step);
-    // The checkpoint restore re-synchronised every replica, so the
-    // membership history below the start step replays without hand-offs.
-    if (run.membership != nullptr) {
-      membership.emplace(static_cast<int>(n_replicas), run.membership_policy,
-                         run.membership);
-      membership->fast_forward(step);
-    }
   };
-  if (run.membership != nullptr) {
-    task.before_lr =
-        [&](i64 step) -> const std::vector<optim::Optimizer*>& {
-      tr = membership->begin_step(step);
-      if (!tr.joined.empty()) {
-        // Joining replicas receive the anchor's full state through an
-        // in-memory checkpoint image — the cluster hand-off, minus the
-        // filesystem.
-        obs::Span span("membership_handoff");
-        ckpt::TrainState src;
-        src.models.push_back(replicas[0].get());
-        src.optimizers.push_back(opts[0].get());
-        const std::string image = ckpt::encode(src);
-        for (int j : tr.joined) {
-          ckpt::TrainState dst;
-          dst.models.push_back(replicas[static_cast<std::size_t>(j)].get());
-          dst.optimizers.push_back(opts[static_cast<std::size_t>(j)].get());
-          const ckpt::Result handed =
-              ckpt::load_image(dst, image, "membership hand-off");
-          LEGW_CHECK(handed.ok(), "train_mnist: membership hand-off failed: " +
-                                      handed.message);
-          // A joiner starts with clean error-feedback state: its stale
-          // residual belongs to gradients that were never shipped.
-          if (wire_state != nullptr) {
-            for (std::size_t p = 0; p < replica_params[0].size(); ++p) {
-              wire_state->residual(j, p).zero_();
-            }
-          }
-          core::count("dist.member_join", 1);
-        }
-      }
-      if (!tr.left.empty()) {
-        core::count("dist.member_leave", static_cast<i64>(tr.left.size()));
-      }
-      if (!tr.died.empty()) {
-        core::count("dist.member_dead", static_cast<i64>(tr.died.size()));
-      }
-      // Only the active replicas clip and step this round; absentees
-      // rejoin through the hand-off above, never by optimizer drift.
-      active.clear();
-      for (int gid : membership->active()) {
-        active.push_back(opts[static_cast<std::size_t>(gid)].get());
-      }
-      return active;
-    };
-  }
-  task.step = [&]() -> std::optional<double> {
+  task.step = [&]() -> double {
     if (n_replicas == 1) return image_step(*replicas[0], dataset, batcher);
-    // Shard the global batch by home shard id (the data order never depends
-    // on membership), gather every shard up front (the batcher and dataset
-    // stay single-threaded), then let the dist engine run the participants'
-    // forward/backward concurrently and leave the participant-mean gradient
-    // in every participant.
+    // Shard the global batch, gather every shard up front (the batcher and
+    // dataset stay single-threaded), then let the dist engine run the
+    // replicas' forward/backward concurrently and leave the replica-mean
+    // gradient in every replica.
     const i64 shard = run.batch_size / n_replicas;
     std::vector<core::Tensor> images(static_cast<std::size_t>(n_replicas));
     std::vector<std::vector<i32>> labels(static_cast<std::size_t>(n_replicas));
@@ -705,66 +639,16 @@ RunResult train_mnist(const data::SyntheticMnist& dataset,
         labels[static_cast<std::size_t>(r)] = dataset.gather_labels(sh, true);
       }
     }
-    // Participant view: global replica ids plus their assigned shards.
-    // Static membership is the identity assignment.
-    std::vector<int> parts;
-    std::vector<std::vector<int>> assignment;
-    if (membership.has_value()) {
-      parts = membership->participants();
-      assignment = membership->shard_assignment();
-    } else {
-      for (i64 r = 0; r < n_replicas; ++r) {
-        parts.push_back(static_cast<int>(r));
-        assignment.push_back({static_cast<int>(r)});
-      }
-    }
-    std::vector<std::vector<ag::Variable>> part_params;
-    part_params.reserve(parts.size());
-    for (int gid : parts) {
-      part_params.push_back(replica_params[static_cast<std::size_t>(gid)]);
-    }
-    // Each participant's loss is scaled so the allreduce mean over the
-    // participants equals the mean over every *assigned* shard — with
-    // kReassign that is the full global batch despite the absences.
-    const float factor =
-        static_cast<float>(parts.size()) / static_cast<float>(n_replicas);
     const auto loss_fn = [&](int i) {
-      const auto gid =
-          static_cast<std::size_t>(parts[static_cast<std::size_t>(i)]);
-      const std::vector<int>& mine = assignment[static_cast<std::size_t>(i)];
-      ag::Variable total =
-          replicas[gid]->loss(images[static_cast<std::size_t>(mine[0])],
-                              labels[static_cast<std::size_t>(mine[0])]);
-      for (std::size_t k = 1; k < mine.size(); ++k) {
-        total = ag::add(
-            total,
-            replicas[gid]->loss(images[static_cast<std::size_t>(mine[k])],
-                                labels[static_cast<std::size_t>(mine[k])]));
-      }
-      return factor == 1.0f && mine.size() == 1 ? total
-                                                : ag::scale(total, factor);
+      const auto r = static_cast<std::size_t>(i);
+      return replicas[r]->loss(images[r], labels[r]);
     };
-    dist::FaultPlan faults;
-    for (int d : tr.died) {
-      faults.faults.push_back({d, dist::FaultPlan::Kind::kDead, 0.0});
-    }
     dist::ReplicaStepOptions step_opts;
     step_opts.wire_state = wire_state.get();
-    step_opts.replica_ids = &parts;
-    if (!faults.faults.empty()) step_opts.faults = &faults;
-    step_opts.bucket_timeout_ms = run.membership_timeout_ms;
-    step_opts.timeout_policy =
-        run.membership_policy == dist::MembershipPolicy::kFailFast
-            ? dist::TimeoutPolicy::kFailFast
-            : dist::TimeoutPolicy::kDegradeToSurvivors;
     const dist::OverlapResult res =
-        dist::replica_backward_ex(part_params, loss_fn, step_opts);
-    if (!res.ok) {
-      // Fail-fast membership: a death ends the run cleanly, exactly as a
-      // real scheduler would tear the job down.
-      std::fprintf(stderr, "train_mnist: %s\n", res.error.c_str());
-      return std::nullopt;
-    }
+        dist::replica_backward_ex(replica_params, loss_fn, step_opts);
+    // No fault plan or timeout is installed, so a failure is a bug.
+    LEGW_CHECK(res.ok, "train_mnist: " + res.error);
     return res.mean_loss;
   };
   task.evaluate = [&] { return test_accuracy(*replicas[0], dataset, 256); };
@@ -807,7 +691,7 @@ RunResult train_ptb(const data::SyntheticCorpus& corpus,
                                 mc.bptt_len);
     for (i64 i = 0; i < step; ++i) batcher.next_chunk();
   };
-  task.step = [&]() -> std::optional<double> {
+  task.step = [&] {
     data::BpttBatcher::Chunk chunk;
     {
       obs::Span span("data");
@@ -863,7 +747,7 @@ RunResult train_gnmt(const data::SyntheticTranslation& dataset,
   task.seek = [&](i64 step) {
     batcher = index_stream(n_train, run.batch_size, data_seed, step);
   };
-  task.step = [&]() -> std::optional<double> {
+  task.step = [&] {
     data::TranslationBatch batch;
     {
       obs::Span span("data");
@@ -926,9 +810,7 @@ RunResult train_resnet(const data::SyntheticImages& dataset,
   task.seek = [&](i64 step) {
     batcher = index_stream(dataset.n_train(), run.batch_size, data_seed, step);
   };
-  task.step = [&]() -> std::optional<double> {
-    return image_step(model, dataset, batcher);
-  };
+  task.step = [&] { return image_step(model, dataset, batcher); };
   task.evaluate = [&] { return test_accuracy(model, dataset, 128); };
   return train::run(task, run, "resnet");
 }

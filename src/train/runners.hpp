@@ -16,7 +16,6 @@
 #include "data/images.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "data/translation.hpp"
-#include "dist/membership.hpp"
 #include "guard/sentinel.hpp"
 #include "models/gnmt.hpp"
 #include "models/mnist_lstm.hpp"
@@ -76,21 +75,11 @@ struct RunConfig {
   // replicas > 1 (train_mnist only, for now) the runner instantiates
   // `replicas` identically-initialised models, shards every batch across
   // them, and averages gradients through dist::replica_backward_ex — the
-  // data-parallel engine. batch_size must be divisible by replicas. Metrics and
-  // captured parameters come from replica 0 (replicas stay
-  // bit-synchronised, so the choice is immaterial).
+  // data-parallel engine. The replica set is fixed for the whole run.
+  // batch_size must be divisible by replicas. Metrics and captured
+  // parameters come from replica 0 (replicas stay bit-synchronised, so the
+  // choice is immaterial).
   i64 replicas = 1;
-  // --- elastic membership (dist/membership.hpp; train_mnist, replicas > 1) --
-  // Step-indexed join/leave/die plan; not owned, nullptr = static membership.
-  // Joins are handed the anchor replica's full state through an in-memory
-  // checkpoint image (ckpt::load_image); a replica dying at step s is
-  // detected during s via the engine's timeout machinery and its shard is
-  // handled per membership_policy from s+1 on.
-  const dist::MembershipPlan* membership = nullptr;
-  dist::MembershipPolicy membership_policy = dist::MembershipPolicy::kReassign;
-  // Engine bucket timeout used to detect dying replicas; must be > 0 when
-  // the plan contains kDie events.
-  double membership_timeout_ms = 0.0;
   // --- stability sentinel (guard/sentinel.hpp, docs/STABILITY.md) ----------
   // With sentinel.enabled AND a checkpoint_dir, the runner enters protect
   // mode: per-step health signals (loss-spike / gradient-explosion /

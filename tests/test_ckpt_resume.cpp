@@ -93,6 +93,7 @@ void expect_bitwise_resume(const Runner& go, const RunConfig& base,
   ASSERT_FALSE(completed.diverged) << tag;
   EXPECT_FALSE(completed.interrupted) << tag;
   EXPECT_EQ(completed.resumed_from_step, expected_resume_step) << tag;
+  EXPECT_EQ(completed.final_metric, ref.final_metric) << tag;
 
   // Parameter-for-parameter bitwise equality with the straight run.
   ASSERT_EQ(completed.final_params.size(), ref.final_params.size()) << tag;
@@ -261,6 +262,48 @@ TEST(CkptResume, TornPublishIsDetectedAndSkipped) {
   expect_bitwise_resume(
       [&](const RunConfig& r) { return train_mnist(dataset, mcfg, r); }, run,
       plan, /*every=*/2, /*resume_step=*/4, "tornpublish");
+}
+
+// ---- resuming a finished run ------------------------------------------------
+
+// A run killed after its last checkpoint but before (or during) its final
+// eval resumes at the end: no step is left, yet the eval tail must still
+// run, so the resumed run reports the straight run's metric rather than the
+// never-evaluated worst value.
+TEST(CkptResume, ResumingAFinishedRunReportsItsMetric) {
+  data::SyntheticMnist dataset(128, 32, 42);
+  models::MnistLstmConfig mcfg;
+  mcfg.transform_dim = 16;
+  mcfg.hidden_dim = 16;
+  sched::ConstantLr schedule(0.1f);
+  TempDir dir("finished");
+  RunConfig run;
+  run.batch_size = 32;
+  run.epochs = 4;  // 4 steps/epoch -> 16 steps
+  run.optimizer = "momentum";
+  run.schedule = &schedule;
+  run.checkpoint_dir = dir.path;
+  run.checkpoint_every_steps = 4;
+  const RunResult first = train_mnist(dataset, mcfg, run);
+  ASSERT_FALSE(first.interrupted);
+  ASSERT_EQ(first.steps, 16);
+  ASSERT_GT(first.final_metric, 0.0) << "worst metric would pass vacuously";
+
+  Recorder rec;
+  run.resume = true;
+  run.recorder = &rec;
+  const RunResult again = train_mnist(dataset, mcfg, run);
+  EXPECT_EQ(again.resumed_from_step, 16);
+  EXPECT_EQ(again.steps, 0);
+  EXPECT_FALSE(again.interrupted);
+  EXPECT_EQ(again.final_metric, first.final_metric);
+  ASSERT_EQ(again.per_epoch_metric.size(), 1u);
+  EXPECT_EQ(again.per_epoch_metric[0], first.per_epoch_metric.back());
+  EXPECT_EQ(rec.find_series("train_loss"), nullptr) << "no step may run";
+  const auto* metric = rec.find_series("test_acc");
+  ASSERT_NE(metric, nullptr);
+  ASSERT_EQ(metric->size(), 1u);
+  EXPECT_EQ(metric->front().step, 3) << "the last epoch's eval tail";
 }
 
 // ---- data-parallel replicas -------------------------------------------------

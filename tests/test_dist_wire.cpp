@@ -13,6 +13,7 @@
 #include <memory>
 #include <vector>
 
+#include "ag/ops.hpp"
 #include "core/flags.hpp"
 #include "core/rng.hpp"
 #include "core/tensor.hpp"
@@ -253,6 +254,56 @@ TEST(ErrorFeedback, ShipsSmallGradientsEventually) {
   EXPECT_EQ(shipped_plain, 0.0);  // silently erased without feedback
   const double want = static_cast<double>(tiny) * steps;
   EXPECT_NEAR(shipped_ef, want, 0.2 * want);
+}
+
+TEST(ErrorFeedback, DeadReplicaKeepsItsOwnResidual) {
+  // Residuals are keyed by engine replica index. When a dead replica is
+  // excluded after a timeout, the survivors' shard positions shift, but each
+  // survivor must still feed back into its own residual: replica 2 may not
+  // inherit replica 1's slot, and the dead replica's residual stays zero.
+  const int n = 3;
+  const i64 numel = 16;
+  auto params = one_param_replicas(n, numel);
+  std::vector<Tensor> coeffs;  // d loss_r / d param_r, exactly
+  Rng rng(53);
+  for (int r = 0; r < n; ++r) {
+    Tensor c({numel});
+    for (i64 i = 0; i < numel; ++i) {
+      c[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    coeffs.push_back(std::move(c));
+  }
+  WireState state(params);
+  const FaultPlan plan = FaultPlan::dead_replica(1);
+  OverlapConfig config;
+  config.faults = &plan;
+  config.bucket_timeout_ms = 100.0;
+  config.timeout_policy = TimeoutPolicy::kDegradeToSurvivors;
+  config.wire_format = WireFormat::kInt8;
+  config.wire_state = &state;
+  const OverlapResult res = overlapped_backward(
+      params,
+      [&](int r) {
+        const auto i = static_cast<std::size_t>(r);
+        return ag::sum_all(ag::mul(
+            params[i][0], ag::Variable::leaf(coeffs[i], false)));
+      },
+      config);
+  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_EQ(res.stats.excluded_replicas, std::vector<int>{1});
+
+  for (i64 i = 0; i < numel; ++i) {
+    ASSERT_EQ(state.residual(1, 0)[i], 0.0f) << "dead replica, elem " << i;
+  }
+  for (int r : {0, 2}) {
+    Tensor quantized = coeffs[static_cast<std::size_t>(r)];
+    wire_roundtrip(WireFormat::kInt8, quantized);
+    for (i64 i = 0; i < numel; ++i) {
+      ASSERT_EQ(state.residual(r, 0)[i],
+                coeffs[static_cast<std::size_t>(r)][i] - quantized[i])
+          << "replica " << r << " elem " << i;
+    }
+  }
 }
 
 TEST(ErrorFeedback, BroadcastKeepsShardsBitIdentical) {

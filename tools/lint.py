@@ -57,8 +57,11 @@ Rules:
   counter-doc     every counter name passed as a string literal at a count
                   site in src/ (`core::count("name", ...)` or a
                   `core::counter("name")` slot lookup) must appear, in
-                  backticks, in docs/OBSERVABILITY.md, so the documented
-                  counter list cannot drift from the registry.
+                  backticks, in docs/OBSERVABILITY.md; and every name in
+                  the first column of that file's counter table (under
+                  `| counter | bumped by |`) must have such a site. The
+                  documented counter list cannot drift from the registry
+                  in either direction.
 
 A finding can be waived where the rule's intent is genuinely inapplicable by
 putting `lint-allow: <rule>` in a comment on the offending line or one of
@@ -126,6 +129,26 @@ DISCARDED_LOAD_RE = re.compile(r"^\s*(?:[A-Za-z_]\w*::\s*)*load\s*\(")
 COUNT_SITE_RE = re.compile(
     r'(?<![\w.>])(?:core::)?count(?:er)?\s*\(\s*"([^"]+)"')
 COUNTER_DOC = Path("docs") / "OBSERVABILITY.md"
+COUNTER_TABLE_HEADER = "| counter | bumped by |"
+BACKTICKED_RE = re.compile(r"`([^`]+)`")
+
+
+def counter_table_names(doc: str) -> list[tuple[int, str]]:
+    """(line number, name) for every backticked name in the first column of
+    the counter table: the `|` rows right under COUNTER_TABLE_HEADER."""
+    out: list[tuple[int, str]] = []
+    lines = doc.splitlines()
+    for i, line in enumerate(lines):
+        if line.strip() != COUNTER_TABLE_HEADER:
+            continue
+        for j in range(i + 1, len(lines)):
+            row = lines[j].strip()
+            if not row.startswith("|"):
+                break
+            first = row.split("|")[1]
+            out.extend((j + 1, m.group(1))
+                       for m in BACKTICKED_RE.finditer(first))
+    return out
 
 
 def allowed(lines: list[str], idx: int, rule: str) -> bool:
@@ -174,6 +197,7 @@ def lint(root: Path = REPO) -> list[str]:
     doc_path = root / COUNTER_DOC
     counter_doc = (doc_path.read_text(encoding="utf-8", errors="replace")
                    if doc_path.is_file() else "")
+    counted: set[str] = set()  # literal count-site names in src/
 
     for path in iter_sources(root):
         rel = path.relative_to(root).as_posix()
@@ -224,6 +248,7 @@ def lint(root: Path = REPO) -> list[str]:
                            "with (void) and a justification")
             if rel.startswith("src/"):
                 for m in COUNT_SITE_RE.finditer(code):
+                    counted.add(m.group(1))
                     if (f"`{m.group(1)}`" not in counter_doc
                             and not allowed(lines, i, "counter-doc")):
                         report(path, lineno, "counter-doc",
@@ -240,6 +265,12 @@ def lint(root: Path = REPO) -> list[str]:
                         report(path, lineno, "serve-no-tape",
                                "src/serve/ must stay tape-free: ag:: / nn:: "
                                "usage is banned on the inference path")
+
+    for lineno, name in counter_table_names(counter_doc):
+        if name not in counted:
+            report(doc_path, lineno, "counter-doc",
+                   f"documented counter '{name}' has no literal "
+                   f"core::count/core::counter site in src/")
 
     bench_dir = root / "bench"
     if bench_dir.is_dir():
@@ -346,7 +377,16 @@ def self_test() -> int:
         # counter-doc ---------------------------------------------------------
         (bad / "docs").mkdir()
         (bad / "docs" / "OBSERVABILITY.md").write_text(
-            "Counters: `documented.count`.\n", encoding="utf-8")
+            "Counters: `documented.count`, `prose.only`.\n"
+            "\n"
+            "| counter | bumped by |\n"
+            "|---|---|\n"
+            "| `documented.count` | f |\n"                   # line 5: quiet
+            "| `stale.count` | nothing any more |\n"        # line 6: fires
+            "| `documented.count` | the `slot.name` |\n"    # line 7: quiet
+            "\n"
+            "| `after.table` | not a table row |\n",        # line 9: quiet
+            encoding="utf-8")
         (bad / "src" / "train" / "bad_counter.cpp").write_text(
             'void f(std::map<std::string, int>& m) {\n'
             '  core::count("documented.count", 1);\n'             # quiet
@@ -426,6 +466,14 @@ def self_test() -> int:
                "map.count member call wrongly flagged")
         expect(not fired("counter-doc", "bad_counter.cpp:6:"),
                "commented-out count site wrongly flagged")
+        expect(not fired("counter-doc", "OBSERVABILITY.md:5:"),
+               "counted table row wrongly flagged")
+        expect(fired("counter-doc", "OBSERVABILITY.md:6:"),
+               "stale counter-table row not caught")
+        expect(not fired("counter-doc", "OBSERVABILITY.md:7:"),
+               "name outside the table's first column wrongly flagged")
+        expect(not fired("counter-doc", "OBSERVABILITY.md:9:"),
+               "row after the table's end wrongly flagged")
 
         # Clean tree: waivers and sanctioned homes must stay quiet -----------
         clean = Path(tmp) / "clean"
