@@ -306,6 +306,137 @@ TEST(CkptResume, ResumingAFinishedRunReportsItsMetric) {
   EXPECT_EQ(metric->front().step, 3) << "the last epoch's eval tail";
 }
 
+// The same contract for any runner: a straight run checkpointing at its last
+// step, then a resume from that checkpoint with no step left. The resumed
+// run must report the straight run's metric from its one eval tail and leave
+// the parameters bit for bit as the straight run left them.
+void expect_finished_resume(const Runner& go, const RunConfig& base,
+                            i64 every_steps, const std::string& tag) {
+  TempDir dir("finished_" + tag);
+  RunConfig run = base;
+  run.checkpoint_dir = dir.path;
+  run.checkpoint_every_steps = every_steps;
+  run.capture_final_params = true;
+  const RunResult first = go(run);
+  ASSERT_FALSE(first.interrupted) << tag;
+  ASSERT_FALSE(first.diverged) << tag;
+  ASSERT_EQ(first.steps % every_steps, 0) << tag << ": no final checkpoint";
+  ASSERT_FALSE(first.per_epoch_metric.empty()) << tag;
+
+  Recorder rec;
+  run.resume = true;
+  run.recorder = &rec;
+  const RunResult again = go(run);
+  EXPECT_EQ(again.resumed_from_step, first.steps) << tag;
+  EXPECT_EQ(again.steps, 0) << tag;
+  EXPECT_FALSE(again.interrupted) << tag;
+  EXPECT_EQ(again.final_metric, first.final_metric) << tag;
+  ASSERT_EQ(again.per_epoch_metric.size(), 1u) << tag;
+  EXPECT_EQ(again.per_epoch_metric[0], first.per_epoch_metric.back()) << tag;
+  EXPECT_EQ(rec.find_series("train_loss"), nullptr) << tag << ": a step ran";
+
+  ASSERT_EQ(again.final_params.size(), first.final_params.size()) << tag;
+  for (std::size_t p = 0; p < first.final_params.size(); ++p) {
+    const core::Tensor& a = first.final_params[p];
+    const core::Tensor& b = again.final_params[p];
+    ASSERT_EQ(a.numel(), b.numel()) << tag << " param " << p;
+    for (i64 i = 0; i < a.numel(); ++i) {
+      ASSERT_EQ(a[i], b[i]) << tag << " param " << p << " elem " << i;
+    }
+  }
+}
+
+TEST(CkptResume, ResumingAFinishedPtbRunReportsItsMetric) {
+  data::CorpusConfig ccfg;
+  ccfg.vocab = 40;
+  ccfg.n_train_tokens = 1200;
+  ccfg.n_valid_tokens = 200;
+  data::SyntheticCorpus corpus(ccfg);
+  models::PtbConfig mcfg = models::PtbConfig::small(40);
+  mcfg.embed_dim = 16;
+  mcfg.hidden_dim = 16;
+  mcfg.bptt_len = 8;
+  sched::ConstantLr schedule(0.5f);
+  RunConfig run;
+  run.batch_size = 8;
+  run.epochs = 2;
+  run.optimizer = "momentum";
+  run.schedule = &schedule;
+  data::BpttBatcher probe(corpus.train_tokens(), run.batch_size, mcfg.bptt_len);
+  expect_finished_resume(
+      [&](const RunConfig& r) { return train_ptb(corpus, mcfg, r); }, run,
+      /*every=*/probe.chunks_per_epoch(), "ptb");
+}
+
+// GNMT's final eval is a greedy decode over the test set, the slowest tail
+// of any runner and so the likeliest place for a kill to land.
+TEST(CkptResume, ResumingAFinishedGnmtRunReportsItsMetric) {
+  data::TranslationConfig tcfg;
+  tcfg.n_train = 60;
+  tcfg.n_test = 10;
+  tcfg.src_vocab = 30;
+  tcfg.tgt_vocab = 30;
+  tcfg.min_len = 3;
+  tcfg.max_len = 5;
+  data::SyntheticTranslation dataset(tcfg);
+  models::GnmtConfig mcfg;
+  mcfg.hidden_dim = 12;
+  mcfg.embed_dim = 12;
+  mcfg.num_layers = 2;
+  mcfg.residual_start = 2;
+  sched::ConstantLr schedule(0.01f);
+  RunConfig run;
+  run.batch_size = 20;
+  run.epochs = 4;  // 3 steps/epoch -> 12 steps
+  run.optimizer = "adam";
+  run.schedule = &schedule;
+  run.final_eval_only = true;
+  expect_finished_resume(
+      [&](const RunConfig& r) { return train_gnmt(dataset, mcfg, r); }, run,
+      /*every=*/4, "gnmt");
+}
+
+TEST(CkptResume, ResumingAFinishedResnetRunReportsItsMetric) {
+  // The eval tail runs batch norm in inference mode, so it reads the
+  // running statistics restored from the checkpoint's buffers.
+  data::SyntheticImages dataset(96, 24, 42);
+  models::ResNetConfig mcfg;
+  mcfg.width = 4;
+  mcfg.blocks_per_stage = 1;
+  sched::ConstantLr schedule(0.05f);
+  RunConfig run;
+  run.batch_size = 32;
+  run.epochs = 4;  // 3 steps/epoch -> 12 steps
+  run.optimizer = "momentum";
+  run.schedule = &schedule;
+  run.final_eval_only = true;
+  expect_finished_resume(
+      [&](const RunConfig& r) { return train_resnet(dataset, mcfg, r); }, run,
+      /*every=*/6, "resnet");
+}
+
+TEST(CkptResume, ResumingAFinishedReplicatedRunReportsItsMetric) {
+  // Four replicas over an int8 wire: the restore also reloads every
+  // replica and its error-feedback residuals before the eval tail.
+  const core::WireFormat saved = core::dist_wire();
+  core::set_dist_wire(core::WireFormat::kInt8);
+  data::SyntheticMnist dataset(128, 16, 42);
+  models::MnistLstmConfig mcfg;
+  mcfg.transform_dim = 16;
+  mcfg.hidden_dim = 16;
+  sched::ConstantLr schedule(0.1f);
+  RunConfig run;
+  run.batch_size = 32;
+  run.epochs = 2;  // 4 steps/epoch -> 8 steps
+  run.optimizer = "momentum";
+  run.schedule = &schedule;
+  run.replicas = 4;
+  expect_finished_resume(
+      [&](const RunConfig& r) { return train_mnist(dataset, mcfg, r); }, run,
+      /*every=*/4, "replicas4_int8");
+  core::set_dist_wire(saved);
+}
+
 // ---- data-parallel replicas -------------------------------------------------
 
 class CkptResumeReplicas : public ::testing::TestWithParam<int> {};

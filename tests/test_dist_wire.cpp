@@ -1,6 +1,7 @@
 // Quantized gradient wire battery (dist/compression): fp16 and int8 edge
 // values — subnormals, +-inf, the NaN tripwire interplay — the error-feedback
-// residual staying bounded (and compensating) over 100 steps, zero-element
+// residual staying bounded (and compensating) over 100 steps and staying
+// with its own replica when another is excluded, zero-element
 // and all-zero shards through the full wire, replica bit-synchrony under a
 // lossy wire, and convergence parity of quantized training against the fp32
 // wire.
@@ -11,6 +12,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ag/ops.hpp"
@@ -305,6 +307,122 @@ TEST(ErrorFeedback, DeadReplicaKeepsItsOwnResidual) {
     }
   }
 }
+
+TEST(ErrorFeedback, ParticipantIndicesPickTheResidualSlots) {
+  // Two shards from engine replicas 0 and 2 of a three-replica state: shard
+  // position 1 must read and write replica 2's residual, and replica 1's
+  // slot must stay untouched. Without the index list, position 1 would be
+  // taken for replica 1.
+  const i64 numel = 8;
+  auto params = one_param_replicas(3, numel);
+  WireState state(params);
+  Rng rng(59);
+  auto fresh = [&] {
+    Tensor g({numel});
+    for (i64 i = 0; i < numel; ++i) {
+      g[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    return g;
+  };
+  const std::vector<int> participants{0, 2};
+  std::vector<Tensor> want_residual(3, Tensor::zeros({numel}));
+  for (int step = 0; step < 2; ++step) {
+    std::vector<Tensor> grads{fresh(), fresh()};
+    std::vector<Tensor*> shards{&grads[0], &grads[1]};
+    std::vector<Tensor> want_grad;
+    for (std::size_t i = 0; i < grads.size(); ++i) {
+      Tensor& res = want_residual[static_cast<std::size_t>(participants[i])];
+      Tensor v = grads[i];
+      for (i64 j = 0; j < numel; ++j) v[j] += res[j];
+      Tensor q = v;
+      wire_roundtrip(WireFormat::kInt8, q);
+      for (i64 j = 0; j < numel; ++j) res[j] = v[j] - q[j];
+      want_grad.push_back(std::move(q));
+    }
+    quantize_contributions(shards, WireFormat::kInt8, &state, &participants,
+                           0);
+    for (int r = 0; r < 3; ++r) {
+      for (i64 j = 0; j < numel; ++j) {
+        ASSERT_EQ(state.residual(r, 0)[j],
+                  want_residual[static_cast<std::size_t>(r)][j])
+            << "step " << step << " replica " << r << " elem " << j;
+      }
+    }
+    for (std::size_t i = 0; i < grads.size(); ++i) {
+      for (i64 j = 0; j < numel; ++j) {
+        ASSERT_EQ(grads[i][j], want_grad[i][j])
+            << "step " << step << " shard " << i << " elem " << j;
+      }
+    }
+  }
+}
+
+// Each of four replicas dead in turn, over two steps of the full engine: the
+// second step feeds the first step's residuals back in, so a survivor that
+// read another replica's slot would ship the wrong correction.
+class DeadReplicaResidual : public ::testing::TestWithParam<int> {};
+
+TEST_P(DeadReplicaResidual, SurvivorsFeedBackTheirOwnResidualOverTwoSteps) {
+  const int n = 4;
+  const int dead = GetParam();
+  const i64 numel = 16;
+  auto params = one_param_replicas(n, numel);
+  WireState state(params);
+  const FaultPlan plan = FaultPlan::dead_replica(dead);
+  OverlapConfig config;
+  config.faults = &plan;
+  config.bucket_timeout_ms = 100.0;
+  config.timeout_policy = TimeoutPolicy::kDegradeToSurvivors;
+  config.wire_format = WireFormat::kInt8;
+  config.wire_state = &state;
+
+  Rng rng(61);
+  std::vector<Tensor> want_residual(static_cast<std::size_t>(n),
+                                    Tensor::zeros({numel}));
+  for (int step = 0; step < 2; ++step) {
+    std::vector<Tensor> coeffs;  // d loss_r / d param_r, exactly
+    for (int r = 0; r < n; ++r) {
+      Tensor c({numel});
+      for (i64 i = 0; i < numel; ++i) {
+        c[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+      }
+      coeffs.push_back(std::move(c));
+    }
+    const OverlapResult res = overlapped_backward(
+        params,
+        [&](int r) {
+          const auto i = static_cast<std::size_t>(r);
+          return ag::sum_all(ag::mul(
+              params[i][0], ag::Variable::leaf(coeffs[i], false)));
+        },
+        config);
+    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_EQ(res.stats.excluded_replicas, std::vector<int>{dead});
+
+    for (int r = 0; r < n; ++r) {
+      if (r == dead) continue;
+      Tensor& want = want_residual[static_cast<std::size_t>(r)];
+      Tensor v = coeffs[static_cast<std::size_t>(r)];
+      for (i64 i = 0; i < numel; ++i) v[i] += want[i];
+      Tensor q = v;
+      wire_roundtrip(WireFormat::kInt8, q);
+      for (i64 i = 0; i < numel; ++i) want[i] = v[i] - q[i];
+    }
+    for (int r = 0; r < n; ++r) {
+      for (i64 i = 0; i < numel; ++i) {
+        ASSERT_EQ(state.residual(r, 0)[i],
+                  want_residual[static_cast<std::size_t>(r)][i])
+            << "step " << step << " replica " << r << " elem " << i;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ExcludedReplica, DeadReplicaResidual, ::testing::Values(0, 1, 2, 3),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return "dead" + std::to_string(info.param);
+    });
 
 TEST(ErrorFeedback, BroadcastKeepsShardsBitIdentical) {
   Rng rng(41);

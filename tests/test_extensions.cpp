@@ -1,10 +1,12 @@
-// LAMB optimizer, gradient-noise-scale estimator, Recorder, and Flags.
+// LAMB optimizer, gradient-noise-scale estimator, Recorder, Flags, and the
+// benches' count flags.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "ag/ops.hpp"
 #include "analysis/gradient_noise.hpp"
+#include "bench_common.hpp"
 #include "core/flags.hpp"
 #include "optim/optimizer.hpp"
 #include "train/recorder.hpp"
@@ -209,6 +211,45 @@ TEST(Flags, RejectsMalformedNumbers) {
   EXPECT_DEATH(odd.get_double("m", 1.0), "expects a number");
   EXPECT_DEATH(odd.get_int("n", 1), "expects an integer");
   EXPECT_DEATH(odd.get_double("x", 1.0), "expects a number");
+}
+
+// ---- bench::count_flag ---------------------------------------------------------
+
+TEST(BenchCountFlag, AbsentFlagTakesTheDefault) {
+  const char* argv[] = {"prog", "--other", "3"};
+  core::Flags flags(3, const_cast<char**>(argv));
+  EXPECT_EQ(bench::count_flag(flags, "reps", 5), 5);
+  EXPECT_EQ(bench::count_flag(flags, "only", 7, 32), 7);
+}
+
+TEST(BenchCountFlag, AcceptsOneAndTheMaximum) {
+  const char* argv[] = {"prog", "--reps", "1", "--only=32", "--dim", "2048"};
+  core::Flags flags(6, const_cast<char**>(argv));
+  EXPECT_EQ(bench::count_flag(flags, "reps", 5), 1);
+  EXPECT_EQ(bench::count_flag(flags, "only", 2, 32), 32);
+  EXPECT_EQ(bench::count_flag(flags, "dim", 256), 2048);
+}
+
+TEST(BenchCountFlag, BelowOneAbortsNamingTheFlag) {
+  // A zero or negative count used to reach an empty timing vector
+  // (min_element on it) or a NaN average written into the bench JSON.
+  const char* argv[] = {"prog", "--reps", "0", "--batch", "-1"};
+  core::Flags flags(5, const_cast<char**>(argv));
+  EXPECT_DEATH(bench::count_flag(flags, "reps", 5),
+               "--reps must be in \\[1, 2147483647\\], got 0");
+  EXPECT_DEATH(bench::count_flag(flags, "batch", 16),
+               "--batch must be in \\[1, 2147483647\\], got -1");
+}
+
+TEST(BenchCountFlag, AboveTheMaximumAbortsNamingTheFlag) {
+  // --only is capped at the sweep's largest replica count (each replica is
+  // a thread); an uncapped count would also overflow the int it returns.
+  const char* argv[] = {"prog", "--only", "33", "--reps", "4294967296"};
+  core::Flags flags(5, const_cast<char**>(argv));
+  EXPECT_DEATH(bench::count_flag(flags, "only", 2, 32),
+               "--only must be in \\[1, 32\\], got 33");
+  EXPECT_DEATH(bench::count_flag(flags, "reps", 5),
+               "--reps must be in \\[1, 2147483647\\], got 4294967296");
 }
 
 }  // namespace
