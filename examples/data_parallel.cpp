@@ -7,6 +7,7 @@
 //
 // Run: ./build/examples/data_parallel [--replicas 4] [--global_batch 128]
 #include <cstdio>
+#include <string>
 
 #include "core/flags.hpp"
 #include "data/images.hpp"
@@ -20,17 +21,27 @@ using namespace legw;
 
 int main(int argc, char** argv) {
   core::Flags flags(argc, argv);
-  const int n_replicas = static_cast<int>(flags.get_int("replicas", 4));
+  data::SyntheticMnist dataset(2048, 512, 42);
+  // Check the flags as read, before any narrowing or division.
+  const i64 replicas_flag = flags.get_int("replicas", 4);
   const i64 global_batch = flags.get_int("global_batch", 128);
-  LEGW_CHECK(global_batch % n_replicas == 0,
-             "global batch must divide evenly across replicas");
+  LEGW_CHECK(replicas_flag >= 1,
+             "--replicas must be >= 1, got " + std::to_string(replicas_flag));
+  LEGW_CHECK(global_batch >= 1 && global_batch <= dataset.n_train(),
+             "--global_batch must be in [1, " +
+                 std::to_string(dataset.n_train()) + "], got " +
+                 std::to_string(global_batch));
+  LEGW_CHECK(global_batch % replicas_flag == 0,
+             "--replicas " + std::to_string(replicas_flag) +
+                 " must divide --global_batch " +
+                 std::to_string(global_batch));
+  const int n_replicas = static_cast<int>(replicas_flag);
   const i64 shard = global_batch / n_replicas;
 
   std::printf("data-parallel MNIST-LSTM: %d replicas x shard %lld = batch %lld\n\n",
               n_replicas, static_cast<long long>(shard),
               static_cast<long long>(global_batch));
 
-  data::SyntheticMnist dataset(2048, 512, 42);
   models::MnistLstmConfig mcfg;
   mcfg.transform_dim = 32;
   mcfg.hidden_dim = 32;

@@ -26,10 +26,9 @@
 // core::AtomicFile): a crash mid-write leaves at most a stale .tmp next to
 // an intact previous checkpoint. CheckpointManager adds
 // the cadence/retention policy and, on restore, falls back across corrupted
-// files to the newest valid one. A seeded CrashPlan (mirroring
-// dist::FaultPlan) injects simulated kills mid-step and mid-write so the
-// failure paths are first-class tested, including the adversarial
-// "torn publish" case of a non-atomic filesystem.
+// files to the newest valid one. A seeded CrashPlan injects simulated kills
+// mid-step and mid-write so the failure paths are first-class tested,
+// including the adversarial "torn publish" case of a non-atomic filesystem.
 //
 // Obs integration: `ckpt_write` / `ckpt_restore` spans and the
 // `ckpt_writes` / `ckpt_bytes` / `ckpt_restores` / `ckpt_corrupt_skipped`
@@ -96,8 +95,8 @@ std::string encode(const TrainState& state);
 [[nodiscard]] Result load_image(TrainState& state, const std::string& image,
                                 const std::string& origin);
 
-// A deterministic, seeded set of injected kills (the training-loop twin of
-// dist::FaultPlan). Steps are matched against TrainState::step.
+// A deterministic set of injected kills in the training loop. Steps are
+// matched against TrainState::step.
 struct CrashPlan {
   enum class Kind {
     kMidStep,      // process dies right after the step, before any write

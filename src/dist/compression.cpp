@@ -163,7 +163,6 @@ WireState::named_residuals() {
 
 void quantize_contributions(std::vector<core::Tensor*>& shards,
                             WireFormat format, WireState* state,
-                            const std::vector<int>* replicas,
                             std::size_t param) {
   if (format == WireFormat::kFp32) return;
   for (std::size_t i = 0; i < shards.size(); ++i) {
@@ -172,8 +171,7 @@ void quantize_contributions(std::vector<core::Tensor*>& shards,
       wire_roundtrip(format, grad);
       continue;
     }
-    const int r = replicas != nullptr ? (*replicas)[i] : static_cast<int>(i);
-    core::Tensor& res = state->residual(r, param);
+    core::Tensor& res = state->residual(static_cast<int>(i), param);
     LEGW_CHECK(res.same_shape(grad),
                "quantize_contributions: residual shape mismatch");
     // v = grad + residual; grad = Q(v); residual = v - Q(v).

@@ -73,15 +73,14 @@ class WireState {
 };
 
 // Sender-edge compression for one parameter's shard set: for each shard i
-// (belonging to engine replica index replicas[i]; nullptr = identity),
+// (replica i's gradient),
 //     grad := Q(grad [+ residual]);  residual := pre - Q(...)
-// with residuals looked up in `state` (nullptr = plain quantization, no
-// feedback). kFp32 is a no-op. The quantized contributions are then summed
-// in fp32 by the all-reduce algorithms — the fp32-accumulate wire model of
-// modern collectives.
+// with replica i's residual looked up in `state` (nullptr = plain
+// quantization, no feedback). kFp32 is a no-op. The quantized contributions
+// are then summed in fp32 by the all-reduce algorithms — the fp32-accumulate
+// wire model of modern collectives.
 void quantize_contributions(std::vector<core::Tensor*>& shards,
                             WireFormat format, WireState* state,
-                            const std::vector<int>* replicas,
                             std::size_t param);
 
 // Broadcast-edge compression: the reduced mean (already identical in every

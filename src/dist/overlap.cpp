@@ -4,61 +4,17 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
-#include <numeric>
 #include <thread>
 #include <unordered_map>
 
 #include "core/counters.hpp"
 #include "core/flags.hpp"
 #include "core/mutex.hpp"
-#include "core/rng.hpp"
 #include "dist/algorithms.hpp"
 #include "dist/compression.hpp"
 #include "obs/trace.hpp"
 
 namespace legw::dist {
-
-FaultPlan FaultPlan::stragglers(u64 seed, int n_replicas, int count,
-                                double delay_ms) {
-  LEGW_CHECK(count >= 0 && count <= n_replicas,
-             "FaultPlan::stragglers: count out of range");
-  core::Rng rng(seed);
-  std::vector<int> pool(static_cast<std::size_t>(n_replicas));
-  std::iota(pool.begin(), pool.end(), 0);
-  FaultPlan plan;
-  for (int i = 0; i < count; ++i) {
-    const auto j = static_cast<std::size_t>(i) +
-                   static_cast<std::size_t>(rng.uniform_int(
-                       static_cast<u64>(n_replicas - i)));
-    std::swap(pool[static_cast<std::size_t>(i)], pool[j]);
-    plan.faults.push_back(
-        {pool[static_cast<std::size_t>(i)], Kind::kSlow, delay_ms});
-  }
-  std::sort(plan.faults.begin(), plan.faults.end(),
-            [](const Fault& a, const Fault& b) { return a.replica < b.replica; });
-  return plan;
-}
-
-FaultPlan FaultPlan::dead_replica(int replica) {
-  FaultPlan plan;
-  plan.faults.push_back({replica, Kind::kDead, 0.0});
-  return plan;
-}
-
-bool FaultPlan::is_dead(int replica) const {
-  for (const Fault& f : faults) {
-    if (f.replica == replica && f.kind == Kind::kDead) return true;
-  }
-  return false;
-}
-
-double FaultPlan::delay_ms_for(int replica) const {
-  double total = 0.0;
-  for (const Fault& f : faults) {
-    if (f.replica == replica && f.kind == Kind::kSlow) total += f.delay_ms;
-  }
-  return total;
-}
 
 namespace {
 
@@ -147,24 +103,10 @@ void sleep_us(double us) {
   }
 }
 
-std::string join_ints(const std::vector<int>& v) {
-  std::string out;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out += ",";
-    out += std::to_string(v[i]);
-  }
-  return out;
-}
-
-}  // namespace
-
-namespace {
-
 // The overlap engine's shared state, annotated so Clang TSA proves the
 // comm-thread protocol at compile time: replica threads deliver gradients
-// (signal -> try_enqueue under mu_), the reducer claims completed buckets
-// from ready_, and the timeout machinery mutates the exclusion set — all of
-// it behind one mutex whose protocol used to live in a comment.
+// (signal -> enqueue under mu_) and the reducers claim completed buckets
+// from ready_, behind one mutex whose protocol used to live in a comment.
 class OverlapEngine {
  public:
   OverlapEngine(const std::vector<std::vector<ag::Variable>>& replica_params,
@@ -203,38 +145,14 @@ class OverlapEngine {
       }
     }
 
-    // Injected dead replicas are recorded but NOT pre-excluded: the engine
-    // must *detect* them through the timeout machinery, exactly as it would
-    // a genuinely hung node. They only leave the reduction once a timeout
-    // episode names them as blockers (or fail-fast aborts the step).
-    excluded_.assign(static_cast<std::size_t>(n_replicas_), 0);
-    if (config_.faults != nullptr) {
-      for (int r = 0; r < n_replicas_; ++r) {
-        if (config_.faults->is_dead(r)) {
-          result_.stats.dead_replicas.push_back(r);
-        }
-      }
-    }
-    const bool any_dead = !result_.stats.dead_replicas.empty();
-    LEGW_CHECK(!any_dead || config_.bucket_timeout_ms > 0,
-               "overlapped_backward: a fault plan with dead replicas requires "
-               "bucket_timeout_ms > 0");
-    LEGW_CHECK(result_.stats.dead_replicas.size() <
-                   static_cast<std::size_t>(n_replicas_),
-               "overlapped_backward: every replica is dead");
-
-    pending_ = std::make_unique<std::atomic<int>[]>(
-        n_buckets_ * static_cast<std::size_t>(n_replicas_));
+    // pending_[b]: gradients bucket b still awaits, summed over replicas.
+    pending_ = std::make_unique<std::atomic<int>[]>(n_buckets_);
     for (std::size_t b = 0; b < n_buckets_; ++b) {
-      for (int r = 0; r < n_replicas_; ++r) {
-        bucket_pending(b, r).store(static_cast<int>(buckets_[b].size()),
-                                   std::memory_order_relaxed);
-      }
+      pending_[b].store(static_cast<int>(buckets_[b].size()) * n_replicas_,
+                        std::memory_order_relaxed);
     }
 
-    enqueued_.assign(n_buckets_, 0);
     losses_.assign(static_cast<std::size_t>(n_replicas_), 0.0f);
-    ran_.assign(static_cast<std::size_t>(n_replicas_), 0);
   }
 
   OverlapResult run() {
@@ -245,7 +163,6 @@ class OverlapEngine {
     std::vector<std::thread> threads;
     threads.reserve(static_cast<std::size_t>(n_replicas_));
     for (int r = 0; r < n_replicas_; ++r) {
-      if (config_.faults != nullptr && config_.faults->is_dead(r)) continue;
       threads.emplace_back([this, r] { replica_body(r); });
     }
 
@@ -265,62 +182,29 @@ class OverlapEngine {
     for (auto& t : threads) t.join();
 
     float loss_sum = 0.0f;
-    int loss_count = 0;
-    for (int r = 0; r < n_replicas_; ++r) {
-      if (ran_[static_cast<std::size_t>(r)]) {
-        loss_sum += losses_[static_cast<std::size_t>(r)];
-        ++loss_count;
-      }
-    }
+    for (const float loss : losses_) loss_sum += loss;
     // The threads are joined, but the guarded fields keep their contract:
     // take the lock rather than waive the analysis.
     core::MutexLock lock(mu_);
-    result_.mean_loss =
-        loss_count > 0 ? loss_sum / static_cast<float>(loss_count) : 0.0f;
-    result_.ok = !failed_;
-    result_.error = error_;
+    result_.mean_loss = loss_sum / static_cast<float>(n_replicas_);
     return result_;
   }
 
  private:
-  std::atomic<int>& bucket_pending(std::size_t b, int r) {
-    // pending_[b * n_replicas + r]: gradients replica r still owes bucket b.
-    return pending_[b * static_cast<std::size_t>(n_replicas_) +
-                    static_cast<std::size_t>(r)];
-  }
-
-  // Enqueues b if every non-excluded replica has delivered all of b's
-  // gradients and b was not already claimed.
-  void try_enqueue(std::size_t b) LEGW_REQUIRES(mu_) {
-    if (enqueued_[b]) return;
-    for (int r = 0; r < n_replicas_; ++r) {
-      if (excluded_[static_cast<std::size_t>(r)]) continue;
-      if (bucket_pending(b, r).load(std::memory_order_acquire) != 0) return;
-    }
-    enqueued_[b] = 1;
-    ready_.push_back(b);
-    cv_.notify_one();
-  }
-
   // Replica r delivered parameter p's final gradient. The release half of
-  // the fetch_sub publishes the gradient writes; the reducer's acquire load
-  // of pending (and the RMW release sequence) makes them visible.
-  void signal(int r, std::size_t p) LEGW_EXCLUDES(mu_) {
+  // the fetch_sub publishes the gradient writes; the acq_rel RMW chain hands
+  // every replica's writes to whichever thread delivers the bucket's last
+  // gradient, and the mutex hands them on to the reducer.
+  void signal(std::size_t p) LEGW_EXCLUDES(mu_) {
     const std::size_t b = bucket_of_[p];
-    if (bucket_pending(b, r).fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    if (pending_[b].fetch_sub(1, std::memory_order_acq_rel) == 1) {
       core::MutexLock lock(mu_);
-      try_enqueue(b);
+      ready_.push_back(b);
+      cv_.notify_one();
     }
   }
 
   void replica_body(int r) LEGW_EXCLUDES(mu_) {
-    if (config_.faults != nullptr) {
-      const double delay = config_.faults->delay_ms_for(r);
-      if (delay > 0.0) {
-        obs::Span span("fault_straggler");
-        sleep_us(delay * 1000.0);
-      }
-    }
     obs::Span span("replica_backward");
     if (config_.zero_grads) {
       for (std::size_t p = 0; p < n_params_; ++p) {
@@ -334,120 +218,44 @@ class OverlapEngine {
       if (it == index_of_[static_cast<std::size_t>(r)].end()) return;
       if (fired[it->second]) return;
       fired[it->second] = 1;
-      signal(r, it->second);
+      signal(it->second);
     };
     ag::Variable loss = loss_fn_(r);
     losses_[static_cast<std::size_t>(r)] = loss.value()[0];
-    ran_[static_cast<std::size_t>(r)] = 1;
     ag::backward(loss, nullptr, hooks);
     // Parameters the graph never reached keep their (zeroed or accumulated)
     // gradient as-is — that IS their final value, so deliver it.
     for (std::size_t p = 0; p < n_params_; ++p) {
-      if (!fired[p]) signal(r, p);
+      if (!fired[p]) signal(p);
     }
-  }
-
-  // Timed out with no completed bucket. The blockers are the replicas still
-  // owing gradients on some unclaimed bucket; returns false when the policy
-  // says the step cannot continue.
-  bool handle_timeout() LEGW_REQUIRES(mu_) {
-    ++result_.stats.timeout_episodes;
-    std::vector<int> blockers;
-    for (int r = 0; r < n_replicas_; ++r) {
-      if (excluded_[static_cast<std::size_t>(r)]) continue;
-      for (std::size_t b = 0; b < n_buckets_; ++b) {
-        if (enqueued_[b]) continue;
-        if (bucket_pending(b, r).load(std::memory_order_acquire) != 0) {
-          blockers.push_back(r);
-          break;
-        }
-      }
-    }
-    if (config_.timeout_policy == TimeoutPolicy::kFailFast) {
-      failed_ = true;
-      error_ = "overlapped_backward: bucket all-reduce timed out after " +
-               std::to_string(config_.bucket_timeout_ms) +
-               " ms waiting on replica(s) [" + join_ints(blockers) + "]";
-      cv_.notify_all();
-      return false;
-    }
-    // Degrade: drop the blockers, then re-scan — buckets that are now
-    // complete over the survivors become reducible.
-    for (int r : blockers) {
-      excluded_[static_cast<std::size_t>(r)] = 1;
-      result_.stats.excluded_replicas.push_back(r);
-      core::count("replica_timeout", 1);
-    }
-    int live = 0;
-    for (int r = 0; r < n_replicas_; ++r) {
-      if (!excluded_[static_cast<std::size_t>(r)]) ++live;
-    }
-    if (live == 0) {
-      failed_ = true;
-      error_ = "overlapped_backward: degraded until no replica survived";
-      cv_.notify_all();
-      return false;
-    }
-    for (std::size_t b = 0; b < n_buckets_; ++b) try_enqueue(b);
-    return true;
   }
 
   // Reduce worker: claim completed buckets in completion order until every
-  // bucket is claimed or the step fails. Values cannot depend on claim order
-  // or worker count because buckets are disjoint and each bucket reduces
-  // parameter by parameter in replica-index order.
+  // bucket is claimed. Values cannot depend on claim order or worker count
+  // because buckets are disjoint and each bucket reduces parameter by
+  // parameter in replica-index order.
   void reduce_worker() LEGW_EXCLUDES(mu_) {
-    std::vector<int> participants;
-    std::vector<core::Tensor*> shards;
+    std::vector<core::Tensor*> shards(static_cast<std::size_t>(n_replicas_));
     while (true) {
       std::size_t b = 0;
       {
         core::MutexLock lock(mu_);
-        while (ready_.empty() && !failed_ && claimed_ < n_buckets_) {
+        if (ready_.empty() && claimed_ < n_buckets_) {
           const auto t0 = std::chrono::steady_clock::now();
-          bool got = true;
           {
             obs::Span idle_span("overlap_idle");
-            if (config_.bucket_timeout_ms > 0) {
-              const auto deadline =
-                  t0 + std::chrono::duration_cast<
-                           std::chrono::steady_clock::duration>(
-                           std::chrono::duration<double, std::milli>(
-                               config_.bucket_timeout_ms));
-              while (ready_.empty() && !failed_ && claimed_ < n_buckets_ &&
-                     cv_.wait_until(mu_, deadline) !=
-                         std::cv_status::timeout) {
-              }
-              got = !ready_.empty();
-            } else {
-              while (ready_.empty() && !failed_ && claimed_ < n_buckets_) {
-                cv_.wait(mu_);
-              }
-              got = !ready_.empty();
-            }
+            while (ready_.empty() && claimed_ < n_buckets_) cv_.wait(mu_);
           }
           result_.stats.idle_ns +=
               std::chrono::duration_cast<std::chrono::nanoseconds>(
                   std::chrono::steady_clock::now() - t0)
                   .count();
-          if (got || failed_ || claimed_ == n_buckets_) break;
-          if (!handle_timeout()) return;
         }
-        if (ready_.empty()) return;  // failed, or every bucket claimed
+        if (ready_.empty()) return;  // every bucket claimed
         b = ready_.front();
         ready_.pop_front();
         ++claimed_;
         if (claimed_ == n_buckets_) cv_.notify_all();
-        // Participant set snapshot: every currently-live replica delivered
-        // this bucket in full (guaranteed by try_enqueue; exclusion only
-        // shrinks the set and excluded replicas never rejoin).
-        participants.clear();
-        for (int r = 0; r < n_replicas_; ++r) {
-          if (excluded_[static_cast<std::size_t>(r)]) continue;
-          if (bucket_pending(b, r).load(std::memory_order_acquire) == 0) {
-            participants.push_back(r);
-          }
-        }
       }
       // Reduce outside the lock so replica threads keep signalling and other
       // workers keep claiming. The algorithm resolves once per bucket from
@@ -458,9 +266,8 @@ class OverlapEngine {
         payload += replica_params_[0][p].numel() *
                    static_cast<i64>(sizeof(float));
       }
-      const int n_parts = static_cast<int>(participants.size());
       const DistAlgo resolved =
-          choose_algorithm(config_.algo, payload, n_parts);
+          choose_algorithm(config_.algo, payload, n_replicas_);
       i64 wire_bytes = 0;
       double wire_us = 0.0;
       {
@@ -470,24 +277,18 @@ class OverlapEngine {
                                 : (resolved == DistAlgo::kHier
                                        ? "bucket_reduce.hier"
                                        : "bucket_reduce.tree"));
-        shards.resize(participants.size());
         for (std::size_t p : buckets_[b]) {
-          for (std::size_t i = 0; i < participants.size(); ++i) {
-            shards[i] = grads_[static_cast<std::size_t>(participants[i])][p];
+          for (std::size_t r = 0; r < shards.size(); ++r) {
+            shards[r] = grads_[r][p];
           }
-          // Residuals are keyed by engine index, not shard position: a
-          // replica excluded after a timeout must not shift the residual of
-          // every later replica.
           quantize_contributions(shards, config_.wire_format,
-                                 config_.wire_state, &participants, p);
+                                 config_.wire_state, p);
           allreduce_mean(shards, resolved);
           quantize_broadcast(shards, config_.wire_format);
-          wire_bytes += shards.empty()
-                            ? 0
-                            : allreduce_wire_bytes(n_parts, shards[0]->numel(),
-                                                   config_.wire_format);
+          wire_bytes += allreduce_wire_bytes(n_replicas_, shards[0]->numel(),
+                                             config_.wire_format);
         }
-        wire_us = config_.wire.allreduce_us(resolved, n_parts, payload,
+        wire_us = config_.wire.allreduce_us(resolved, n_replicas_, payload,
                                             config_.wire_format);
         sleep_us(wire_us);
       }
@@ -526,18 +327,13 @@ class OverlapEngine {
   // Per-replica slots written only by that replica's thread, read after
   // join.
   std::vector<float> losses_;
-  std::vector<char> ran_;
 
   core::Mutex mu_;
   core::CondVar cv_;
   std::deque<std::size_t> ready_ LEGW_GUARDED_BY(mu_);  // completion order
-  std::vector<char> enqueued_ LEGW_GUARDED_BY(mu_);
-  std::vector<char> excluded_ LEGW_GUARDED_BY(mu_);
   std::size_t claimed_ LEGW_GUARDED_BY(mu_) = 0;  // buckets taken by workers
-  bool failed_ LEGW_GUARDED_BY(mu_) = false;
-  std::string error_ LEGW_GUARDED_BY(mu_);
   // Shared between reduce workers (stats) and the finaliser; the pre-thread
-  // constructor fills n_buckets/dead_replicas before any worker exists.
+  // constructor fills n_buckets before any worker exists.
   OverlapResult result_ LEGW_GUARDED_BY(mu_);
 };
 
@@ -563,10 +359,8 @@ OverlapResult replica_backward_ex(
 float replica_backward(
     const std::vector<std::vector<ag::Variable>>& replica_params,
     const std::function<ag::Variable(int replica)>& loss_fn) {
-  const OverlapResult res =
-      replica_backward_ex(replica_params, loss_fn, ReplicaStepOptions{});
-  LEGW_CHECK(res.ok, "replica_backward: " + res.error);
-  return res.mean_loss;
+  return replica_backward_ex(replica_params, loss_fn, ReplicaStepOptions{})
+      .mean_loss;
 }
 
 i64 first_divergent_param(

@@ -23,14 +23,10 @@
 // reducing each replica's serial backward parameter by parameter
 // (tests/test_dist_overlap.cpp asserts this at 1/2/4/8 replicas).
 //
-// Fault injection: a seeded FaultPlan makes chosen replicas slow (straggler
-// delay before their backward starts) or dead (never launched, never
-// reports). A per-bucket timeout plus policy governs degradation: kFailFast
-// returns a clean error naming the stuck bucket and replicas;
-// kDegradeToSurvivors excludes the blocking replicas and reduces the mean
-// over the survivors, counting the event in OverlapStats and the
-// `replica_timeout` obs counter. Spans `replica_backward`, `bucket_reduce`
-// and `overlap_idle` make the overlap visible in Chrome traces.
+// Every replica contributes to every bucket: the replica set is fixed and
+// the reduction waits for all of it. Spans `replica_backward`,
+// `bucket_reduce` and `overlap_idle` make the overlap visible in Chrome
+// traces.
 #pragma once
 
 #include <functional>
@@ -46,35 +42,6 @@ class WireState;  // compression.hpp — error-feedback residuals
 
 using core::DistAlgo;
 using core::WireFormat;
-
-// A deterministic, seeded set of injected replica faults.
-struct FaultPlan {
-  enum class Kind {
-    kSlow,  // replica sleeps delay_ms before starting its backward
-    kDead   // replica never runs and never reports
-  };
-  struct Fault {
-    int replica = 0;
-    Kind kind = Kind::kSlow;
-    double delay_ms = 0.0;
-  };
-  std::vector<Fault> faults;
-
-  // Picks `count` distinct straggler replicas out of [0, n_replicas) with a
-  // seeded core::Rng, each delayed by delay_ms. Same seed, same plan.
-  static FaultPlan stragglers(u64 seed, int n_replicas, int count,
-                              double delay_ms);
-  static FaultPlan dead_replica(int replica);
-
-  bool is_dead(int replica) const;
-  // Total straggler delay for this replica (0 when unaffected).
-  double delay_ms_for(int replica) const;
-};
-
-enum class TimeoutPolicy {
-  kFailFast,           // return ok=false naming the stuck bucket/replicas
-  kDegradeToSurvivors  // exclude blockers, mean over surviving replicas
-};
 
 // Simulated wire cost of shipping one bucket through the all-reduce: the
 // communication thread sleeps the modelled critical-path time per bucket.
@@ -109,14 +76,8 @@ struct OverlapConfig {
   // whatever the caller left in them (micro-batch accumulation composes with
   // train::GradientAccumulator; see tests/test_train_extras.cpp).
   bool zero_grads = true;
-  // Max time the reducer waits with no completed bucket available before the
-  // timeout policy triggers. 0 = wait forever (required to be > 0 when the
-  // fault plan contains dead replicas, else the engine would hang).
-  double bucket_timeout_ms = 0.0;
-  TimeoutPolicy timeout_policy = TimeoutPolicy::kFailFast;
   // Simulated wire cost; it changes wall-clock time, never a value.
   WireModel wire;
-  const FaultPlan* faults = nullptr;  // not owned; nullptr = fault-free
   // Which all-reduce algorithm reduces each bucket; kAuto resolves per
   // bucket from its payload size (dist::choose_algorithm). Env default:
   // LEGW_DIST_ALGO.
@@ -138,9 +99,6 @@ struct OverlapConfig {
 struct OverlapStats {
   i64 n_buckets = 0;
   i64 buckets_reduced = 0;
-  i64 timeout_episodes = 0;
-  std::vector<int> dead_replicas;      // from the plan: never launched
-  std::vector<int> excluded_replicas;  // dead + degraded-away stragglers
   i64 idle_ns = 0;  // reducer time spent waiting for a completed bucket
   i64 wire_bytes = 0;      // simulated bytes on the wire (format-scaled)
   double wire_us = 0.0;    // modelled wire time slept, summed over buckets
@@ -150,9 +108,11 @@ struct OverlapStats {
 };
 
 struct OverlapResult {
-  bool ok = false;
-  std::string error;       // empty when ok
-  float mean_loss = 0.0f;  // over the replicas that ran, in index order
+  // The engine reduces over every replica and has no failure mode: ok is
+  // always true and error always empty.
+  bool ok = true;
+  std::string error;
+  float mean_loss = 0.0f;  // over every replica, summed in index order
   OverlapStats stats;
 };
 
@@ -169,12 +129,11 @@ OverlapConfig default_overlap_config();
 
 // One data-parallel backward pass: replica_params[r] are replica r's
 // parameters (aligned across r), loss_fn(r) builds replica r's shard loss
-// from replica r's parameters only, and on success every non-excluded
-// replica's gradients hold the element-wise mean over the participating
-// replicas (shard-mean losses over equal shards therefore yield the
-// global-batch mean gradient). Gradients are zeroed first unless
-// config.zero_grads is false. loss_fn runs concurrently, one thread per live
-// replica.
+// from replica r's parameters only, and afterwards every replica's gradients
+// hold the element-wise mean over all replicas (shard-mean losses over equal
+// shards therefore yield the global-batch mean gradient). Gradients are
+// zeroed first unless config.zero_grads is false. loss_fn runs concurrently,
+// one thread per replica.
 OverlapResult overlapped_backward(
     const std::vector<std::vector<ag::Variable>>& replica_params,
     const std::function<ag::Variable(int replica)>& loss_fn,
@@ -193,9 +152,7 @@ OverlapResult replica_backward_ex(
     const std::function<ag::Variable(int replica)>& loss_fn,
     const ReplicaStepOptions& options);
 
-// replica_backward_ex with default options. Returns the mean shard loss;
-// aborts if the engine reports failure (no fault plan is installed here, so
-// a failure is a programming error, not an injected fault).
+// replica_backward_ex with default options. Returns the mean shard loss.
 float replica_backward(
     const std::vector<std::vector<ag::Variable>>& replica_params,
     const std::function<ag::Variable(int replica)>& loss_fn);

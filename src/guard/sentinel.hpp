@@ -106,7 +106,7 @@ struct HealthSignals {
 };
 
 // Seeded, deterministic anomaly injection — the guard twin of
-// ckpt::CrashPlan / dist::FaultPlan. Steps match the runner's optimizer step
+// ckpt::CrashPlan. Steps match the runner's optimizer step
 // index; each anomaly fires at most once per run (the fired set persists in
 // the sentinel state, so the post-rollback replay of the same step is
 // clean and a resumed run does not re-fire).

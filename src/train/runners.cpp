@@ -437,13 +437,19 @@ RunResult run(Task& task, const RunConfig& cfg, const char* name) {
   RunResult result;
   const i64 spe = task.steps_per_epoch;
   GuardHook gd(cfg);
+  // The loss of the last completed step rides in every checkpoint, so a
+  // resume that runs no step still reports the straight run's
+  // final_train_loss.
+  core::Tensor last_loss = core::Tensor::zeros({1});
   CkptHook ck(cfg, spe, [&](ckpt::TrainState& state) {
     state.models = task.models;
     state.optimizers = task.opts;
     if (task.fill) task.fill(state);
     gd.fill_extra(state);
+    state.extra.emplace_back("train.last_loss", &last_loss);
   });
   i64 start_step = ck.maybe_restore(&result);
+  if (start_step > 0) result.final_train_loss = last_loss[0];
 
   // The outer restart loop re-enters training after a sentinel rollback:
   // the task replays its data stream to the restored step, exactly like a
@@ -486,6 +492,7 @@ RunResult run(Task& task, const RunConfig& cfg, const char* name) {
                          gd.effective_clip())) {
           break;
         }
+        last_loss[0] = static_cast<float>(loss_value);
         if (!ck.after_step(step + 1, &result)) break;
         gd.after_save(ck, step + 1);
       }
@@ -647,7 +654,7 @@ RunResult train_mnist(const data::SyntheticMnist& dataset,
     step_opts.wire_state = wire_state.get();
     const dist::OverlapResult res =
         dist::replica_backward_ex(replica_params, loss_fn, step_opts);
-    // No fault plan or timeout is installed, so a failure is a bug.
+    // The engine reduces over every replica and never fails.
     LEGW_CHECK(res.ok, "train_mnist: " + res.error);
     return res.mean_loss;
   };

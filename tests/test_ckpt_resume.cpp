@@ -269,7 +269,7 @@ TEST(CkptResume, TornPublishIsDetectedAndSkipped) {
 // A run killed after its last checkpoint but before (or during) its final
 // eval resumes at the end: no step is left, yet the eval tail must still
 // run, so the resumed run reports the straight run's metric rather than the
-// never-evaluated worst value.
+// never-evaluated worst value, and its last step's loss rather than 0.
 TEST(CkptResume, ResumingAFinishedRunReportsItsMetric) {
   data::SyntheticMnist dataset(128, 32, 42);
   models::MnistLstmConfig mcfg;
@@ -297,6 +297,7 @@ TEST(CkptResume, ResumingAFinishedRunReportsItsMetric) {
   EXPECT_EQ(again.steps, 0);
   EXPECT_FALSE(again.interrupted);
   EXPECT_EQ(again.final_metric, first.final_metric);
+  EXPECT_EQ(again.final_train_loss, first.final_train_loss);
   ASSERT_EQ(again.per_epoch_metric.size(), 1u);
   EXPECT_EQ(again.per_epoch_metric[0], first.per_epoch_metric.back());
   EXPECT_EQ(rec.find_series("train_loss"), nullptr) << "no step may run";
@@ -308,8 +309,9 @@ TEST(CkptResume, ResumingAFinishedRunReportsItsMetric) {
 
 // The same contract for any runner: a straight run checkpointing at its last
 // step, then a resume from that checkpoint with no step left. The resumed
-// run must report the straight run's metric from its one eval tail and leave
-// the parameters bit for bit as the straight run left them.
+// run must report the straight run's metric from its one eval tail and its
+// last step's loss, and leave the parameters bit for bit as the straight run
+// left them.
 void expect_finished_resume(const Runner& go, const RunConfig& base,
                             i64 every_steps, const std::string& tag) {
   TempDir dir("finished_" + tag);
@@ -331,6 +333,7 @@ void expect_finished_resume(const Runner& go, const RunConfig& base,
   EXPECT_EQ(again.steps, 0) << tag;
   EXPECT_FALSE(again.interrupted) << tag;
   EXPECT_EQ(again.final_metric, first.final_metric) << tag;
+  EXPECT_EQ(again.final_train_loss, first.final_train_loss) << tag;
   ASSERT_EQ(again.per_epoch_metric.size(), 1u) << tag;
   EXPECT_EQ(again.per_epoch_metric[0], first.per_epoch_metric.back()) << tag;
   EXPECT_EQ(rec.find_series("train_loss"), nullptr) << tag << ": a step ran";

@@ -86,8 +86,7 @@ TEST(Fp16Allreduce, CloseToExactMean) {
   for (auto& t : shards) ptrs.push_back(&t);
   // The engine's fp16 wire: quantize each contribution at the sender, sum
   // in fp32, quantize the mean once more for the broadcast.
-  dist::quantize_contributions(ptrs, core::WireFormat::kFp16, nullptr,
-                               nullptr, 0);
+  dist::quantize_contributions(ptrs, core::WireFormat::kFp16, nullptr, 0);
   dist::tree_allreduce_mean(ptrs);
   dist::quantize_broadcast(ptrs, core::WireFormat::kFp16);
   for (i64 j = 0; j < 32; ++j) {

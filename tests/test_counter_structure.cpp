@@ -89,7 +89,7 @@ TEST(CounterStructure, MnistReplicasCheckpointsGuardObserve) {
   ASSERT_FALSE(result.diverged);
   ASSERT_EQ(result.steps, 8);
   EXPECT_EQ(got, (Counters{{"bucket_reduce", 8},
-                            {"ckpt_bytes", 45408},
+                            {"ckpt_bytes", 45486},
                             {"ckpt_writes", 2},
                             {"dispatch.gemm.blocked", 2402},
                             {"dispatch.lstm_cell.backward", 448},

@@ -1,10 +1,12 @@
 // The bucketed data-parallel engine: grad-ready hook semantics, bitwise
 // equivalence with a serial oracle at 1/2/4/8 replicas, wire-model
-// invariance, fault injection (stragglers, dead replicas, degrade and
-// fail-fast policies) and observability.
+// invariance, independence from the order replicas finish in, and
+// observability.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <functional>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -280,159 +282,60 @@ TEST(OverlapEngine, AutoPolicyResolvesPerBucket) {
   EXPECT_EQ(res.stats.buckets_tree, 0);
 }
 
-// ---- fault injection --------------------------------------------------------
+// ---- arrival order -----------------------------------------------------------
 
-// Simple per-replica graphs with replica-dependent gradients: w starts at
-// (r+1, r+2, ...), loss = mean(w*w), so d loss / d w = w / 2 differs across
-// replicas and survivor means are distinguishable from full means.
-std::vector<std::vector<ag::Variable>> make_leaf_replicas(int n, i64 numel) {
-  std::vector<std::vector<ag::Variable>> params;
-  for (int r = 0; r < n; ++r) {
-    Tensor w({numel});
-    for (i64 i = 0; i < numel; ++i) {
-      w[i] = static_cast<float>(r + 1) + 0.25f * static_cast<float>(i);
-    }
-    params.push_back({ag::Variable::leaf(w, true)});
-  }
-  return params;
-}
+class ArrivalOrderTest : public ::testing::TestWithParam<int> {};
 
-ag::Variable leaf_loss(const std::vector<std::vector<ag::Variable>>& params,
-                       int r) {
-  const ag::Variable& w = params[static_cast<std::size_t>(r)][0];
-  return ag::mean_all(ag::mul(w, w));
-}
-
-TEST(FaultInjection, SeededStragglersDoNotChangeResults) {
+TEST_P(ArrivalOrderTest, ReverseFinishOrderMatchesSerialOracle) {
+  // Lower replica indices sleep longer before building their loss, so the
+  // replicas deliver their gradients in reverse index order. Completion
+  // order may only change when a bucket reduces, never what it holds: the
+  // result stays bitwise that of the serial oracle, at one and at two
+  // communication threads.
   const int n = 4;
   data::SyntheticMnist dataset(64, 16, 42);
-  ReplicaSet clean_set = make_replicas(n);
-  ReplicaSet slow_set = make_replicas(n);
   std::vector<i64> idx = {0, 1, 2, 3, 4, 5, 6, 7};
-  auto loss_fn = [&](ReplicaSet& set) {
-    return [&set, &dataset, &idx](int r) {
+  auto loss_fn = [&](ReplicaSet& set, bool stagger) {
+    return [&set, &dataset, &idx, stagger](int r) {
+      if (stagger) {
+        const int later = static_cast<int>(set.models.size()) - r;
+        std::this_thread::sleep_for(std::chrono::milliseconds(15 * later));
+      }
       std::vector<i64> sh(idx.begin() + r * 2, idx.begin() + (r + 1) * 2);
       return set.models[static_cast<std::size_t>(r)]->loss(
           dataset.gather_images(sh, true), dataset.gather_labels(sh, true));
     };
   };
 
+  ReplicaSet oracle = make_replicas(n);
+  const float oracle_loss =
+      serial_oracle_backward(oracle.params, loss_fn(oracle, false));
+
+  ReplicaSet set = make_replicas(n);
   OverlapConfig config;
   config.bucket_bytes = 1024;
-  const OverlapResult clean =
-      overlapped_backward(clean_set.params, loss_fn(clean_set), config);
-
-  const FaultPlan plan = FaultPlan::stragglers(/*seed=*/11, n, /*count=*/2,
-                                               /*delay_ms=*/25.0);
-  ASSERT_EQ(plan.faults.size(), 2u);
-  OverlapConfig slow_config = config;
-  slow_config.faults = &plan;
-  const OverlapResult slow =
-      overlapped_backward(slow_set.params, loss_fn(slow_set), slow_config);
-
-  ASSERT_TRUE(clean.ok) << clean.error;
-  ASSERT_TRUE(slow.ok) << slow.error;
-  EXPECT_TRUE(slow.stats.excluded_replicas.empty());
-  EXPECT_EQ(slow.mean_loss, clean.mean_loss);
-  for (std::size_t p = 0; p < clean_set.params[0].size(); ++p) {
-    const Tensor& want = clean_set.params[0][p].grad();
-    const Tensor& got = slow_set.params[0][p].grad();
-    for (i64 i = 0; i < want.numel(); ++i) {
-      ASSERT_EQ(got[i], want[i]) << "slowness changed values: param " << p;
+  config.comm_threads = GetParam();
+  const OverlapResult res =
+      overlapped_backward(set.params, loss_fn(set, true), config);
+  EXPECT_GT(res.stats.n_buckets, 1);
+  EXPECT_EQ(res.stats.buckets_reduced, res.stats.n_buckets);
+  EXPECT_EQ(res.mean_loss, oracle_loss);
+  for (int r = 0; r < n; ++r) {
+    const auto rs = static_cast<std::size_t>(r);
+    for (std::size_t p = 0; p < oracle.params[0].size(); ++p) {
+      const Tensor& want = oracle.params[rs][p].grad();
+      const Tensor& got = set.params[rs][p].grad();
+      ASSERT_EQ(want.numel(), got.numel());
+      for (i64 i = 0; i < want.numel(); ++i) {
+        ASSERT_EQ(got[i], want[i])
+            << "replica " << r << " param " << p << " elem " << i;
+      }
     }
   }
 }
 
-TEST(FaultInjection, SeededStragglersAreDeterministic) {
-  const FaultPlan a = FaultPlan::stragglers(77, 8, 3, 10.0);
-  const FaultPlan b = FaultPlan::stragglers(77, 8, 3, 10.0);
-  ASSERT_EQ(a.faults.size(), 3u);
-  for (std::size_t i = 0; i < a.faults.size(); ++i) {
-    EXPECT_EQ(a.faults[i].replica, b.faults[i].replica);
-  }
-}
-
-TEST(FaultInjection, DeadReplicaDegradesToSurvivorMean) {
-  const int n = 4;
-  const i64 numel = 8;
-  const bool was_tracing = obs::tracing_enabled();
-  obs::set_tracing_enabled(true);
-  obs::TraceRecorder::global().clear();
-
-  auto params = make_leaf_replicas(n, numel);
-  const FaultPlan plan = FaultPlan::dead_replica(2);
-  OverlapConfig config;
-  config.faults = &plan;
-  config.bucket_timeout_ms = 250.0;
-  config.timeout_policy = TimeoutPolicy::kDegradeToSurvivors;
-  const OverlapResult res = overlapped_backward(
-      params, [&](int r) { return leaf_loss(params, r); }, config);
-
-  ASSERT_TRUE(res.ok) << res.error;
-  ASSERT_EQ(res.stats.dead_replicas.size(), 1u);
-  EXPECT_EQ(res.stats.dead_replicas[0], 2);
-  ASSERT_EQ(res.stats.excluded_replicas.size(), 1u);
-  EXPECT_EQ(res.stats.excluded_replicas[0], 2);
-  EXPECT_GE(res.stats.timeout_episodes, 1);
-
-  // Expected survivor mean, built independently: per-replica gradients from
-  // standalone backward passes, reduced with the same deterministic tree.
-  std::vector<Tensor> expected_grads;
-  for (int r : {0, 1, 3}) {
-    auto solo = make_leaf_replicas(n, numel);
-    ag::backward(leaf_loss(solo, r));
-    expected_grads.push_back(solo[static_cast<std::size_t>(r)][0].grad());
-  }
-  std::vector<Tensor*> shards;
-  for (auto& t : expected_grads) shards.push_back(&t);
-  tree_allreduce_mean(shards);
-
-  for (int r : {0, 1, 3}) {
-    const Tensor& got = params[static_cast<std::size_t>(r)][0].grad();
-    for (i64 i = 0; i < numel; ++i) {
-      ASSERT_EQ(got[i], expected_grads[0][i])
-          << "survivor " << r << " elem " << i;
-    }
-  }
-  // The dead replica contributed nothing and received nothing.
-  const Tensor& dead = params[2][0].grad();
-  for (i64 i = 0; i < numel; ++i) EXPECT_EQ(dead[i], 0.0f);
-
-  const auto counters = obs::TraceRecorder::global().counters();
-  const auto it = counters.find("replica_timeout");
-  ASSERT_NE(it, counters.end());
-  EXPECT_EQ(it->second, 1);
-
-  obs::TraceRecorder::global().clear();
-  obs::set_tracing_enabled(was_tracing);
-}
-
-TEST(FaultInjection, FailFastReportsCleanErrorWithoutHanging) {
-  const int n = 3;
-  auto params = make_leaf_replicas(n, 4);
-  const FaultPlan plan = FaultPlan::dead_replica(1);
-  OverlapConfig config;
-  config.faults = &plan;
-  config.bucket_timeout_ms = 100.0;
-  config.timeout_policy = TimeoutPolicy::kFailFast;
-  const OverlapResult res = overlapped_backward(
-      params, [&](int r) { return leaf_loss(params, r); }, config);
-  EXPECT_FALSE(res.ok);
-  EXPECT_NE(res.error.find("timed out"), std::string::npos) << res.error;
-  EXPECT_NE(res.error.find("[1]"), std::string::npos) << res.error;
-  EXPECT_LT(res.stats.buckets_reduced, res.stats.n_buckets);
-}
-
-TEST(FaultInjection, DeadReplicaWithoutTimeoutIsRejected) {
-  auto params = make_leaf_replicas(2, 4);
-  const FaultPlan plan = FaultPlan::dead_replica(0);
-  OverlapConfig config;
-  config.faults = &plan;  // bucket_timeout_ms left at 0
-  EXPECT_DEATH(overlapped_backward(
-                   params, [&](int r) { return leaf_loss(params, r); },
-                   config),
-               "requires");
-}
+INSTANTIATE_TEST_SUITE_P(CommThreads, ArrivalOrderTest,
+                         ::testing::Values(1, 2));
 
 // ---- observability ----------------------------------------------------------
 
