@@ -1,9 +1,10 @@
 // The bucketed data-parallel engine: grad-ready hook semantics, bitwise
 // equivalence with a serial oracle at 1/2/4/8 replicas, wire-model
-// invariance, independence from the order replicas finish in, and
-// observability.
+// invariance, independence from the order replicas finish in (including
+// seeded stragglers the tests inject), the mean loss and observability.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <thread>
@@ -335,7 +336,140 @@ TEST_P(ArrivalOrderTest, ReverseFinishOrderMatchesSerialOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(CommThreads, ArrivalOrderTest,
-                         ::testing::Values(1, 2));
+                         ::testing::Values(1, 2, 4));
+
+// ---- fault injection ----------------------------------------------------------
+
+// Straggler delays drawn from a seed: `count` distinct replicas of `n` sleep
+// `delay_ms` before building their loss, the rest not at all. The delay is
+// injected by the test's own loss_fn; the engine has no fault hooks.
+std::vector<int> seeded_straggler_delays(u64 seed, int n, int count,
+                                         int delay_ms) {
+  std::vector<int> delays(static_cast<std::size_t>(n), 0);
+  Rng rng(seed);
+  for (int picked = 0; picked < count;) {
+    const auto r = static_cast<std::size_t>(rng.uniform_int(
+        static_cast<u64>(n)));
+    if (delays[r] != 0) continue;
+    delays[r] = delay_ms;
+    ++picked;
+  }
+  return delays;
+}
+
+std::function<ag::Variable(int)> straggled_mnist_loss(
+    ReplicaSet& set, const data::SyntheticMnist& dataset,
+    const std::vector<int>& delays_ms) {
+  return [&set, &dataset, delays_ms](int r) {
+    const auto rs = static_cast<std::size_t>(r);
+    if (!delays_ms.empty() && delays_ms[rs] > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(delays_ms[rs]));
+    }
+    std::vector<i64> sh = {2 * r, 2 * r + 1};
+    return set.models[rs]->loss(dataset.gather_images(sh, true),
+                                dataset.gather_labels(sh, true));
+  };
+}
+
+void expect_same_grads(const ReplicaSet& want, const ReplicaSet& got,
+                       const char* what) {
+  ASSERT_EQ(want.params.size(), got.params.size());
+  for (std::size_t r = 0; r < want.params.size(); ++r) {
+    for (std::size_t p = 0; p < want.params[r].size(); ++p) {
+      const Tensor& w = want.params[r][p].grad();
+      const Tensor& g = got.params[r][p].grad();
+      ASSERT_EQ(w.numel(), g.numel());
+      for (i64 i = 0; i < w.numel(); ++i) {
+        ASSERT_EQ(g[i], w[i]) << what << ": replica " << r << " param " << p
+                              << " elem " << i;
+      }
+    }
+  }
+}
+
+TEST(FaultInjection, SeededStragglersDoNotChangeResults) {
+  const int n = 4;
+  data::SyntheticMnist dataset(64, 16, 42);
+  OverlapConfig config;
+  config.bucket_bytes = 1024;
+
+  ReplicaSet clean_set = make_replicas(n);
+  const OverlapResult clean = overlapped_backward(
+      clean_set.params, straggled_mnist_loss(clean_set, dataset, {}), config);
+
+  const std::vector<int> delays =
+      seeded_straggler_delays(/*seed=*/11, n, /*count=*/2, /*delay_ms=*/25);
+  ASSERT_EQ(std::count(delays.begin(), delays.end(), 25), 2);
+  ReplicaSet slow_set = make_replicas(n);
+  const OverlapResult slow = overlapped_backward(
+      slow_set.params, straggled_mnist_loss(slow_set, dataset, delays),
+      config);
+
+  ASSERT_TRUE(clean.ok) << clean.error;
+  ASSERT_TRUE(slow.ok) << slow.error;
+  EXPECT_EQ(slow.stats.buckets_reduced, slow.stats.n_buckets);
+  EXPECT_EQ(slow.mean_loss, clean.mean_loss);
+  expect_same_grads(clean_set, slow_set, "slowness changed values");
+}
+
+TEST(FaultInjection, SeededStragglersAreDeterministic) {
+  // The same seed slows the same replicas, and two runs under it with two
+  // communication threads agree bit for bit: straggling changes when a
+  // bucket reduces, never what it holds.
+  const std::vector<int> a = seeded_straggler_delays(77, 8, 3, 10);
+  const std::vector<int> b = seeded_straggler_delays(77, 8, 3, 10);
+  ASSERT_EQ(std::count(a.begin(), a.end(), 10), 3);
+  EXPECT_EQ(a, b);
+
+  const int n = 4;
+  data::SyntheticMnist dataset(64, 16, 42);
+  const std::vector<int> delays = seeded_straggler_delays(77, n, 2, 20);
+  OverlapConfig config;
+  config.bucket_bytes = 1024;
+  config.comm_threads = 2;
+  ReplicaSet first = make_replicas(n);
+  const OverlapResult one = overlapped_backward(
+      first.params, straggled_mnist_loss(first, dataset, delays), config);
+  ReplicaSet second = make_replicas(n);
+  const OverlapResult two = overlapped_backward(
+      second.params, straggled_mnist_loss(second, dataset, delays), config);
+  EXPECT_GT(one.stats.n_buckets, 1);
+  EXPECT_EQ(one.mean_loss, two.mean_loss);
+  expect_same_grads(first, second, "straggled reruns differ");
+}
+
+// ---- result ---------------------------------------------------------------------
+
+TEST(OverlapEngine, MeanLossSumsEveryReplicaInIndexOrder) {
+  // Per-replica losses of very different magnitudes make float addition
+  // order visible: mean_loss must be the index-order sum over all replicas
+  // divided by their count, and the result reports no error.
+  const int n = 4;
+  const std::vector<float> scale = {1.0e8f, 1.0f, -1.0e8f, 3.0f};
+  std::vector<std::vector<ag::Variable>> params;
+  for (int r = 0; r < n; ++r) {
+    params.push_back({ag::Variable::leaf(Tensor({2}, {1.0f, 2.0f}), true)});
+  }
+  auto loss_fn = [&](int r) {
+    const auto rs = static_cast<std::size_t>(r);
+    return ag::sum_all(ag::mul(
+        params[rs][0],
+        ag::Variable::leaf(Tensor({2}, {scale[rs], 0.0f}), false)));
+  };
+  const OverlapResult res = overlapped_backward(params, loss_fn);
+  EXPECT_TRUE(res.ok);
+  EXPECT_TRUE(res.error.empty()) << res.error;
+  float sum = 0.0f;
+  for (const float s : scale) sum += s;
+  EXPECT_EQ(res.mean_loss, sum / static_cast<float>(n));
+  // (1e8 + 1) rounds to 1e8 in float; the reverse order would give 0.
+  EXPECT_EQ(res.mean_loss, 0.75f);
+  for (int r = 1; r < n; ++r) {
+    const Tensor& g = params[static_cast<std::size_t>(r)][0].grad();
+    EXPECT_EQ(g[0], params[0][0].grad()[0]) << "replica " << r;
+    EXPECT_EQ(g[1], 0.0f) << "replica " << r;
+  }
+}
 
 // ---- observability ----------------------------------------------------------
 

@@ -1,18 +1,20 @@
 // Quantized gradient wire battery (dist/compression): fp16 and int8 edge
 // values — subnormals, +-inf, the NaN tripwire interplay — the error-feedback
 // residual staying bounded (and compensating) over 100 steps and staying
-// with its own replica, zero-element
+// with its own replica whatever order the replicas finish in, zero-element
 // and all-zero shards through the full wire, replica bit-synchrony under a
 // lossy wire, and convergence parity of quantized training against the fp32
 // wire.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ag/ops.hpp"
@@ -304,6 +306,76 @@ TEST(ErrorFeedback, EachReplicaKeepsItsOwnResidualSlot) {
     }
   }
 }
+
+// Each of four replicas late in turn, over two steps of the full engine on
+// the int8 wire: the late replica delivers its gradient after the others,
+// yet every replica must still feed back into its own residual, and the
+// second step feeds the first step's residuals back in, so a replica that
+// read another's slot would ship the wrong correction.
+class LateReplicaResidual : public ::testing::TestWithParam<int> {};
+
+TEST_P(LateReplicaResidual, EveryReplicaFeedsBackItsOwnResidualOverTwoSteps) {
+  const int n = 4;
+  const int late = GetParam();
+  const i64 numel = 16;
+  auto params = one_param_replicas(n, numel);
+  WireState state(params);
+  OverlapConfig config;
+  config.wire_format = WireFormat::kInt8;
+  config.wire_state = &state;
+
+  Rng rng(61);
+  std::vector<Tensor> want_residual(static_cast<std::size_t>(n),
+                                    Tensor::zeros({numel}));
+  for (int step = 0; step < 2; ++step) {
+    std::vector<Tensor> coeffs;  // d loss_r / d param_r, exactly
+    for (int r = 0; r < n; ++r) {
+      Tensor c({numel});
+      for (i64 i = 0; i < numel; ++i) {
+        c[i] = static_cast<float>(r + 1) *
+               static_cast<float>(rng.uniform(-1.0, 1.0));
+      }
+      coeffs.push_back(std::move(c));
+    }
+    const OverlapResult res = overlapped_backward(
+        params,
+        [&](int r) {
+          if (r == late) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          }
+          const auto i = static_cast<std::size_t>(r);
+          return ag::sum_all(ag::mul(
+              params[i][0], ag::Variable::leaf(coeffs[i], false)));
+        },
+        config);
+    ASSERT_EQ(res.stats.buckets_reduced, res.stats.n_buckets);
+
+    for (int r = 0; r < n; ++r) {
+      Tensor& want = want_residual[static_cast<std::size_t>(r)];
+      Tensor v = coeffs[static_cast<std::size_t>(r)];
+      for (i64 i = 0; i < numel; ++i) v[i] += want[i];
+      Tensor q = v;
+      wire_roundtrip(WireFormat::kInt8, q);
+      for (i64 i = 0; i < numel; ++i) want[i] = v[i] - q[i];
+    }
+    for (int r = 0; r < n; ++r) {
+      for (i64 i = 0; i < numel; ++i) {
+        ASSERT_EQ(state.residual(r, 0)[i],
+                  want_residual[static_cast<std::size_t>(r)][i])
+            << "step " << step << " replica " << r << " elem " << i;
+        ASSERT_EQ(params[static_cast<std::size_t>(r)][0].grad()[i],
+                  params[0][0].grad()[i])
+            << "step " << step << " replica " << r << " out of sync";
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LateReplica, LateReplicaResidual, ::testing::Values(0, 1, 2, 3),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return "late" + std::to_string(info.param);
+    });
 
 TEST(ErrorFeedback, BroadcastKeepsShardsBitIdentical) {
   Rng rng(41);
