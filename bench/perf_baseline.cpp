@@ -1,8 +1,8 @@
 // Kernel performance baseline: times gemm_ref vs gemm_blocked over the GEMM
 // shapes the real models hit (square sweeps, LSTM gate matmuls, GNMT
-// attention, ResNet im2col) plus the fused LSTM cell and the LSTM layer
-// node over a window, and emits BENCH_kernels.json so future PRs can track
-// per-shape regressions.
+// attention, ResNet im2col) plus the fused LSTM cell, the LSTM layer node
+// over a window and the conv2d op at the ResNet stage shapes, and emits
+// BENCH_kernels.json so future PRs can track per-shape regressions.
 // The output names the micro-kernel compiled into gemm_blocked ("avx512" or
 // "scalar"), since the GFLOP/s mean little without it.
 //
@@ -179,6 +179,42 @@ LayerResult lstm_layer_rate(i64 batch, i64 hidden, i64 steps, int reps,
   return res;
 }
 
+// One 3x3, stride 1, pad 1 conv2d (C in and out channels, H x W images) at
+// batch B: milliseconds per batch for the op's forward and for its backward
+// (dX, dW and the bias gradient). The input is a fresh leaf each batch, as
+// an activation is in a training step, so the backward pays for x.grad.
+struct ConvResult {
+  i64 batch, channels, hw;
+  double fwd_ms = 0.0, bwd_ms = 0.0;
+};
+
+ConvResult conv2d_rate(i64 batch, i64 channels, i64 hw, int reps,
+                       double min_ms) {
+  ConvResult res{batch, channels, hw};
+  Rng rng(11);
+  const Tensor x0 = Tensor::randn({batch, channels, hw, hw}, rng);
+  const Tensor g = Tensor::randn({batch, channels, hw, hw}, rng);
+  const ag::Variable w = ag::Variable::leaf(
+      Tensor::randn({channels, channels, 3, 3}, rng, 0.1f), true);
+  const ag::Variable b = ag::Variable::leaf(Tensor::zeros({channels}), true);
+  double fwd = 0.0, bwd = 0.0;
+  int done = -1;  // the first batch warms up and is not counted
+  while (done < std::max(reps, 1) || (fwd + bwd) * 1e3 < min_ms) {
+    if (done == 0) fwd = bwd = 0.0;
+    const ag::Variable x = ag::Variable::leaf(x0, true);
+    const double t0 = now_seconds();
+    const ag::Variable y = ag::conv2d(x, w, b, 1, 1);
+    const double t1 = now_seconds();
+    ag::backward(y, &g);
+    fwd += t1 - t0;
+    bwd += now_seconds() - t1;
+    ++done;
+  }
+  res.fwd_ms = fwd / done * 1e3;
+  res.bwd_ms = bwd / done * 1e3;
+  return res;
+}
+
 // Re-runs every shape a few times under tracing so the phase summary in the
 // output JSON has per-kernel rows. Kept separate from the timed loops above:
 // those run with tracing in its default (disabled) state so the reported
@@ -316,6 +352,28 @@ int main(int argc, char** argv) {
                  r.chain_fwd_ms / r.layer_fwd_ms,
                  r.chain_bwd_ms / r.layer_bwd_ms,
                  i + 1 < layer_shapes.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+
+  // conv2d at the three stage shapes of resnet-b256-t4 (B=256, width 8,
+  // 16x16 images): 8 channels at 16x16, 16 at 8x8, 32 at 4x4.
+  std::fprintf(f, "  \"conv2d\": [\n");
+  const std::vector<std::array<i64, 3>> conv_shapes = {
+      {256, 8, 16}, {256, 16, 8}, {256, 32, 4}};
+  for (std::size_t i = 0; i < conv_shapes.size(); ++i) {
+    const auto [batch, channels, hw] = conv_shapes[i];
+    const ConvResult r = conv2d_rate(batch, channels, hw, reps, min_ms);
+    std::printf("conv2d b=%-4lld c=%-3lld hw=%-3lld k=3  fwd %.3f ms  bwd "
+                "%.3f ms\n",
+                static_cast<long long>(batch),
+                static_cast<long long>(channels), static_cast<long long>(hw),
+                r.fwd_ms, r.bwd_ms);
+    std::fprintf(f,
+                 "    {\"batch\": %lld, \"channels\": %lld, \"hw\": %lld, "
+                 "\"kernel\": 3, \"fwd_ms\": %.4f, \"bwd_ms\": %.4f}%s\n",
+                 static_cast<long long>(batch),
+                 static_cast<long long>(channels), static_cast<long long>(hw),
+                 r.fwd_ms, r.bwd_ms, i + 1 < conv_shapes.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
 

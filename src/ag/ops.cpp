@@ -5,19 +5,42 @@
 
 #include "check/contracts.hpp"
 #include "core/kernels.hpp"
+#include "core/thread_pool.hpp"
 
 namespace legw::ag {
 
+using core::grain_for;
 using legw::i32;
 using legw::i64;
 
+// add and relu are split over elements on the pool (one element per item);
+// every element is computed exactly as the serial loop computes it.
 Variable add(const Variable& a, const Variable& b) {
   check::expect_same_shape(a.value(), b.value(), "add");
-  Tensor out = a.value() + b.value();
+  Tensor out = Tensor::uninit(a.value().shape());
+  const float* ap = a.value().data();
+  const float* bp = b.value().data();
+  float* o = out.data();
+  core::parallel_for(0, out.numel(), grain_for(1), [&](i64 i0, i64 i1) {
+    for (i64 i = i0; i < i1; ++i) o[i] = ap[i] + bp[i];
+  });
   return make_op_node("add", std::move(out), {a, b}, [](Node& n) {
-    for (int i = 0; i < 2; ++i) {
-      if (n.parents[i]->requires_grad) n.parents[i]->ensure_grad().add_(n.grad);
-    }
+    // Both buffers are created here, before any worker writes; a == b makes
+    // them one buffer that takes the gradient twice, as the serial loop did.
+    float* ga = n.parents[0]->requires_grad
+                    ? n.parents[0]->ensure_grad().data()
+                    : nullptr;
+    float* gb = n.parents[1]->requires_grad
+                    ? n.parents[1]->ensure_grad().data()
+                    : nullptr;
+    if (ga == nullptr && gb == nullptr) return;
+    const float* g = n.grad.data();
+    core::parallel_for(0, n.grad.numel(), grain_for(1), [&](i64 i0, i64 i1) {
+      if (ga != nullptr)
+        for (i64 i = i0; i < i1; ++i) ga[i] += g[i];
+      if (gb != nullptr)
+        for (i64 i = i0; i < i1; ++i) gb[i] += g[i];
+    });
   });
 }
 
@@ -158,7 +181,7 @@ Variable matmul(const Variable& a, const Variable& b, bool trans_a,
 }
 
 Variable sigmoid(const Variable& a) {
-  Tensor out(a.value().shape());
+  Tensor out = Tensor::uninit(a.value().shape());
   core::sigmoid_forward(a.value().data(), out.data(), out.numel());
   Tensor saved = out;
   return make_op_node("sigmoid", std::move(out), {a}, [saved](Node& n) {
@@ -169,7 +192,7 @@ Variable sigmoid(const Variable& a) {
 }
 
 Variable tanh(const Variable& a) {
-  Tensor out(a.value().shape());
+  Tensor out = Tensor::uninit(a.value().shape());
   core::tanh_forward(a.value().data(), out.data(), out.numel());
   Tensor saved = out;
   return make_op_node("tanh", std::move(out), {a}, [saved](Node& n) {
@@ -180,12 +203,20 @@ Variable tanh(const Variable& a) {
 }
 
 Variable relu(const Variable& a) {
-  Tensor out(a.value().shape());
-  core::relu_forward(a.value().data(), out.data(), out.numel());
+  Tensor out = Tensor::uninit(a.value().shape());
+  const float* x = a.value().data();
+  float* y = out.data();
+  core::parallel_for(0, out.numel(), grain_for(1), [&](i64 i0, i64 i1) {
+    core::relu_forward(x + i0, y + i0, i1 - i0);
+  });
   return make_op_node("relu", std::move(out), {a}, [](Node& n) {
     if (!n.parents[0]->requires_grad) return;
-    core::relu_backward(n.parents[0]->value.data(), n.grad.data(),
-                        n.parents[0]->ensure_grad().data(), n.grad.numel());
+    const float* x = n.parents[0]->value.data();
+    const float* dy = n.grad.data();
+    float* dx = n.parents[0]->ensure_grad().data();
+    core::parallel_for(0, n.grad.numel(), grain_for(1), [&](i64 i0, i64 i1) {
+      core::relu_backward(x + i0, dy + i0, dx + i0, i1 - i0);
+    });
   });
 }
 
@@ -193,7 +224,7 @@ Variable softmax_rows(const Variable& a) {
   check::expect_dim(a.value(), 2, "softmax_rows");
   const i64 rows = a.size(0);
   const i64 cols = a.size(1);
-  Tensor out(a.value().shape());
+  Tensor out = Tensor::uninit(a.value().shape());
   core::softmax_rows(a.value().data(), out.data(), rows, cols);
   Tensor saved = out;
   return make_op_node("softmax_rows", std::move(out), {a}, [saved, rows, cols](Node& n) {
@@ -230,7 +261,7 @@ Variable concat_cols(const std::vector<Variable>& parts) {
                "concat_cols: all inputs must be [rows, *]");
     total_cols += p.size(1);
   }
-  Tensor out(Shape{rows, total_cols});
+  Tensor out = Tensor::uninit({rows, total_cols});
   float* o = out.data();
   i64 col_off = 0;
   std::vector<i64> widths;
@@ -296,7 +327,7 @@ Variable concat_rows(const std::vector<Variable>& parts) {
                "concat_rows: all inputs must be [*, cols]");
     total_rows += p.size(0);
   }
-  Tensor out(Shape{total_rows, cols});
+  Tensor out = Tensor::uninit({total_rows, cols});
   float* o = out.data();
   i64 row_off = 0;
   std::vector<i64> heights;
@@ -323,7 +354,7 @@ Variable concat_rows(const std::vector<Variable>& parts) {
 }
 
 Variable sum_all(const Variable& a) {
-  Tensor out(Shape{1});
+  Tensor out = Tensor::uninit({1});
   out[0] = a.value().sum();
   return make_op_node("sum_all", std::move(out), {a}, [](Node& n) {
     if (!n.parents[0]->requires_grad) return;
@@ -336,7 +367,7 @@ Variable sum_all(const Variable& a) {
 Variable mean_all(const Variable& a) {
   const i64 count = a.numel();
   check::expect_nonempty(a.value(), "mean_all");
-  Tensor out(Shape{1});
+  Tensor out = Tensor::uninit({1});
   out[0] = a.value().mean();
   return make_op_node("mean_all", std::move(out), {a}, [count](Node& n) {
     if (!n.parents[0]->requires_grad) return;
@@ -368,7 +399,7 @@ Variable embedding(const Variable& weight, const std::vector<i32>& indices) {
   const i64 vocab = weight.size(0);
   const i64 dim = weight.size(1);
   const i64 n = static_cast<i64>(indices.size());
-  Tensor out(Shape{n, dim});
+  Tensor out = Tensor::uninit({n, dim});
   const float* w = weight.value().data();
   float* o = out.data();
   for (i64 i = 0; i < n; ++i) {
@@ -409,7 +440,7 @@ Variable dropout(const Variable& a, float p, core::Rng& rng, bool training) {
 }
 
 Variable exp(const Variable& a) {
-  Tensor out(a.value().shape());
+  Tensor out = Tensor::uninit(a.value().shape());
   for (i64 i = 0; i < out.numel(); ++i) out[i] = std::exp(a.value()[i]);
   Tensor saved = out;
   return make_op_node("exp", std::move(out), {a}, [saved](Node& n) {
@@ -420,7 +451,7 @@ Variable exp(const Variable& a) {
 }
 
 Variable log(const Variable& a) {
-  Tensor out(a.value().shape());
+  Tensor out = Tensor::uninit(a.value().shape());
   for (i64 i = 0; i < out.numel(); ++i) {
     LEGW_DCHECK(a.value()[i] > 0.0f, "log: input must be positive");
     out[i] = std::log(a.value()[i]);
@@ -434,7 +465,7 @@ Variable log(const Variable& a) {
 }
 
 Variable sqrt(const Variable& a, float eps) {
-  Tensor out(a.value().shape());
+  Tensor out = Tensor::uninit(a.value().shape());
   for (i64 i = 0; i < out.numel(); ++i) {
     LEGW_DCHECK(a.value()[i] >= 0.0f, "sqrt: input must be non-negative");
     out[i] = std::sqrt(a.value()[i]);
@@ -450,7 +481,7 @@ Variable sqrt(const Variable& a, float eps) {
 }
 
 Variable abs(const Variable& a) {
-  Tensor out(a.value().shape());
+  Tensor out = Tensor::uninit(a.value().shape());
   for (i64 i = 0; i < out.numel(); ++i) out[i] = std::fabs(a.value()[i]);
   return make_op_node("abs", std::move(out), {a}, [](Node& n) {
     if (!n.parents[0]->requires_grad) return;
@@ -464,7 +495,7 @@ Variable abs(const Variable& a) {
 
 Variable clamp(const Variable& a, float lo, float hi) {
   LEGW_CHECK(lo <= hi, "clamp: lo must be <= hi");
-  Tensor out(a.value().shape());
+  Tensor out = Tensor::uninit(a.value().shape());
   for (i64 i = 0; i < out.numel(); ++i) {
     out[i] = std::min(hi, std::max(lo, a.value()[i]));
   }
@@ -506,13 +537,13 @@ Variable softmax_cross_entropy(const Variable& logits,
   const i64 cols = logits.size(1);
   LEGW_CHECK(static_cast<i64>(targets.size()) == rows,
              "cross-entropy: one target per logit row required");
-  Tensor probs(Shape{rows, cols});
+  Tensor probs = Tensor::uninit({rows, cols});
   i64 counted = 0;
   const double total = core::softmax_cross_entropy_forward(
       logits.value().data(), targets.data(), rows, cols, ignore_index,
       probs.data(), &counted);
   if (counted_out != nullptr) *counted_out = counted;
-  Tensor out(Shape{1});
+  Tensor out = Tensor::uninit({1});
   out[0] = counted > 0 ? static_cast<float>(total / counted) : 0.0f;
   return make_op_node("softmax_cross_entropy", 
       std::move(out), {logits},

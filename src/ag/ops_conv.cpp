@@ -1,7 +1,10 @@
 // Convolution, batch-norm and pooling ops for the residual CNN (ImageNet /
 // ResNet-50 stand-in). conv2d uses im2col + GEMM; the column matrix is
 // recomputed in the backward pass instead of saved, trading FLOPs for memory
-// so deep unrolled graphs stay small.
+// so deep unrolled graphs stay small. im2col and col2im find, once per kernel
+// tap, the output rows and columns [lo, hi) whose input lies inside the
+// image: those are copied or added without a per-element bounds check, the
+// rest is a zero fill or a skip.
 //
 // Every op runs on the thread pool, partitioned so that results are bitwise
 // independent of the thread count (docs/KERNELS.md, "Determinism contract"):
@@ -10,13 +13,17 @@
 //     output or of x.grad. The weight gradient is the one cross-sample
 //     reduction: each sample's g[b]*col[b]^T lands in its own partial buffer
 //     (GEMM with beta = 0), and the partials of a window of samples are then
-//     added into w.grad serially, in ascending sample order.
+//     added into w.grad split over weight elements, each element summing its
+//     samples in ascending order.
 //     When Ho*Wo fits one GEMM depth panel (256) this is the exact sum the
 //     serial beta = 1 loop formed; beyond that only the rounding differs.
 //   - the conv bias gradient and the batch-norm statistics split channels:
 //     each channel's reduction stays on one thread, in sample order.
 //   - batch-norm normalisation and its input gradient split samples; the
 //     pools split (sample, channel) planes.
+// Outputs that the op writes in full (conv2d's output, batch-norm's
+// statistics, xhat and output, the pools' outputs) are allocated
+// uninitialised; only accumulators start at zero.
 #include <algorithm>
 #include <cmath>
 #include <vector>
@@ -26,17 +33,10 @@
 
 namespace legw::ag {
 
+using core::grain_for;
 using legw::i64;
 
 namespace {
-
-// Loop items per parallel_for chunk so that each chunk does at least about
-// kMinChunkWork element operations; smaller loops stay on the calling thread.
-constexpr i64 kMinChunkWork = i64{1} << 15;
-
-i64 grain_for(i64 work_per_item) {
-  return std::max<i64>(1, kMinChunkWork / std::max<i64>(1, work_per_item));
-}
 
 // Samples whose dW partials are held at once, capped so the partials stay
 // within kDwPartialFloats for wide filters. The window only bounds memory:
@@ -58,46 +58,109 @@ float* scratch(std::vector<float>& buf, i64 n) {
   return buf.data();
 }
 
-// Scatter x[b] into columns: col is [C*kh*kw, Ho*Wo].
-void im2col(const float* x, i64 C, i64 H, i64 W, i64 kh, i64 kw, i64 stride,
-            i64 pad, i64 Ho, i64 Wo, float* col) {
+// The outputs o in [lo, hi) of a kernel tap read input o * stride + off
+// (off = tap - pad) inside [0, n); the other outputs in [0, out) read padding.
+struct Valid {
+  i64 lo, hi;
+};
+
+Valid valid_range(i64 off, i64 stride, i64 n, i64 out) {
+  const i64 lo = off >= 0 ? 0 : (stride - 1 - off) / stride;
+  const i64 hi = off >= n ? 0 : std::min(out, (n - 1 - off) / stride + 1);
+  return {std::min(lo, hi), hi};
+}
+
+// One kernel tap (c, ki, kj) of the lowering: its column-matrix row and the
+// outputs that read the image. `first` indexes x at the input element of
+// output (rows.lo, cols.lo); it is used only when rows is non-empty.
+struct Tap {
+  i64 row;  // offset of the tap's Ho*Wo block in col
+  Valid rows, cols;
+  i64 first;
+};
+
+// Calls fn(tap) for every kernel tap in (c, ki, kj) order, the loop nest of
+// the bounds-checked element loop.
+template <typename Fn>
+void for_each_tap(i64 C, i64 H, i64 W, i64 kh, i64 kw, i64 stride, i64 pad,
+                  i64 Ho, i64 Wo, Fn&& fn) {
   for (i64 c = 0; c < C; ++c) {
     for (i64 ki = 0; ki < kh; ++ki) {
+      const Valid ki_rows = valid_range(ki - pad, stride, H, Ho);
       for (i64 kj = 0; kj < kw; ++kj) {
-        float* dst = col + ((c * kh + ki) * kw + kj) * Ho * Wo;
-        for (i64 oi = 0; oi < Ho; ++oi) {
-          const i64 ii = oi * stride + ki - pad;
-          for (i64 oj = 0; oj < Wo; ++oj) {
-            const i64 jj = oj * stride + kj - pad;
-            dst[oi * Wo + oj] = (ii >= 0 && ii < H && jj >= 0 && jj < W)
-                                    ? x[(c * H + ii) * W + jj]
-                                    : 0.0f;
-          }
-        }
+        const Valid cols = valid_range(kj - pad, stride, W, Wo);
+        // A tap whose columns all read padding reads no row either.
+        const Valid rows = cols.lo < cols.hi ? ki_rows : Valid{0, 0};
+        fn(Tap{((c * kh + ki) * kw + kj) * Ho * Wo, rows, cols,
+               (c * H + rows.lo * stride + ki - pad) * W + cols.lo * stride +
+                   kj - pad});
       }
     }
   }
 }
 
-// Accumulate columns back into the image: inverse scatter of im2col.
-void col2im(const float* col, i64 C, i64 H, i64 W, i64 kh, i64 kw, i64 stride,
-            i64 pad, i64 Ho, i64 Wo, float* x) {
-  for (i64 c = 0; c < C; ++c) {
-    for (i64 ki = 0; ki < kh; ++ki) {
-      for (i64 kj = 0; kj < kw; ++kj) {
-        const float* src = col + ((c * kh + ki) * kw + kj) * Ho * Wo;
-        for (i64 oi = 0; oi < Ho; ++oi) {
-          const i64 ii = oi * stride + ki - pad;
-          if (ii < 0 || ii >= H) continue;
-          for (i64 oj = 0; oj < Wo; ++oj) {
-            const i64 jj = oj * stride + kj - pad;
-            if (jj < 0 || jj >= W) continue;
-            x[(c * H + ii) * W + jj] += src[oi * Wo + oj];
-          }
-        }
-      }
+// With stride 1 and Wo == W (a "same" convolution) a column row has the
+// image row's pitch, so a tap's outputs from (rows.lo, cols.lo) through
+// (rows.hi - 1, cols.hi - 1) read one contiguous span of x, and the lowering
+// moves the span at once instead of row by row. The outputs in the span
+// between two valid rows read padding (cols.hi <= oj < Wo + cols.lo).
+bool same_pitch(i64 stride, i64 W, i64 Wo) { return stride == 1 && Wo == W; }
+
+// The span's [first, last + 1) indices in the tap's block.
+Valid flat_span(const Tap& t, i64 Wo) {
+  return {t.rows.lo * Wo + t.cols.lo, (t.rows.hi - 1) * Wo + t.cols.hi};
+}
+
+// Scatter x[b] into columns: col is [C*kh*kw, Ho*Wo].
+void im2col(const float* x, i64 C, i64 H, i64 W, i64 kh, i64 kw, i64 stride,
+            i64 pad, i64 Ho, i64 Wo, float* col) {
+  const bool flat = same_pitch(stride, W, Wo);
+  for_each_tap(C, H, W, kh, kw, stride, pad, Ho, Wo, [&](const Tap& t) {
+    float* dst = col + t.row;
+    std::fill(dst, dst + Ho * Wo, 0.0f);
+    if (t.rows.lo == t.rows.hi) return;
+    const float* src = x + t.first;
+    if (flat) {
+      const Valid span = flat_span(t, Wo);
+      std::copy(src, src + (span.hi - span.lo), dst + span.lo);
+      for (i64 oj = t.cols.hi; oj < Wo + t.cols.lo; ++oj)
+        for (i64 oi = t.rows.lo; oi + 1 < t.rows.hi; ++oi)
+          dst[oi * Wo + oj] = 0.0f;
+      return;
     }
-  }
+    for (i64 oi = t.rows.lo; oi < t.rows.hi; ++oi)
+      for (i64 oj = t.cols.lo; oj < t.cols.hi; ++oj)
+        dst[oi * Wo + oj] =
+            src[((oi - t.rows.lo) * W + oj - t.cols.lo) * stride];
+  });
+}
+
+// Accumulate columns back into the image: the inverse scatter of im2col. Each
+// x element takes at most one term per tap, in for_each_tap's order, so its
+// sum is the one the bounds-checked element loop formed. col is scratch: on
+// the flat route the entries that read padding are set to -0.0f and added
+// too, which leaves every x element's bits as they were (v + -0.0f == v,
+// also for v = +0.0f).
+void col2im(float* col, i64 C, i64 H, i64 W, i64 kh, i64 kw, i64 stride,
+            i64 pad, i64 Ho, i64 Wo, float* x) {
+  const bool flat = same_pitch(stride, W, Wo);
+  for_each_tap(C, H, W, kh, kw, stride, pad, Ho, Wo, [&](const Tap& t) {
+    if (t.rows.lo == t.rows.hi) return;
+    float* src = col + t.row;
+    float* dst = x + t.first;
+    if (flat) {
+      for (i64 oj = t.cols.hi; oj < Wo + t.cols.lo; ++oj)
+        for (i64 oi = t.rows.lo; oi + 1 < t.rows.hi; ++oi)
+          src[oi * Wo + oj] = -0.0f;
+      const Valid span = flat_span(t, Wo);
+      for (i64 i = 0; i < span.hi - span.lo; ++i) dst[i] += src[span.lo + i];
+      return;
+    }
+    for (i64 oi = t.rows.lo; oi < t.rows.hi; ++oi)
+      for (i64 oj = t.cols.lo; oj < t.cols.hi; ++oj)
+        dst[((oi - t.rows.lo) * W + oj - t.cols.lo) * stride] +=
+            src[oi * Wo + oj];
+  });
 }
 
 }  // namespace
@@ -119,7 +182,7 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& bias,
                "conv2d: bias must be [Cout]");
   }
 
-  Tensor out(core::Shape{B, Cout, Ho, Wo});
+  Tensor out = Tensor::uninit({B, Cout, Ho, Wo});
   const i64 col_rows = C * kh * kw;
   const i64 col_cols = Ho * Wo;
   const float* xp = x.value().data();
@@ -208,11 +271,15 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& bias,
             }
           });
           if (gw == nullptr) continue;
-          // dW += partials in sample order, on this thread.
-          for (i64 b = w0; b < w1; ++b) {
-            const float* pb = partials + (b - w0) * w_numel;
-            for (i64 e = 0; e < w_numel; ++e) gw[e] += pb[e];
-          }
+          // dW += partials, split over weight elements; each element adds
+          // its samples in ascending order.
+          core::parallel_for(0, w_numel, grain_for(w1 - w0),
+                             [&](i64 e0, i64 e1) {
+            for (i64 b = w0; b < w1; ++b) {
+              const float* pb = partials + (b - w0) * w_numel;
+              for (i64 e = e0; e < e1; ++e) gw[e] += pb[e];
+            }
+          });
         }
       });
 }
@@ -231,8 +298,8 @@ Variable batch_norm2d(const Variable& x, const Variable& gamma,
   const i64 spatial = H * W;
   const i64 count = B * spatial;
 
-  Tensor mean(core::Shape{C});
-  Tensor inv_std(core::Shape{C});
+  Tensor mean = Tensor::uninit({C});
+  Tensor inv_std = Tensor::uninit({C});
   const float* xp = x.value().data();
   if (training) {
     float* mp = mean.data();
@@ -269,8 +336,8 @@ Variable batch_norm2d(const Variable& x, const Variable& gamma,
     }
   }
 
-  Tensor xhat(x.value().shape());
-  Tensor out(x.value().shape());
+  Tensor xhat = Tensor::uninit(x.value().shape());
+  Tensor out = Tensor::uninit(x.value().shape());
   {
     const float* gp = gamma.value().data();
     const float* bp = beta.value().data();
@@ -358,7 +425,7 @@ Variable batch_norm2d(const Variable& x, const Variable& gamma,
 Variable global_avg_pool(const Variable& x) {
   LEGW_CHECK(x.value().dim() == 4, "global_avg_pool: x must be [B,C,H,W]");
   const i64 B = x.size(0), C = x.size(1), spatial = x.size(2) * x.size(3);
-  Tensor out(core::Shape{B, C});
+  Tensor out = Tensor::uninit({B, C});
   const float* xp = x.value().data();
   float* op = out.data();
   core::parallel_for(0, B * C, grain_for(spatial), [&](i64 bc0, i64 bc1) {
@@ -389,7 +456,7 @@ Variable avg_pool2x2(const Variable& x) {
   const i64 B = x.size(0), C = x.size(1), H = x.size(2), W = x.size(3);
   LEGW_CHECK(H % 2 == 0 && W % 2 == 0, "avg_pool2x2: H and W must be even");
   const i64 Ho = H / 2, Wo = W / 2;
-  Tensor out(core::Shape{B, C, Ho, Wo});
+  Tensor out = Tensor::uninit({B, C, Ho, Wo});
   const float* xp = x.value().data();
   float* op = out.data();
   core::parallel_for(0, B * C, grain_for(H * W), [&](i64 bc0, i64 bc1) {

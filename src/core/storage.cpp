@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
+#include "core/thread_pool.hpp"
 #include "mem/alloc.hpp"
 
 namespace legw::core {
@@ -22,15 +24,36 @@ void FloatStorage::release() {
   size_ = 0;
 }
 
+namespace {
+
+// Fills of at least this many floats (512 KiB, e.g. the gradient buffers of
+// a conv layer at batch 256) are split over the pool; smaller fills stay
+// inline. Each element is written once, so the split changes no bit.
+constexpr i64 kPoolFillFloats = i64{1} << 17;
+
+}  // namespace
+
 FloatStorage::FloatStorage(i64 n, float fill) {
   allocate(n);
-  std::fill(ptr_, ptr_ + size_, fill);
+  if (size_ < kPoolFillFloats) {
+    std::fill(ptr_, ptr_ + size_, fill);
+    return;
+  }
+  float* p = ptr_;
+  parallel_for(0, size_, grain_for(1),
+               [p, fill](i64 i0, i64 i1) { std::fill(p + i0, p + i1, fill); });
 }
 
 FloatStorage FloatStorage::uninitialized(i64 n) {
+#ifdef LEGW_CHECKED_BUILD
+  // Poison: an element the caller fails to write reads as NaN, which the
+  // checked build's non-finite tripwires then blame on the producing op.
+  return FloatStorage(n, std::numeric_limits<float>::quiet_NaN());
+#else
   FloatStorage s;
   s.allocate(n);
   return s;
+#endif
 }
 
 FloatStorage::FloatStorage(const FloatStorage& o) {

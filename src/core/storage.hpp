@@ -19,8 +19,11 @@ class FloatStorage {
   explicit FloatStorage(i64 n) : FloatStorage(n, 0.0f) {}
   FloatStorage(i64 n, float fill);
   // n floats of UNSPECIFIED content. Only for callers that provably
-  // overwrite every element before any read (matmul's output, transposes,
-  // random fills).
+  // overwrite every element before any read: matmul's output, transposes,
+  // random fills, and op outputs whose kernel writes every element (conv2d,
+  // batch_norm2d, relu, add, the unary maps, concat; see docs/MEMORY.md).
+  // LEGW_CHECKED builds fill them with quiet NaN, so an element left
+  // unwritten trips the non-finite tripwire of the op that produced it.
   static FloatStorage uninitialized(i64 n);
 
   FloatStorage(const FloatStorage& o);

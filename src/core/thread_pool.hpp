@@ -8,6 +8,7 @@
 // accumulate per-chunk partials.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <memory>
@@ -95,5 +96,13 @@ class ThreadPool {
 // ranges smaller than one grain so tiny workloads pay no synchronisation.
 void parallel_for(i64 begin, i64 end, i64 grain,
                   const std::function<void(i64, i64)>& fn);
+
+// Loop items per parallel_for chunk so that each chunk does at least about
+// kMinChunkWork element operations; smaller loops stay on the calling thread.
+inline constexpr i64 kMinChunkWork = i64{1} << 15;
+
+constexpr i64 grain_for(i64 work_per_item) {
+  return std::max<i64>(1, kMinChunkWork / std::max<i64>(1, work_per_item));
+}
 
 }  // namespace legw::core

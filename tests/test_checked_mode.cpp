@@ -167,6 +167,32 @@ TEST(CheckedModeDeath, OptimizerStepIsSilentWhenTripwiresOff) {
 }
 
 #ifdef LEGW_CHECKED_BUILD
+// Uninitialised storage is NaN-poisoned, below and above the size whose
+// fill goes to the thread pool.
+TEST(CheckedMode, UninitializedStorageIsNanPoisoned) {
+  for (const i64 n : {i64{5}, (i64{1} << 17) + 3}) {
+    const Tensor t = Tensor::uninit({n});
+    EXPECT_EQ(first_non_finite(t.data(), n), 0);
+    for (i64 i = 0; i < n; ++i) ASSERT_TRUE(std::isnan(t.data()[i])) << i;
+  }
+}
+
+// An op that allocates its output uninitialised but leaves an element
+// unwritten is blamed at its own forward.
+TEST(CheckedModeDeath, PartlyWrittenUninitOutputIsBlamedByOp) {
+  TripwireScope on(true);
+  Variable x = Variable::leaf(Tensor({4}, {1.0f, 2.0f, 3.0f, 4.0f}), true);
+  const auto partial_copy = [&x] {
+    Tensor out = Tensor::uninit({4});
+    for (i64 i = 0; i < 3; ++i) out[i] = x.value()[i];  // element 3 missed
+    return ag::make_op_node("partial_copy", std::move(out), {x},
+                            [](Node&) {});
+  };
+  EXPECT_DEATH(partial_copy(),
+               "non-finite tripwire.*elem 3 of partial_copy\.out.*"
+               "forward of partial_copy");
+}
+
 TEST(CheckedModeDeath, OutOfBoundsElementAccessAborts) {
   Tensor t({2, 2}, {1.0f, 2.0f, 3.0f, 4.0f});
   EXPECT_DEATH((void)t[4], "index out of bounds: 4");

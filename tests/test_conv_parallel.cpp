@@ -1,7 +1,11 @@
 // Batch-parallel conv2d / batch_norm2d / pooling backward against serial
 // oracles. The oracles are the per-sample loops the ops ran before they were
 // spread over the thread pool: conv2d's weight gradient accumulated with one
-// beta = 1 GEMM per sample, every channel reduction in sample order. Lives in
+// beta = 1 GEMM per sample, every channel reduction in sample order. The
+// lowering oracles check conv2d against a bounds-checked element-by-element
+// im2col/col2im over kernel, padding and stride shapes whose taps read whole
+// rows and columns of padding; the elementwise tests check relu, add and
+// large fills, split over the pool, against their serial loops. Lives in
 // the kernel-test binary (every LEGW_KERNEL/LEGW_NUM_THREADS registration and
 // the ASan/UBSan preset) and in the concurrency binary (the TSan preset).
 #include <gtest/gtest.h>
@@ -13,7 +17,9 @@
 #include <vector>
 
 #include "ag/ops.hpp"
+#include "core/kernels.hpp"
 #include "core/rng.hpp"
+#include "core/storage.hpp"
 #include "core/tensor.hpp"
 #include "core/thread_pool.hpp"
 
@@ -22,12 +28,12 @@ namespace {
 
 using core::Rng;
 
-void im2col_ref(const float* x, i64 C, i64 H, i64 W, i64 k, i64 stride,
-                i64 pad, i64 Ho, i64 Wo, float* col) {
+void im2col_ref(const float* x, i64 C, i64 H, i64 W, i64 kh, i64 kw,
+                i64 stride, i64 pad, i64 Ho, i64 Wo, float* col) {
   for (i64 c = 0; c < C; ++c)
-    for (i64 ki = 0; ki < k; ++ki)
-      for (i64 kj = 0; kj < k; ++kj) {
-        float* dst = col + ((c * k + ki) * k + kj) * Ho * Wo;
+    for (i64 ki = 0; ki < kh; ++ki)
+      for (i64 kj = 0; kj < kw; ++kj) {
+        float* dst = col + ((c * kh + ki) * kw + kj) * Ho * Wo;
         for (i64 oi = 0; oi < Ho; ++oi)
           for (i64 oj = 0; oj < Wo; ++oj) {
             const i64 ii = oi * stride + ki - pad;
@@ -39,12 +45,12 @@ void im2col_ref(const float* x, i64 C, i64 H, i64 W, i64 k, i64 stride,
       }
 }
 
-void col2im_ref(const float* col, i64 C, i64 H, i64 W, i64 k, i64 stride,
-                i64 pad, i64 Ho, i64 Wo, float* x) {
+void col2im_ref(const float* col, i64 C, i64 H, i64 W, i64 kh, i64 kw,
+                i64 stride, i64 pad, i64 Ho, i64 Wo, float* x) {
   for (i64 c = 0; c < C; ++c)
-    for (i64 ki = 0; ki < k; ++ki)
-      for (i64 kj = 0; kj < k; ++kj) {
-        const float* src = col + ((c * k + ki) * k + kj) * Ho * Wo;
+    for (i64 ki = 0; ki < kh; ++ki)
+      for (i64 kj = 0; kj < kw; ++kj) {
+        const float* src = col + ((c * kh + ki) * kw + kj) * Ho * Wo;
         for (i64 oi = 0; oi < Ho; ++oi)
           for (i64 oj = 0; oj < Wo; ++oj) {
             const i64 ii = oi * stride + ki - pad;
@@ -63,9 +69,9 @@ struct ConvGrads {
 ConvGrads conv_backward_oracle(const Tensor& x, const Tensor& w,
                                const Tensor& g, i64 stride, i64 pad) {
   const i64 B = x.size(0), C = x.size(1), H = x.size(2), W = x.size(3);
-  const i64 Cout = w.size(0), k = w.size(2);
+  const i64 Cout = w.size(0), kh = w.size(2), kw = w.size(3);
   const i64 Ho = g.size(2), Wo = g.size(3);
-  const i64 rows = C * k * k, cols = Ho * Wo;
+  const i64 rows = C * kh * kw, cols = Ho * Wo;
   ConvGrads out{Tensor::zeros(x.shape()), Tensor::zeros(w.shape()),
                 Tensor::zeros({Cout})};
   for (i64 b = 0; b < B; ++b)
@@ -79,13 +85,13 @@ ConvGrads conv_backward_oracle(const Tensor& x, const Tensor& w,
   std::vector<float> dcol(col.size());
   for (i64 b = 0; b < B; ++b) {
     const float* gs = g.data() + b * Cout * cols;
-    im2col_ref(x.data() + b * C * H * W, C, H, W, k, stride, pad, Ho, Wo,
-               col.data());
+    im2col_ref(x.data() + b * C * H * W, C, H, W, kh, kw, stride, pad, Ho,
+               Wo, col.data());
     core::gemm(false, true, Cout, rows, cols, 1.0f, gs, cols, col.data(),
                cols, 1.0f, out.gw.data(), rows);
     core::gemm(true, false, rows, cols, Cout, 1.0f, w.data(), rows, gs, cols,
                0.0f, dcol.data(), cols);
-    col2im_ref(dcol.data(), C, H, W, k, stride, pad, Ho, Wo,
+    col2im_ref(dcol.data(), C, H, W, kh, kw, stride, pad, Ho, Wo,
                out.gx.data() + b * C * H * W);
   }
   return out;
@@ -182,6 +188,231 @@ TEST(ConvBackwardLargeImage, CloseToSerialLoopAndReproducible) {
   EXPECT_TRUE(bitwise_equal(again.gx, got.gx));
   EXPECT_TRUE(bitwise_equal(again.gw, got.gw));
   EXPECT_TRUE(bitwise_equal(again.gb, got.gb));
+}
+
+// ---- lowering oracles -------------------------------------------------------
+// Shapes beyond the 3x3 / 16x16 sweep above: 1x1, 5x5 and non-square
+// kernels, padding up to 2 (so some taps, and with k = 1 whole output rows
+// and columns, read only padding), strides 1 to 3, H != W, Wo = 1, and
+// kernels wider than the padded-away image, whose edge taps read no input.
+
+struct LoweringShape {
+  i64 C, Cout, H, W, kh, kw, stride, pad;
+};
+
+void PrintTo(const LoweringShape& s, std::ostream* os) {
+  *os << "C" << s.C << "_" << s.H << "x" << s.W << "_k" << s.kh << "x" << s.kw
+      << "_stride" << s.stride << "_pad" << s.pad;
+}
+
+// The forward the op must reproduce bit for bit: per sample, the
+// bounds-checked im2col, one beta = 0 GEMM, then the bias added per element.
+Tensor conv_forward_oracle(const Tensor& x, const Tensor& w,
+                           const Tensor& bias, i64 stride, i64 pad) {
+  const i64 B = x.size(0), C = x.size(1), H = x.size(2), W = x.size(3);
+  const i64 Cout = w.size(0), kh = w.size(2), kw = w.size(3);
+  const i64 Ho = (H + 2 * pad - kh) / stride + 1;
+  const i64 Wo = (W + 2 * pad - kw) / stride + 1;
+  const i64 rows = C * kh * kw, cols = Ho * Wo;
+  Tensor out({B, Cout, Ho, Wo});
+  std::vector<float> col(static_cast<std::size_t>(rows * cols));
+  for (i64 b = 0; b < B; ++b) {
+    im2col_ref(x.data() + b * C * H * W, C, H, W, kh, kw, stride, pad, Ho, Wo,
+               col.data());
+    float* ob = out.data() + b * Cout * cols;
+    core::gemm(false, false, Cout, cols, rows, 1.0f, w.data(), rows,
+               col.data(), cols, 0.0f, ob, cols);
+    for (i64 co = 0; co < Cout; ++co)
+      for (i64 s = 0; s < cols; ++s) ob[co * cols + s] += bias[co];
+  }
+  return out;
+}
+
+struct LoweringCase {
+  Tensor x, w, bias;
+  i64 Ho, Wo;
+};
+
+LoweringCase lowering_case(const LoweringShape& s, i64 batch) {
+  Rng rng(static_cast<u64>(1000 + s.H * 31 + s.W * 7 + s.kh * 5 + s.kw * 3 +
+                           s.stride * 11 + s.pad));
+  LoweringCase lc{Tensor::randn({batch, s.C, s.H, s.W}, rng),
+                  Tensor::randn({s.Cout, s.C, s.kh, s.kw}, rng, 0.3f),
+                  Tensor::randn({s.Cout}, rng, 0.2f),
+                  (s.H + 2 * s.pad - s.kh) / s.stride + 1,
+                  (s.W + 2 * s.pad - s.kw) / s.stride + 1};
+  return lc;
+}
+
+class ConvForwardOracle : public ::testing::TestWithParam<LoweringShape> {};
+
+TEST_P(ConvForwardOracle, BitwiseEqualToIm2colGemm) {
+  const LoweringShape s = GetParam();
+  const LoweringCase lc = lowering_case(s, 3);
+  ASSERT_GE(lc.Ho, 1);
+  ASSERT_GE(lc.Wo, 1);
+  const Tensor want = conv_forward_oracle(lc.x, lc.w, lc.bias, s.stride, s.pad);
+  const Variable y =
+      conv2d(Variable::constant(lc.x), Variable::constant(lc.w),
+             Variable::constant(lc.bias), s.stride, s.pad);
+  EXPECT_TRUE(bitwise_equal(y.value(), want));
+}
+
+// The same shapes through backward: col2im's per-element sums against the
+// bounds-checked loop, and dW against the serial beta = 1 GEMM (every shape
+// here keeps Ho*Wo within one depth panel).
+class ConvBackwardLowering : public ::testing::TestWithParam<LoweringShape> {};
+
+TEST_P(ConvBackwardLowering, BitwiseEqualToSerialLoop) {
+  const LoweringShape s = GetParam();
+  const LoweringCase lc = lowering_case(s, 3);
+  ASSERT_LE(lc.Ho * lc.Wo, 256);
+  Rng rng(static_cast<u64>(7 + s.H + s.W));
+  const Tensor g = Tensor::randn({3, s.Cout, lc.Ho, lc.Wo}, rng);
+  const ConvGrads want = conv_backward_oracle(lc.x, lc.w, g, s.stride, s.pad);
+  const ConvGrads got =
+      conv_backward_op(lc.x, lc.w, lc.bias, g, s.stride, s.pad);
+  EXPECT_TRUE(bitwise_equal(got.gx, want.gx)) << "x.grad";
+  EXPECT_TRUE(bitwise_equal(got.gw, want.gw)) << "w.grad";
+  EXPECT_TRUE(bitwise_equal(got.gb, want.gb)) << "bias.grad";
+}
+
+const LoweringShape kLoweringShapes[] = {
+    // 1x1: with pad 1 or 2 the border output rows and columns read only
+    // padding (they hold just the bias).
+    {3, 4, 5, 7, 1, 1, 1, 0},
+    {3, 4, 6, 5, 1, 1, 2, 0},
+    {2, 3, 5, 4, 1, 1, 1, 1},
+    {2, 3, 4, 6, 1, 1, 1, 2},
+    {2, 3, 2, 3, 1, 1, 3, 2},
+    // 3x3 off the 16x16 sweep.
+    {3, 5, 7, 5, 3, 3, 1, 1},
+    {2, 4, 9, 6, 3, 3, 1, 2},
+    {2, 4, 9, 7, 3, 3, 2, 2},
+    {2, 4, 11, 8, 3, 3, 3, 1},
+    // 5x5.
+    {2, 3, 9, 6, 5, 5, 1, 2},
+    {2, 3, 11, 8, 5, 5, 3, 1},
+    {2, 3, 7, 10, 5, 5, 2, 0},
+    // Non-square kernels.
+    {2, 4, 8, 10, 3, 5, 2, 1},
+    {2, 3, 9, 4, 5, 1, 1, 2},
+    {2, 3, 6, 9, 1, 3, 3, 0},
+    // Wo = 1.
+    {2, 3, 10, 4, 3, 3, 3, 0},
+    {2, 3, 6, 1, 3, 3, 1, 1},
+    {2, 3, 7, 3, 3, 5, 1, 1},
+    // Kernel wider than the image: edge taps read no input at all.
+    {2, 3, 2, 2, 5, 5, 1, 2},
+    {2, 3, 3, 2, 5, 5, 2, 2},
+};
+
+INSTANTIATE_TEST_SUITE_P(Shapes, ConvForwardOracle,
+                         ::testing::ValuesIn(kLoweringShapes));
+INSTANTIATE_TEST_SUITE_P(Shapes, ConvBackwardLowering,
+                         ::testing::ValuesIn(kLoweringShapes));
+
+// ---- elementwise ops on the pool -------------------------------------------
+// relu and add split their elements over the pool above one grain
+// (core::grain_for(1)). Sizes below, at and above the grain, against the
+// serial kernels; the .blocked-mt4 registration runs them on a 4-thread pool.
+
+const i64 kElemGrain = core::grain_for(1);
+const i64 kElemSizes[] = {kElemGrain - 1, kElemGrain, kElemGrain + 1,
+                          4 * kElemGrain + 3};
+
+// Random values with exact zeros and negative zeros mixed in, so relu's
+// boundary takes both branches.
+Tensor elem_input(i64 n, Rng& rng) {
+  Tensor t = Tensor::randn({n}, rng);
+  for (i64 i = 0; i < n; i += 7) t[i] = (i % 2 == 0) ? 0.0f : -0.0f;
+  return t;
+}
+
+TEST(ElementwisePool, ReluMatchesSerialKernels) {
+  for (const i64 n : kElemSizes) {
+    Rng rng(static_cast<u64>(n));
+    const Tensor x0 = elem_input(n, rng);
+    const Tensor g = Tensor::randn({n}, rng);
+    const Tensor prior = Tensor::randn({n}, rng);
+    Tensor want_y({n});
+    core::relu_forward(x0.data(), want_y.data(), n);
+    Tensor want_gx = prior;
+    core::relu_backward(x0.data(), g.data(), want_gx.data(), n);
+
+    Variable x = Variable::leaf(x0, true);
+    x.mutable_grad() = prior;  // backward accumulates onto it
+    const Variable y = relu(x);
+    backward(y, &g);
+    EXPECT_TRUE(bitwise_equal(y.value(), want_y)) << "relu out, n=" << n;
+    EXPECT_TRUE(bitwise_equal(x.grad(), want_gx)) << "relu x.grad, n=" << n;
+  }
+}
+
+TEST(ElementwisePool, AddMatchesSerialLoops) {
+  for (const i64 n : kElemSizes) {
+    Rng rng(static_cast<u64>(n + 1));
+    const Tensor a0 = elem_input(n, rng);
+    const Tensor b0 = Tensor::randn({n}, rng);
+    const Tensor g = Tensor::randn({n}, rng);
+    const Tensor prior = Tensor::randn({n}, rng);
+    Tensor want_y({n}), want_ga = prior, want_gb = Tensor::zeros({n});
+    Tensor want_gxx = prior;
+    for (i64 i = 0; i < n; ++i) {
+      want_y[i] = a0[i] + b0[i];
+      want_ga[i] += g[i];
+      want_gb[i] += g[i];
+      want_gxx[i] += g[i];
+      want_gxx[i] += g[i];
+    }
+
+    Variable a = Variable::leaf(a0, true);
+    Variable b = Variable::leaf(b0, true);
+    a.mutable_grad() = prior;
+    const Variable y = add(a, b);
+    backward(y, &g);
+    EXPECT_TRUE(bitwise_equal(y.value(), want_y)) << "add out, n=" << n;
+    EXPECT_TRUE(bitwise_equal(a.grad(), want_ga)) << "add a.grad, n=" << n;
+    EXPECT_TRUE(bitwise_equal(b.grad(), want_gb)) << "add b.grad, n=" << n;
+
+    // add(x, x): one buffer takes the gradient twice, in parent order.
+    Variable xx = Variable::leaf(a0, true);
+    xx.mutable_grad() = prior;
+    backward(add(xx, xx), &g);
+    EXPECT_TRUE(bitwise_equal(xx.grad(), want_gxx)) << "add(x, x), n=" << n;
+
+    // Only one side needs a gradient.
+    Variable c = Variable::leaf(a0, false);
+    Variable d = Variable::leaf(b0, true);
+    backward(add(c, d), &g);
+    EXPECT_TRUE(bitwise_equal(d.grad(), want_gb)) << "add d.grad, n=" << n;
+  }
+}
+
+// Above the grain, on a pool of more than one thread, the ops really split.
+TEST(ElementwisePool, LargeRangesUseThePool) {
+  core::ThreadPool& pool = core::ThreadPool::global();
+  if (pool.size() < 2) GTEST_SKIP() << "one-thread pool";
+  Rng rng(3);
+  const i64 n = 4 * kElemGrain + 3;
+  Variable a = Variable::leaf(Tensor::randn({n}, rng), true);
+  const Tensor g = Tensor::randn({n}, rng);
+  const i64 before = pool.stats().submissions;
+  backward(relu(add(a, a)), &g);
+  // relu and add forward, relu and add backward.
+  EXPECT_GE(pool.stats().submissions - before, 4);
+}
+
+// Fills of 2^17 floats and more (the conv gradient buffers) go to the pool;
+// smaller ones stay inline. Either way every element holds the fill value.
+TEST(ElementwisePool, FillsWriteEveryElement) {
+  constexpr i64 kPoolFill = i64{1} << 17;
+  for (const i64 n : {kPoolFill - 1, kPoolFill, kPoolFill + 5}) {
+    const core::FloatStorage s(n, 1.5f);
+    EXPECT_EQ(std::count(s.begin(), s.end(), 1.5f), n) << "n=" << n;
+    const Tensor z({n});
+    EXPECT_EQ(std::count(z.data(), z.data() + n, 0.0f), n) << "n=" << n;
+  }
 }
 
 struct BnResult {
