@@ -24,21 +24,10 @@ void FloatStorage::release() {
   size_ = 0;
 }
 
-namespace {
-
-// Fills of at least this many floats (512 KiB, e.g. the gradient buffers of
-// a conv layer at batch 256) are split over the pool; smaller fills stay
-// inline. Each element is written once, so the split changes no bit.
-constexpr i64 kPoolFillFloats = i64{1} << 17;
-
-}  // namespace
-
+// Split over the pool above the elementwise grain, as add and relu are.
+// Each element is written once, so the split changes no bit.
 FloatStorage::FloatStorage(i64 n, float fill) {
   allocate(n);
-  if (size_ < kPoolFillFloats) {
-    std::fill(ptr_, ptr_ + size_, fill);
-    return;
-  }
   float* p = ptr_;
   parallel_for(0, size_, grain_for(1),
                [p, fill](i64 i0, i64 i1) { std::fill(p + i0, p + i1, fill); });

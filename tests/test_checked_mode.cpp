@@ -12,6 +12,7 @@
 #include "ag/ops.hpp"
 #include "ag/variable.hpp"
 #include "check/check.hpp"
+#include "core/thread_pool.hpp"
 #include "optim/optimizer.hpp"
 
 namespace legw::check {
@@ -170,7 +171,7 @@ TEST(CheckedModeDeath, OptimizerStepIsSilentWhenTripwiresOff) {
 // Uninitialised storage is NaN-poisoned, below and above the size whose
 // fill goes to the thread pool.
 TEST(CheckedMode, UninitializedStorageIsNanPoisoned) {
-  for (const i64 n : {i64{5}, (i64{1} << 17) + 3}) {
+  for (const i64 n : {i64{5}, 4 * core::grain_for(1) + 3}) {
     const Tensor t = Tensor::uninit({n});
     EXPECT_EQ(first_non_finite(t.data(), n), 0);
     for (i64 i = 0; i < n; ++i) ASSERT_TRUE(std::isnan(t.data()[i])) << i;
@@ -189,7 +190,7 @@ TEST(CheckedModeDeath, PartlyWrittenUninitOutputIsBlamedByOp) {
                             [](Node&) {});
   };
   EXPECT_DEATH(partial_copy(),
-               "non-finite tripwire.*elem 3 of partial_copy\.out.*"
+               "non-finite tripwire.*elem 3 of partial_copy\\.out.*"
                "forward of partial_copy");
 }
 

@@ -403,11 +403,10 @@ TEST(ElementwisePool, LargeRangesUseThePool) {
   EXPECT_GE(pool.stats().submissions - before, 4);
 }
 
-// Fills of 2^17 floats and more (the conv gradient buffers) go to the pool;
-// smaller ones stay inline. Either way every element holds the fill value.
+// Fills above the elementwise grain go to the pool; smaller ones stay
+// inline. Either way every element holds the fill value.
 TEST(ElementwisePool, FillsWriteEveryElement) {
-  constexpr i64 kPoolFill = i64{1} << 17;
-  for (const i64 n : {kPoolFill - 1, kPoolFill, kPoolFill + 5}) {
+  for (const i64 n : {kElemGrain - 1, kElemGrain, 4 * kElemGrain + 5}) {
     const core::FloatStorage s(n, 1.5f);
     EXPECT_EQ(std::count(s.begin(), s.end(), 1.5f), n) << "n=" << n;
     const Tensor z({n});
