@@ -2,16 +2,18 @@
 //
 // Every bench binary prints the rows of one paper table/figure. Scales are
 // reduced from the paper's (TPU pods -> one CPU); the *scaling factors* k
-// match the paper (see DESIGN.md §1). Set LEGW_BENCH_SCALE=2 (or higher) to
+// match the paper (see DESIGN.md §1). Set LEGW_BENCH_SCALE=2 (up to 64) to
 // multiply dataset sizes and epochs for higher-fidelity runs.
 #pragma once
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/flags.hpp"
@@ -30,12 +32,24 @@
 
 namespace legw::bench {
 
+// Scale for a LEGW_BENCH_SCALE value: nullptr (unset) gives 1. Otherwise the
+// whole string must be an integer in [1, 64], else a LEGW_CHECK abort naming
+// the variable. 64 keeps the largest synthetic dataset under about 1 GB.
+inline int parse_bench_scale(const char* value) {
+  if (value == nullptr) return 1;
+  const std::string v(value);
+  int s = 0;
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), s);
+  LEGW_CHECK(ec == std::errc() && end == v.data() + v.size() && s >= 1 &&
+                 s <= 64,
+             "LEGW_BENCH_SCALE must be an integer in [1, 64], got '" + v +
+                 "'");
+  return s;
+}
+
 inline int bench_scale() {
-  if (const char* env = std::getenv("LEGW_BENCH_SCALE")) {
-    const int s = std::atoi(env);
-    if (s >= 1) return s;
-  }
-  return 1;
+  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env probe, no setenv
+  return parse_bench_scale(std::getenv("LEGW_BENCH_SCALE"));
 }
 
 // A count flag (reps, clients, replicas, layer sizes): an integer in

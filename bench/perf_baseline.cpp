@@ -1,8 +1,9 @@
 // Kernel performance baseline: times gemm_ref vs gemm_blocked over the GEMM
 // shapes the real models hit (square sweeps, LSTM gate matmuls, GNMT
 // attention, ResNet im2col) plus the fused LSTM cell, the LSTM layer node
-// over a window and the conv2d op at the ResNet stage shapes, and emits
-// BENCH_kernels.json so future PRs can track per-shape regressions.
+// over a window, the conv2d op at the ResNet stage shapes and GNMT greedy
+// vs beam-4 decode, and emits BENCH_kernels.json so future changes can
+// track per-shape regressions.
 // The output names the micro-kernel compiled into gemm_blocked ("avx512" or
 // "scalar"), since the GFLOP/s mean little without it.
 //
@@ -21,6 +22,8 @@
 #include "core/io.hpp"
 #include "core/tensor.hpp"
 #include "core/thread_pool.hpp"
+#include "data/translation.hpp"
+#include "models/gnmt.hpp"
 #include "nn/lstm.hpp"
 #include "obs/trace.hpp"
 
@@ -215,6 +218,37 @@ ConvResult conv2d_rate(i64 batch, i64 channels, i64 hw, int reps,
   return res;
 }
 
+// GNMT decode of one 4-sentence batch with the small bench model (2 layers,
+// hidden 16, vocab 60, at most 10 target tokens): milliseconds per batch at
+// a beam width. Beam 1 is greedy search; the ratio is what the beam costs.
+double gnmt_decode_ms(i64 beam, int reps, double min_ms) {
+  data::TranslationConfig tcfg;
+  tcfg.n_train = 64;
+  tcfg.src_vocab = 60;
+  tcfg.tgt_vocab = 60;
+  const data::SyntheticTranslation dataset(tcfg);
+  models::GnmtConfig cfg;
+  cfg.src_vocab = 60;
+  cfg.tgt_vocab = 60;
+  cfg.embed_dim = 16;
+  cfg.hidden_dim = 16;
+  cfg.num_layers = 2;
+  models::Gnmt model(cfg);
+  model.set_training(false);
+  const data::TranslationBatch b =
+      data::make_translation_batch(dataset.train(), {0, 1, 2, 3});
+  i64 tokens = 0;
+  const double sec = time_loop(
+      [&] {
+        for (const auto& hyp : model.beam_decode(b, beam, 10)) {
+          tokens += static_cast<i64>(hyp.size());
+        }
+      },
+      reps, min_ms);
+  LEGW_CHECK(tokens > 0, "perf_baseline: gnmt decode produced no tokens");
+  return sec * 1e3;
+}
+
 // Re-runs every shape a few times under tracing so the phase summary in the
 // output JSON has per-kernel rows. Kept separate from the timed loops above:
 // those run with tracing in its default (disabled) state so the reported
@@ -374,6 +408,20 @@ int main(int argc, char** argv) {
                  static_cast<long long>(batch),
                  static_cast<long long>(channels), static_cast<long long>(hw),
                  r.fwd_ms, r.bwd_ms, i + 1 < conv_shapes.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+
+  std::fprintf(f, "  \"gnmt_decode\": [\n");
+  const std::array<i64, 2> beams = {1, 4};
+  for (std::size_t i = 0; i < beams.size(); ++i) {
+    const double ms = gnmt_decode_ms(beams[i], reps, min_ms);
+    std::printf("gnmt_decode beam=%lld batch=4  %.3f ms\n",
+                static_cast<long long>(beams[i]), ms);
+    std::fprintf(f,
+                 "    {\"beam\": %lld, \"batch\": 4, \"max_len\": 10, "
+                 "\"ms_per_batch\": %.4f}%s\n",
+                 static_cast<long long>(beams[i]), ms,
+                 i + 1 < beams.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
 

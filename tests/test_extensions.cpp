@@ -252,5 +252,22 @@ TEST(BenchCountFlag, AboveTheMaximumAbortsNamingTheFlag) {
                "--reps must be in \\[1, 2147483647\\], got 4294967296");
 }
 
+// ---- bench::parse_bench_scale --------------------------------------------------
+
+TEST(BenchScale, UnsetIsOneAndTheRangeEndsAreAccepted) {
+  EXPECT_EQ(bench::parse_bench_scale(nullptr), 1);
+  EXPECT_EQ(bench::parse_bench_scale("1"), 1);
+  EXPECT_EQ(bench::parse_bench_scale("64"), 64);
+}
+
+TEST(BenchScale, GarbageAbortsNamingTheVariable) {
+  // atoi used to run "abc" and "0" at scale 1, "2x" at 2 and "1e9" at 1.
+  for (const char* bad : {"abc", "0", "-1", "2x", "1e9", "65", ""}) {
+    EXPECT_DEATH(bench::parse_bench_scale(bad),
+                 "LEGW_BENCH_SCALE must be an integer in \\[1, 64\\]")
+        << bad;
+  }
+}
+
 }  // namespace
 }  // namespace legw
